@@ -2,11 +2,18 @@
 // Experiment C2: capability-engine operation costs (§4.1's grant / share /
 // revoke tree). Shape to check: individual operations stay cheap as the
 // tree grows; cascading revocation is linear in the subtree it kills,
-// including in the presence of circular sharing.
+// including in the presence of circular sharing; and share/revoke churn
+// through the whole monitor costs the same at the end as at the start.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <vector>
+
+#include "bench/bench_common.h"
 #include "src/capability/engine.h"
+#include "src/monitor/dispatch.h"
 
 namespace tyche {
 namespace {
@@ -167,6 +174,72 @@ void BM_EffectivePerms(benchmark::State& state) {
   state.counters["existing_caps"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_EffectivePerms)->Arg(16)->Arg(256)->Arg(4096)->Iterations(20000);
+
+// Median of the per-pair costs of a run of chunks.
+double MedianNs(std::vector<double> chunk_ns) {
+  std::nth_element(chunk_ns.begin(), chunk_ns.begin() + chunk_ns.size() / 2, chunk_ns.end());
+  return chunk_ns[chunk_ns.size() / 2];
+}
+
+// One-page share+revoke pairs from the OS into a child, through Dispatch()
+// on a booted testbed: engine, backend sync and effects, 100 k times. Per-op
+// cost must not grow with history, and neither may the engine. Exports the
+// per-pair cost of the first and last tenth of the run (each the median over
+// 100-pair chunks, so one preempted chunk cannot move it), their ratio, and
+// the engine's node count at the end and its growth over the run;
+// bench/baselines/capability_churn_baseline.json gates the ratio and growth.
+void BM_CapChurn(benchmark::State& state) {
+  constexpr uint32_t kPairs = 100000;
+  constexpr uint32_t kChunk = 100;
+  constexpr uint32_t kWindowPages = 16;
+  std::vector<double> chunk_ns;
+  uint64_t start_caps = 0;
+  uint64_t end_caps = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Testbed testbed = bench::MustTestbed();
+    Monitor& monitor = testbed.monitor();
+    const CapId child = (*monitor.CreateDomain(0, "churn")).handle;
+    const uint64_t base = testbed.Scratch(16 * kMiB);
+    const CapId src = *testbed.OsMemCap(AddrRange{base, kWindowPages * kPageSize});
+    ApiRegs share;
+    share.op = static_cast<uint64_t>(ApiOp::kShareMemory);
+    share.arg0 = src;
+    share.arg1 = child;
+    share.arg3 = kPageSize;
+    share.arg4 = Perms::kRW;
+    share.arg5 = static_cast<uint64_t>(CapRights::kAll) << 8;
+    ApiRegs revoke;
+    revoke.op = static_cast<uint64_t>(ApiOp::kRevoke);
+    start_caps = monitor.engine().total_caps();
+    chunk_ns.clear();
+    state.ResumeTiming();
+    for (uint32_t pair = 0; pair < kPairs; pair += kChunk) {
+      const auto t0 = std::chrono::steady_clock::now();
+      for (uint32_t i = pair; i < pair + kChunk; ++i) {
+        share.arg2 = base + (i % kWindowPages) * kPageSize;
+        revoke.arg0 = Dispatch(&monitor, 0, share).ret0;
+        if (Dispatch(&monitor, 0, revoke).error != 0) {
+          state.SkipWithError("share+revoke pair failed");
+          return;
+        }
+      }
+      const std::chrono::duration<double, std::nano> elapsed =
+          std::chrono::steady_clock::now() - t0;
+      chunk_ns.push_back(elapsed.count() / kChunk);
+    }
+    end_caps = monitor.engine().total_caps();
+  }
+  const size_t decile = chunk_ns.size() / 10;
+  const double first = MedianNs({chunk_ns.begin(), chunk_ns.begin() + decile});
+  const double last = MedianNs({chunk_ns.end() - decile, chunk_ns.end()});
+  state.counters["first_decile_ns"] = first;
+  state.counters["last_decile_ns"] = last;
+  state.counters["decile_ratio"] = last / first;
+  state.counters["total_caps"] = static_cast<double>(end_caps);
+  state.counters["total_caps_growth"] = static_cast<double>(end_caps - start_caps);
+}
+BENCHMARK(BM_CapChurn)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace tyche

@@ -20,12 +20,13 @@ enum class CapOrigin : uint8_t {
   kRestore,    // ownership returned to the grantor after revoking a grant
 };
 
-// The current life-cycle state. Lineage nodes are never deleted -- a revoked
-// capability stays in the tree as history (and as the anchor for audit) but
-// confers no access.
+// The current life-cycle state. A revoked node is reclaimed before Revoke
+// returns (the audit journal keeps the history), so a live engine only holds
+// active and donated nodes; kRevoked keeps its encoding so snapshot bytes
+// stay stable and the index check can flag a node that escaped reclamation.
 enum class CapState : uint8_t {
   kActive,
-  kRevoked,   // explicitly revoked; subtree revoked with it
+  kRevoked,   // explicitly revoked; never stored by a live engine
   kDonated,   // was the source of a Grant; superseded by its children
 };
 

@@ -83,11 +83,6 @@ void CapabilityEngine::SealDomain(CapDomainId domain) {
   }
 }
 
-bool CapabilityEngine::IsSealed(CapDomainId domain) const {
-  std::shared_lock lock(mu_);
-  return IsSealedLocked(domain);
-}
-
 bool CapabilityEngine::IsSealedLocked(CapDomainId domain) const {
   const auto it = domains_.find(domain);
   return it != domains_.end() && it->second.sealed;
@@ -120,10 +115,41 @@ Capability& CapabilityEngine::NewCap(CapDomainId owner, ResourceKind kind) {
   return cap;
 }
 
+void CapabilityEngine::IndexActive(const Capability& cap) {
+  std::vector<CapId>& ids = owned_[cap.owner];
+  ids.insert(std::lower_bound(ids.begin(), ids.end(), cap.id), cap.id);
+}
+
+void CapabilityEngine::UnindexActive(const Capability& cap) {
+  if (const auto owned_it = owned_.find(cap.owner); owned_it != owned_.end()) {
+    std::erase(owned_it->second, cap.id);
+  }
+}
+
+template <typename Fn>
+void CapabilityEngine::ForEachOwnedLocked(CapDomainId domain, Fn&& fn) const {
+  const auto owned_it = owned_.find(domain);
+  if (owned_it == owned_.end()) {
+    return;
+  }
+  for (const CapId id : owned_it->second) {
+    if (const auto it = caps_.find(id); it != caps_.end()) {
+      fn(it->second);
+    }
+  }
+}
+
+Status CapabilityEngine::MissingCap(CapId cap) const {
+  if (cap != kInvalidCap && cap < next_id_) {
+    return Error(ErrorCode::kCapabilityRevoked, "capability revoked");
+  }
+  return Error(ErrorCode::kNotFound, "no such capability");
+}
+
 Result<Capability*> CapabilityEngine::GetMutable(CapId cap) {
   const auto it = caps_.find(cap);
   if (it == caps_.end()) {
-    return Error(ErrorCode::kNotFound, "no such capability");
+    return MissingCap(cap);
   }
   return &it->second;
 }
@@ -136,7 +162,7 @@ Result<const Capability*> CapabilityEngine::Get(CapId cap) const {
 Result<const Capability*> CapabilityEngine::GetLocked(CapId cap) const {
   const auto it = caps_.find(cap);
   if (it == caps_.end()) {
-    return Error(ErrorCode::kNotFound, "no such capability");
+    return MissingCap(cap);
   }
   return &it->second;
 }
@@ -198,48 +224,65 @@ Status CapabilityEngine::CheckSealingRules(CapDomainId src_owner, CapDomainId ds
   return OkStatus();
 }
 
+Result<Capability*> CapabilityEngine::CheckDelegation(const char* op, CapDomainId requester,
+                                                      CapId src_cap, CapDomainId dst,
+                                                      bool grant, const AddrRange* sub,
+                                                      Perms perms, CapRights rights) {
+  auto fail = [op](ErrorCode code, const char* what) {
+    return Error(code, std::string(op) + ": " + what);
+  };
+  TYCHE_ASSIGN_OR_RETURN(Capability * src, GetMutable(src_cap));
+  if (src->owner != requester) {
+    return fail(ErrorCode::kCapabilityNotOwned, "requester does not own capability");
+  }
+  if (!src->active()) {
+    return fail(ErrorCode::kCapabilityRevoked, "source capability inactive");
+  }
+  if ((src->kind == ResourceKind::kMemory) != (sub != nullptr)) {
+    return fail(ErrorCode::kInvalidArgument, sub != nullptr
+                                                 ? "not a memory capability"
+                                                 : "memory is delegated by sub-range");
+  }
+  if (!(grant ? src->rights.CanGrant() : src->rights.CanShare())) {
+    return fail(ErrorCode::kCapabilityRightsViolation,
+                grant ? "missing grant right" : "missing share right");
+  }
+  if (sub != nullptr) {
+    if (sub->empty() || !src->range.Contains(*sub)) {
+      return fail(ErrorCode::kOutOfRange, "sub-range outside capability");
+    }
+    if (!IsPageAligned(sub->base) || !IsPageAligned(sub->size)) {
+      return fail(ErrorCode::kInvalidArgument, "sub-range must be page-aligned");
+    }
+    if (!src->perms.Covers(perms) || perms.empty()) {
+      return fail(ErrorCode::kCapabilityRightsViolation, "permissions exceed source");
+    }
+  }
+  if (!src->rights.Covers(rights)) {
+    return fail(ErrorCode::kCapabilityRightsViolation, "rights exceed source");
+  }
+  TYCHE_RETURN_IF_ERROR(CheckSealingRules(requester, dst));
+  return src;
+}
+
+// std::map nodes are stable, so `src` stays valid across NewCap below.
 Result<CapId> CapabilityEngine::ShareMemory(CapDomainId requester, CapId src_cap,
                                             CapDomainId dst, AddrRange sub, Perms perms,
                                             CapRights rights, RevocationPolicy policy,
                                             CapEffects* effects) {
   const ScopedPhase phase(DispatchPhase::kEngine);
   std::unique_lock lock(mu_);
-  TYCHE_ASSIGN_OR_RETURN(Capability * src, GetMutable(src_cap));
-  if (src->owner != requester) {
-    return Error(ErrorCode::kCapabilityNotOwned, "share: requester does not own capability");
-  }
-  if (!src->active()) {
-    return Error(ErrorCode::kCapabilityRevoked, "share: source capability inactive");
-  }
-  if (src->kind != ResourceKind::kMemory) {
-    return Error(ErrorCode::kInvalidArgument, "share: not a memory capability");
-  }
-  if (!src->rights.CanShare()) {
-    return Error(ErrorCode::kCapabilityRightsViolation, "share: missing share right");
-  }
-  if (sub.empty() || !src->range.Contains(sub)) {
-    return Error(ErrorCode::kOutOfRange, "share: sub-range outside capability");
-  }
-  if (!IsPageAligned(sub.base) || !IsPageAligned(sub.size)) {
-    return Error(ErrorCode::kInvalidArgument, "share: sub-range must be page-aligned");
-  }
-  if (!src->perms.Covers(perms) || perms.empty()) {
-    return Error(ErrorCode::kCapabilityRightsViolation, "share: permissions exceed source");
-  }
-  if (!src->rights.Covers(rights)) {
-    return Error(ErrorCode::kCapabilityRightsViolation, "share: rights exceed source");
-  }
-  TYCHE_RETURN_IF_ERROR(CheckSealingRules(requester, dst));
-
+  TYCHE_ASSIGN_OR_RETURN(Capability * src, CheckDelegation("share", requester, src_cap, dst,
+                                                           /*grant=*/false, &sub, perms,
+                                                           rights));
   Capability& child = NewCap(dst, ResourceKind::kMemory);
   child.range = sub;
   child.perms = perms;
   child.rights = rights;
   child.revocation = policy;
   child.origin = CapOrigin::kShare;
-  child.parent = src->id;
-  // NewCap may rehash caps_; re-fetch src.
-  caps_[src_cap].children.push_back(child.id);
+  child.parent = src_cap;
+  src->children.push_back(child.id);
 
   if (effects != nullptr) {
     effects->Add(CapEffect{CapEffect::Kind::kMapMemory, dst, ResourceKind::kMemory, sub, 0,
@@ -254,41 +297,10 @@ Result<GrantOutcome> CapabilityEngine::GrantMemory(CapDomainId requester, CapId 
                                                    RevocationPolicy policy) {
   const ScopedPhase phase(DispatchPhase::kEngine);
   std::unique_lock lock(mu_);
-  TYCHE_ASSIGN_OR_RETURN(Capability * src_ptr, GetMutable(src_cap));
-  if (src_ptr->owner != requester) {
-    return Error(ErrorCode::kCapabilityNotOwned, "grant: requester does not own capability");
-  }
-  if (!src_ptr->active()) {
-    return Error(ErrorCode::kCapabilityRevoked, "grant: source capability inactive");
-  }
-  if (src_ptr->kind != ResourceKind::kMemory) {
-    return Error(ErrorCode::kInvalidArgument, "grant: not a memory capability");
-  }
-  if (!src_ptr->rights.CanGrant()) {
-    return Error(ErrorCode::kCapabilityRightsViolation, "grant: missing grant right");
-  }
-  if (sub.empty() || !src_ptr->range.Contains(sub)) {
-    return Error(ErrorCode::kOutOfRange, "grant: sub-range outside capability");
-  }
-  if (!IsPageAligned(sub.base) || !IsPageAligned(sub.size)) {
-    return Error(ErrorCode::kInvalidArgument, "grant: sub-range must be page-aligned");
-  }
-  if (!src_ptr->perms.Covers(perms) || perms.empty()) {
-    return Error(ErrorCode::kCapabilityRightsViolation, "grant: permissions exceed source");
-  }
-  if (!src_ptr->rights.Covers(rights)) {
-    return Error(ErrorCode::kCapabilityRightsViolation, "grant: rights exceed source");
-  }
-  TYCHE_RETURN_IF_ERROR(CheckSealingRules(requester, dst));
-
-  // Snapshot fields before NewCap invalidates the pointer.
-  const AddrRange src_range = src_ptr->range;
-  const Perms src_perms = src_ptr->perms;
-  const CapRights src_rights = src_ptr->rights;
-  const RevocationPolicy src_policy = src_ptr->revocation;
-
+  TYCHE_ASSIGN_OR_RETURN(Capability * src, CheckDelegation("grant", requester, src_cap, dst,
+                                                           /*grant=*/true, &sub, perms,
+                                                           rights));
   GrantOutcome outcome;
-
   Capability& granted = NewCap(dst, ResourceKind::kMemory);
   granted.range = sub;
   granted.perms = perms;
@@ -297,25 +309,25 @@ Result<GrantOutcome> CapabilityEngine::GrantMemory(CapDomainId requester, CapId 
   granted.origin = CapOrigin::kGrant;
   granted.parent = src_cap;
   outcome.granted = granted.id;
-  caps_[src_cap].children.push_back(granted.id);
+  src->children.push_back(granted.id);
 
-  for (const AddrRange& piece : RemainderPieces(src_range, sub)) {
+  for (const AddrRange& piece : RemainderPieces(src->range, sub)) {
     Capability& rem = NewCap(requester, ResourceKind::kMemory);
     rem.range = piece;
-    rem.perms = src_perms;
-    rem.rights = src_rights;
-    rem.revocation = src_policy;
+    rem.perms = src->perms;
+    rem.rights = src->rights;
+    rem.revocation = src->revocation;
     rem.origin = CapOrigin::kRemainder;
     rem.parent = src_cap;
-    caps_[src_cap].children.push_back(rem.id);
+    src->children.push_back(rem.id);
     outcome.remainders.push_back(rem.id);
   }
-
-  caps_[src_cap].state = CapState::kDonated;
+  src->state = CapState::kDonated;
+  UnindexActive(*src);
 
   // The grantor loses access to the granted bytes; the recipient gains it.
   outcome.effects.Add(CapEffect{CapEffect::Kind::kUnmapMemory, requester,
-                                ResourceKind::kMemory, sub, 0, src_perms});
+                                ResourceKind::kMemory, sub, 0, src->perms});
   outcome.effects.Add(
       CapEffect{CapEffect::Kind::kMapMemory, dst, ResourceKind::kMemory, sub, 0, perms});
   return outcome;
@@ -326,37 +338,20 @@ Result<CapId> CapabilityEngine::ShareUnit(CapDomainId requester, CapId src_cap,
                                           RevocationPolicy policy, CapEffects* effects) {
   const ScopedPhase phase(DispatchPhase::kEngine);
   std::unique_lock lock(mu_);
-  TYCHE_ASSIGN_OR_RETURN(Capability * src, GetMutable(src_cap));
-  if (src->owner != requester) {
-    return Error(ErrorCode::kCapabilityNotOwned, "share: requester does not own capability");
-  }
-  if (!src->active()) {
-    return Error(ErrorCode::kCapabilityRevoked, "share: source capability inactive");
-  }
-  if (src->kind == ResourceKind::kMemory) {
-    return Error(ErrorCode::kInvalidArgument, "share: use ShareMemory for memory");
-  }
-  if (!src->rights.CanShare()) {
-    return Error(ErrorCode::kCapabilityRightsViolation, "share: missing share right");
-  }
-  if (!src->rights.Covers(rights)) {
-    return Error(ErrorCode::kCapabilityRightsViolation, "share: rights exceed source");
-  }
-  TYCHE_RETURN_IF_ERROR(CheckSealingRules(requester, dst));
-
-  const ResourceKind kind = src->kind;
-  const uint64_t unit = src->unit;
-  Capability& child = NewCap(dst, kind);
-  child.unit = unit;
+  TYCHE_ASSIGN_OR_RETURN(Capability * src, CheckDelegation("share", requester, src_cap, dst,
+                                                           /*grant=*/false, nullptr, Perms{},
+                                                           rights));
+  Capability& child = NewCap(dst, src->kind);
+  child.unit = src->unit;
   child.rights = rights;
   child.revocation = policy;
   child.origin = CapOrigin::kShare;
   child.parent = src_cap;
-  caps_[src_cap].children.push_back(child.id);
+  src->children.push_back(child.id);
 
   if (effects != nullptr) {
-    effects->Add(CapEffect{CapEffect::Kind::kAttachUnit, dst, kind, AddrRange{}, unit,
-                           Perms{}});
+    effects->Add(CapEffect{CapEffect::Kind::kAttachUnit, dst, src->kind, AddrRange{},
+                           src->unit, Perms{}});
   }
   return child.id;
 }
@@ -366,42 +361,25 @@ Result<GrantOutcome> CapabilityEngine::GrantUnit(CapDomainId requester, CapId sr
                                                  RevocationPolicy policy) {
   const ScopedPhase phase(DispatchPhase::kEngine);
   std::unique_lock lock(mu_);
-  TYCHE_ASSIGN_OR_RETURN(Capability * src, GetMutable(src_cap));
-  if (src->owner != requester) {
-    return Error(ErrorCode::kCapabilityNotOwned, "grant: requester does not own capability");
-  }
-  if (!src->active()) {
-    return Error(ErrorCode::kCapabilityRevoked, "grant: source capability inactive");
-  }
-  if (src->kind == ResourceKind::kMemory) {
-    return Error(ErrorCode::kInvalidArgument, "grant: use GrantMemory for memory");
-  }
-  if (!src->rights.CanGrant()) {
-    return Error(ErrorCode::kCapabilityRightsViolation, "grant: missing grant right");
-  }
-  if (!src->rights.Covers(rights)) {
-    return Error(ErrorCode::kCapabilityRightsViolation, "grant: rights exceed source");
-  }
-  TYCHE_RETURN_IF_ERROR(CheckSealingRules(requester, dst));
-
-  const ResourceKind kind = src->kind;
-  const uint64_t unit = src->unit;
-
+  TYCHE_ASSIGN_OR_RETURN(Capability * src, CheckDelegation("grant", requester, src_cap, dst,
+                                                           /*grant=*/true, nullptr, Perms{},
+                                                           rights));
   GrantOutcome outcome;
-  Capability& granted = NewCap(dst, kind);
-  granted.unit = unit;
+  Capability& granted = NewCap(dst, src->kind);
+  granted.unit = src->unit;
   granted.rights = rights;
   granted.revocation = policy;
   granted.origin = CapOrigin::kGrant;
   granted.parent = src_cap;
   outcome.granted = granted.id;
-  caps_[src_cap].children.push_back(granted.id);
-  caps_[src_cap].state = CapState::kDonated;
+  src->children.push_back(granted.id);
+  src->state = CapState::kDonated;
+  UnindexActive(*src);
 
-  outcome.effects.Add(CapEffect{CapEffect::Kind::kDetachUnit, requester, kind, AddrRange{},
-                                unit, Perms{}});
+  outcome.effects.Add(CapEffect{CapEffect::Kind::kDetachUnit, requester, src->kind,
+                                AddrRange{}, src->unit, Perms{}});
   outcome.effects.Add(
-      CapEffect{CapEffect::Kind::kAttachUnit, dst, kind, AddrRange{}, unit, Perms{}});
+      CapEffect{CapEffect::Kind::kAttachUnit, dst, src->kind, AddrRange{}, src->unit, Perms{}});
   return outcome;
 }
 
@@ -425,7 +403,7 @@ void CapabilityEngine::EmitRevokeEffects(const Capability& cap, CapEffects* effe
 
 uint64_t CapabilityEngine::RevokeSubtree(CapId cap_id, std::set<CapId>* visited,
                                          CapEffects* effects,
-                                         std::vector<CapId>* revoked_ids) {
+                                         std::vector<RevokeOutcome::Revoked>* revoked) {
   if (visited->contains(cap_id)) {
     return 0;  // cycle tolerance: each node processed at most once
   }
@@ -435,27 +413,27 @@ uint64_t CapabilityEngine::RevokeSubtree(CapId cap_id, std::set<CapId>* visited,
   if (it == caps_.end()) {
     return 0;
   }
-  uint64_t revoked = 0;
+  uint64_t count = 0;
   // Children first: a shared-out mapping must disappear before the sharer's.
-  const std::vector<CapId> children = it->second.children;
+  // The whole subtree is erased, so the child list can be taken; std::map
+  // erasure of the children leaves `it` valid.
+  const std::vector<CapId> children = std::move(it->second.children);
   for (const CapId child : children) {
-    revoked += RevokeSubtree(child, visited, effects, revoked_ids);
+    count += RevokeSubtree(child, visited, effects, revoked);
   }
-  Capability& cap = caps_[cap_id];
-  if (cap.state != CapState::kRevoked) {
-    if (cap.state == CapState::kActive) {
-      EmitRevokeEffects(cap, effects);
-      ++revoked;
-      revoked_ids->push_back(cap_id);
-      // One line per cascaded deactivation; the visited-set size is the
-      // evidence that cyclic sharing (A→B→A) still terminates.
-      TYCHE_LOG(kTrace) << "revoke cascade: cap#" << cap_id << " owner=" << cap.owner
-                        << " " << ResourceKindName(cap.kind)
-                        << " visited=" << visited->size();
-    }
-    cap.state = CapState::kRevoked;
+  const Capability& cap = it->second;
+  if (cap.active()) {
+    EmitRevokeEffects(cap, effects);
+    ++count;
+    revoked->push_back(RevokeOutcome::Revoked{cap_id, cap.owner, cap.kind});
+    // One line per cascaded deactivation; the visited-set size is the
+    // evidence that cyclic sharing (A→B→A) still terminates.
+    TYCHE_LOG(kTrace) << "revoke cascade: cap#" << cap_id << " owner=" << cap.owner << " "
+                      << ResourceKindName(cap.kind) << " visited=" << visited->size();
+    UnindexActive(cap);
   }
-  return revoked;
+  caps_.erase(it);
+  return count;
 }
 
 Result<RevokeOutcome> CapabilityEngine::Revoke(CapDomainId requester, CapId cap_id) {
@@ -466,9 +444,6 @@ Result<RevokeOutcome> CapabilityEngine::Revoke(CapDomainId requester, CapId cap_
 
 Result<RevokeOutcome> CapabilityEngine::RevokeLocked(CapDomainId requester, CapId cap_id) {
   TYCHE_ASSIGN_OR_RETURN(const Capability* cap, GetLocked(cap_id));
-  if (cap->state == CapState::kRevoked) {
-    return Error(ErrorCode::kCapabilityRevoked, "revoke: already revoked");
-  }
 
   bool authorized = cap->owner == requester;  // dropping one's own access
   CapDomainId grantor = kNoCreator;
@@ -495,29 +470,62 @@ Result<RevokeOutcome> CapabilityEngine::RevokeLocked(CapDomainId requester, CapI
 
   outcome.revoked_count = RevokeSubtree(cap_id, &visited, &outcome.effects,
                                         &outcome.revoked_caps);
+  const auto parent_it = caps_.find(parent);
+  if (parent_it != caps_.end()) {
+    std::erase(parent_it->second.children, cap_id);
+  }
 
-  // Revoking a grant returns ownership to the grantor.
-  if (was_grant && grantor != kNoCreator && parent != kInvalidCap) {
-    const Capability& parent_cap = caps_[parent];
-    Capability& restore = NewCap(grantor, kind);
-    restore.range = range;
-    restore.unit = unit;
-    restore.perms = parent_cap.perms;
-    restore.rights = parent_cap.rights;
-    restore.revocation = parent_cap.revocation;
-    restore.origin = CapOrigin::kRestore;
-    restore.parent = parent;
-    caps_[parent].children.push_back(restore.id);
-    outcome.restored = restore.id;
+  // Revoking a grant returns ownership to a grantor that still exists. A
+  // grant that took the whole parent, now childless, hands the parent itself
+  // back: minting a restore child instead would grow a chain of donated
+  // nodes on every grant/revoke round trip.
+  if (was_grant && parent_it != caps_.end() && IsRegisteredLocked(grantor)) {
+    // std::map nodes are stable, so parent_cap survives NewCap's insertion.
+    Capability& parent_cap = parent_it->second;
+    const Perms perms = parent_cap.perms;
+    if (parent_cap.children.empty() &&
+        (kind != ResourceKind::kMemory || parent_cap.range == range)) {
+      parent_cap.state = CapState::kActive;
+      IndexActive(parent_cap);
+      outcome.restored = parent;
+    } else {
+      Capability& restore = NewCap(grantor, kind);
+      restore.range = range;
+      restore.unit = unit;
+      restore.perms = perms;
+      restore.rights = parent_cap.rights;
+      restore.revocation = parent_cap.revocation;
+      restore.origin = CapOrigin::kRestore;
+      restore.parent = parent;
+      parent_cap.children.push_back(restore.id);
+      outcome.restored = restore.id;
+    }
     if (kind == ResourceKind::kMemory) {
-      outcome.effects.Add(CapEffect{CapEffect::Kind::kMapMemory, grantor, kind, range, 0,
-                                    restore.perms});
+      outcome.effects.Add(
+          CapEffect{CapEffect::Kind::kMapMemory, grantor, kind, range, 0, perms});
     } else {
       outcome.effects.Add(
           CapEffect{CapEffect::Kind::kAttachUnit, grantor, kind, AddrRange{}, unit, Perms{}});
     }
   }
+  ReclaimDeadAncestors(parent);
   return outcome;
+}
+
+void CapabilityEngine::ReclaimDeadAncestors(CapId id) {
+  while (id != kInvalidCap) {
+    const auto it = caps_.find(id);
+    if (it == caps_.end() || it->second.state != CapState::kDonated ||
+        !it->second.children.empty()) {
+      return;
+    }
+    const CapId parent = it->second.parent;
+    caps_.erase(it);
+    if (const auto parent_it = caps_.find(parent); parent_it != caps_.end()) {
+      std::erase(parent_it->second.children, id);
+    }
+    id = parent;
+  }
 }
 
 Result<RevokeOutcome> CapabilityEngine::PurgeDomain(
@@ -528,8 +536,13 @@ Result<RevokeOutcome> CapabilityEngine::PurgeDomain(
     return Error(ErrorCode::kNotFound, "purge: domain not registered");
   }
   RevokeOutcome total;
-  // Collect first: revocation mutates the index. The owner index holds every
-  // id the domain ever owned; inactive ones are skipped below.
+  auto accumulate = [&total](const RevokeOutcome& outcome) {
+    total.revoked_count += outcome.revoked_count;
+    total.revoked_caps.insert(total.revoked_caps.end(), outcome.revoked_caps.begin(),
+                              outcome.revoked_caps.end());
+    total.effects.Append(outcome.effects);
+  };
+  // Collect first: revocation mutates the index.
   std::vector<CapId> owned;
   if (const auto owned_it = owned_.find(domain); owned_it != owned_.end()) {
     owned = owned_it->second;
@@ -537,7 +550,7 @@ Result<RevokeOutcome> CapabilityEngine::PurgeDomain(
   for (const CapId id : owned) {
     const auto it = caps_.find(id);
     if (it == caps_.end() || !it->second.active()) {
-      continue;  // revoked by an earlier cascade, or never activated
+      continue;  // revoked by an earlier cascade of this purge
     }
     // A failed revoke aborts the purge: the error propagates, the domain
     // stays registered, and `partial` already names every root that DID
@@ -549,72 +562,59 @@ Result<RevokeOutcome> CapabilityEngine::PurgeDomain(
     if (!result.ok()) {
       return result.status();
     }
-    total.revoked_count += result->revoked_count;
-    total.revoked_caps.insert(total.revoked_caps.end(), result->revoked_caps.begin(),
-                              result->revoked_caps.end());
-    total.effects.Append(result->effects);
+    accumulate(*result);
     if (partial != nullptr) {
       partial->emplace_back(id, *result);
     }
   }
+  // Nothing below can fail, so a failed purge never reaches it.
   owned_.erase(domain);
   domains_.erase(domain);
+  // Every handle naming the dead domain dies with it, the creator's
+  // included. Handles are minted as roots (their lineage is all handles to
+  // the same domain), so revoking the roots covers every derived copy.
+  std::vector<CapId> handles;
+  for (const auto& [id, cap] : caps_) {
+    if (cap.kind == ResourceKind::kDomain && cap.unit == domain &&
+        cap.parent == kInvalidCap) {
+      handles.push_back(id);
+    }
+  }
+  for (const CapId id : handles) {
+    RevokeOutcome outcome;
+    std::set<CapId> visited;
+    outcome.revoked_count =
+        RevokeSubtree(id, &visited, &outcome.effects, &outcome.revoked_caps);
+    accumulate(outcome);
+  }
   return total;
 }
 
 std::vector<const Capability*> CapabilityEngine::DomainCaps(CapDomainId domain) const {
   std::shared_lock lock(mu_);
   std::vector<const Capability*> out;
-  const auto owned_it = owned_.find(domain);
-  if (owned_it == owned_.end()) {
-    return out;
-  }
-  for (const CapId id : owned_it->second) {
-    const auto it = caps_.find(id);
-    if (it != caps_.end() && it->second.active()) {
-      out.push_back(&it->second);
-    }
-  }
+  ForEachOwnedLocked(domain, [&out](const Capability& cap) { out.push_back(&cap); });
   return out;
 }
 
 Perms CapabilityEngine::EffectivePerms(CapDomainId domain, uint64_t addr) const {
   std::shared_lock lock(mu_);
   uint8_t mask = Perms::kNone;
-  const auto owned_it = owned_.find(domain);
-  if (owned_it == owned_.end()) {
-    return Perms(mask);
-  }
-  for (const CapId id : owned_it->second) {
-    const auto it = caps_.find(id);
-    if (it == caps_.end()) {
-      continue;
-    }
-    const Capability& cap = it->second;
-    if (cap.active() && cap.kind == ResourceKind::kMemory && cap.range.Contains(addr)) {
+  ForEachOwnedLocked(domain, [&](const Capability& cap) {
+    if (cap.kind == ResourceKind::kMemory && cap.range.Contains(addr)) {
       mask |= cap.perms.mask;
     }
-  }
+  });
   return Perms(mask);
 }
 
 bool CapabilityEngine::HasUnit(CapDomainId domain, ResourceKind kind, uint64_t unit) const {
   std::shared_lock lock(mu_);
-  const auto owned_it = owned_.find(domain);
-  if (owned_it == owned_.end()) {
-    return false;
-  }
-  for (const CapId id : owned_it->second) {
-    const auto it = caps_.find(id);
-    if (it == caps_.end()) {
-      continue;
-    }
-    const Capability& cap = it->second;
-    if (cap.active() && cap.kind == kind && cap.unit == unit) {
-      return true;
-    }
-  }
-  return false;
+  bool found = false;
+  ForEachOwnedLocked(domain, [&](const Capability& cap) {
+    found = found || (cap.kind == kind && cap.unit == unit);
+  });
+  return found;
 }
 
 uint32_t CapabilityEngine::MemoryRefCount(AddrRange range) const {
@@ -644,61 +644,36 @@ bool CapabilityEngine::ExclusivelyOwned(CapDomainId domain, AddrRange range) con
   if (range.empty()) {
     return false;
   }
-  // Every byte must be covered by `domain` and by no one else. Check
-  // coverage at region granularity using the view.
+  // Every byte must be covered by `domain` and by no one else. The view's
+  // regions are sorted and only cover held bytes, so a gap between the
+  // regions overlapping `range` is a byte nobody holds.
+  uint64_t covered_until = range.base;
   for (const RegionView& view : MemoryViewLocked(0)) {
     if (!view.range.Overlaps(range)) {
       continue;
     }
-    if (view.domains.size() != 1 || view.domains[0] != domain) {
+    if (view.domains.size() != 1 || view.domains[0] != domain ||
+        view.range.base > covered_until) {
       return false;
     }
-  }
-  // Check full coverage: union of owned caps must contain range.
-  const auto owned_it = owned_.find(domain);
-  if (owned_it == owned_.end()) {
-    return false;
-  }
-  uint64_t covered_until = range.base;
-  bool progress = true;
-  while (covered_until < range.end() && progress) {
-    progress = false;
-    for (const CapId id : owned_it->second) {
-      const auto it = caps_.find(id);
-      if (it == caps_.end()) {
-        continue;
-      }
-      const Capability& cap = it->second;
-      if (cap.active() && cap.kind == ResourceKind::kMemory &&
-          cap.range.Contains(covered_until)) {
-        covered_until = cap.range.end();
-        progress = true;
-        break;
-      }
-    }
+    covered_until = view.range.end();
   }
   return covered_until >= range.end();
 }
 
 std::vector<CapabilityEngine::MappedRegion> CapabilityEngine::DomainMemoryMap(
-    CapDomainId domain) const {
+    CapDomainId domain, AddrRange within) const {
   std::shared_lock lock(mu_);
   std::vector<const Capability*> mem_caps;
   std::vector<uint64_t> boundaries;
-  if (const auto owned_it = owned_.find(domain); owned_it != owned_.end()) {
-    for (const CapId id : owned_it->second) {
-      const auto it = caps_.find(id);
-      if (it == caps_.end()) {
-        continue;
-      }
-      const Capability& cap = it->second;
-      if (cap.active() && cap.kind == ResourceKind::kMemory) {
-        mem_caps.push_back(&cap);
-        boundaries.push_back(cap.range.base);
-        boundaries.push_back(cap.range.end());
-      }
+  ForEachOwnedLocked(domain, [&](const Capability& cap) {
+    const AddrRange clip = within.empty() ? cap.range : within;
+    if (cap.kind == ResourceKind::kMemory && cap.range.Overlaps(clip)) {
+      mem_caps.push_back(&cap);
+      boundaries.push_back(std::max(cap.range.base, clip.base));
+      boundaries.push_back(std::min(cap.range.end(), clip.end()));
     }
-  }
+  });
   std::sort(boundaries.begin(), boundaries.end());
   boundaries.erase(std::unique(boundaries.begin(), boundaries.end()), boundaries.end());
 
@@ -807,38 +782,34 @@ void CapabilityEngine::ForEach(const std::function<void(const Capability&)>& fn)
 
 Status CapabilityEngine::CheckOwnedIndex() const {
   std::shared_lock lock(mu_);
-  // Expected per-owner counts from the lineage map (the source of truth).
-  std::map<CapDomainId, uint64_t> expected;
+  // The lineage map (the source of truth) must hold only live nodes:
+  // revocation reclaims, and so does losing a donated node's last child.
+  uint64_t active = 0;
   for (const auto& [id, cap] : caps_) {
-    if (domains_.contains(cap.owner)) {
-      ++expected[cap.owner];
+    if (cap.state == CapState::kRevoked ||
+        (cap.state == CapState::kDonated && cap.children.empty())) {
+      return Error(ErrorCode::kInternal, "lineage map holds a dead capability");
     }
+    active += cap.active() ? 1 : 0;
   }
-  uint64_t indexed_total = 0;
+  // owned_ must be exactly the active set: every entry an active cap under
+  // its owner, each bucket strictly in id order (so no repeats), and as many
+  // entries as there are active caps.
+  uint64_t indexed = 0;
   for (const auto& [owner, ids] : owned_) {
+    if (std::adjacent_find(ids.begin(), ids.end(), std::greater_equal<>()) != ids.end()) {
+      return Error(ErrorCode::kInternal, "owner index bucket out of id order");
+    }
     for (const CapId id : ids) {
       const auto it = caps_.find(id);
-      if (it == caps_.end()) {
-        return Error(ErrorCode::kInternal, "owner index names a nonexistent capability");
-      }
-      if (it->second.owner != owner) {
-        return Error(ErrorCode::kInternal, "owner index entry under the wrong owner");
+      if (it == caps_.end() || it->second.owner != owner || !it->second.active()) {
+        return Error(ErrorCode::kInternal, "owner index names a cap it must not");
       }
     }
-    const auto want = expected.find(owner);
-    const uint64_t want_count = want == expected.end() ? 0 : want->second;
-    if (ids.size() != want_count) {
-      return Error(ErrorCode::kInternal, "owner index count disagrees with lineage map");
-    }
-    indexed_total += ids.size();
+    indexed += ids.size();
   }
-  // Totals catch an owner bucket that is missing entirely.
-  uint64_t expected_total = 0;
-  for (const auto& [owner, count] : expected) {
-    expected_total += count;
-  }
-  if (indexed_total != expected_total) {
-    return Error(ErrorCode::kInternal, "owner index is missing a domain's bucket");
+  if (indexed != active) {
+    return Error(ErrorCode::kInternal, "owner index misses an active capability");
   }
   return OkStatus();
 }
@@ -897,10 +868,14 @@ Status CapabilityEngine::Restore(const EngineImage& image) {
     if (cap.id == kInvalidCap || cap.id >= image.next_id) {
       return Error(ErrorCode::kInvalidArgument, "engine image: cap id out of range");
     }
-    // Only ACTIVE caps need a registered owner. Lineage tombstones survive
-    // PurgeDomain (revocation never deletes nodes, the purge unregisters the
-    // domain), so a faithful Capture of a healthy engine can legitimately
-    // carry inactive caps whose owner is gone.
+    // A live engine reclaims revoked nodes, so an image carrying one is not
+    // a faithful Capture.
+    if (cap.state == CapState::kRevoked) {
+      return Error(ErrorCode::kInvalidArgument,
+                   "engine image: revoked cap " + std::to_string(cap.id));
+    }
+    // Only ACTIVE caps need a registered owner: a donated node whose owner
+    // was purged stays as the ancestor of the live pieces below it.
     if (cap.active() && domains.find(cap.owner) == domains.end()) {
       return Error(ErrorCode::kInvalidArgument,
                    "engine image: active cap " + std::to_string(cap.id) +
@@ -923,11 +898,13 @@ Status CapabilityEngine::Restore(const EngineImage& image) {
   caps_ = std::move(caps);
   domains_ = std::move(domains);
   next_id_ = image.next_id;
-  // Rebuild the derived owner index (images predate it / never carry it).
-  // std::map iteration is id order, matching NewCap's mint-order appends.
+  // Rebuild the derived owner index (images never carry it). std::map
+  // iteration is id order, which is the order every bucket keeps.
   owned_.clear();
   for (const auto& [id, cap] : caps_) {
-    owned_[cap.owner].push_back(id);
+    if (cap.active()) {
+      owned_[cap.owner].push_back(id);
+    }
   }
   return OkStatus();
 }

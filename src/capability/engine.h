@@ -16,10 +16,14 @@
 //  - Grant(src, dst, sub): moves exclusive control. The source capability is
 //    deactivated ("donated"); children are created for the granted piece
 //    (owned by dst) and for every remainder piece (owned by the grantor).
-//  - Revoke(cap): deactivates cap and its entire active subtree (cascading).
-//    Revoking a granted capability creates a "restore" capability returning
-//    ownership to the grantor. A visited set makes the cascade terminate
-//    even when domains share in cycles (A→B→A→...).
+//  - Revoke(cap): deactivates cap and its entire subtree (cascading), then
+//    reclaims the dead nodes: engine state stays proportional to the live
+//    capabilities, and lineage history lives in the audit journal. Revoking
+//    a granted capability returns ownership to the grantor: the donated
+//    parent itself is re-activated when the grant covered all of it and it
+//    has no other child, otherwise a "restore" child is minted; a grantor
+//    that no longer exists gets nothing back. A visited set makes the
+//    cascade terminate even when domains share in cycles (A→B→A→...).
 //  - Sealed domains can neither receive new capabilities nor share/grant
 //    onward -- except to domains they created themselves (their nested
 //    children), which is what lets sealed enclaves spawn nested enclaves
@@ -80,12 +84,21 @@ struct GrantOutcome {
 };
 
 struct RevokeOutcome {
+  // One deactivated capability. The node is reclaimed before the revoke
+  // returns, so the outcome carries what its cascade record names.
+  struct Revoked {
+    CapId id = kInvalidCap;
+    CapDomainId owner = 0;
+    ResourceKind kind = ResourceKind::kMemory;
+    bool operator==(const Revoked&) const = default;
+  };
   // Number of capabilities deactivated by the cascade.
   uint64_t revoked_count = 0;
   // The deactivated capabilities in cascade (post-order) sequence. The audit
   // journal emits one cascade record per entry; replay cross-checks them.
-  std::vector<CapId> revoked_caps;
-  // Capability restoring ownership to the grantor (grants only).
+  std::vector<Revoked> revoked_caps;
+  // Capability restoring ownership to the grantor (grants only): the
+  // re-activated parent, or a freshly minted restore child.
   CapId restored = kInvalidCap;
   CapEffects effects;
 };
@@ -99,8 +112,8 @@ struct RegionView {
 };
 
 // A value-type copy of the engine's complete state — every lineage node
-// (active or not), the domain table, and the id allocator. Capture/Restore
-// round-trips through this for snapshots and recovery.
+// (active or donated), the domain table, and the id allocator.
+// Capture/Restore round-trips through this for snapshots and recovery.
 struct EngineImage {
   struct DomainEntry {
     CapDomainId id = 0;
@@ -136,10 +149,10 @@ class CapabilityEngine {
   static constexpr CapDomainId kNoCreator = ~0u;
   void RegisterDomain(CapDomainId domain, CapDomainId creator);
   void SealDomain(CapDomainId domain);
-  bool IsSealed(CapDomainId domain) const;
   bool IsRegistered(CapDomainId domain) const;
-  // Removes a dead domain: revokes every active capability it owns, then
-  // unregisters it. All-or-unregister: if any per-root revoke fails, the
+  // Removes a dead domain: revokes every active capability it owns,
+  // unregisters it, then revokes every handle naming it (the creator's
+  // included). All-or-unregister: if any per-root revoke fails, the
   // error is propagated, the domain stays REGISTERED, and the caps already
   // revoked stay revoked (revocation never resurrects). `partial`, when
   // non-null, receives one (root cap, outcome) pair per revoke that DID
@@ -182,6 +195,8 @@ class CapabilityEngine {
 
   // --- Queries (attestation + enforcement support) ---
 
+  // A reclaimed id (allocated, then revoked) reads as kCapabilityRevoked; an id
+  // never allocated as kNotFound.
   Result<const Capability*> Get(CapId cap) const;
 
   // All active capabilities owned by a domain.
@@ -204,36 +219,39 @@ class CapabilityEngine {
 
   // The domain's effective memory map: maximal intervals with constant
   // non-empty effective permissions, sorted by base. This is what a backend
-  // must make the hardware enforce.
+  // must make the hardware enforce. A non-empty `within` clips the map to
+  // that range, so a backend can sync one range in a single pass.
   struct MappedRegion {
     AddrRange range;
     Perms perms;
     bool operator==(const MappedRegion&) const = default;
   };
-  std::vector<MappedRegion> DomainMemoryMap(CapDomainId domain) const;
+  std::vector<MappedRegion> DomainMemoryMap(CapDomainId domain,
+                                            AddrRange within = AddrRange{}) const;
 
   // Figure 4: the physical memory view as maximal constant-refcount regions.
   // Only ranges below `limit` are reported (0 = no limit).
   std::vector<RegionView> MemoryView(uint64_t limit = 0) const;
 
-  // Lineage inspection (for audits and tests).
+  // Lineage inspection (for audits and tests). Every node is active or
+  // donated, so total_caps() - active_caps() is the donated count.
   uint64_t total_caps() const;
   uint64_t active_caps() const;
   std::string DumpTree() const;
 
-  // Cross-checks the per-owner index (owned_) against the lineage map: every
-  // indexed id must exist with the matching owner, every cap must be indexed
-  // under its owner, and per-owner counts must agree. O(caps) under a shared
-  // lock; run by the invariant watchdog to catch silent index desync that no
-  // single query would notice (a missing entry just makes a cap invisible to
-  // owner-filtered queries).
+  // Cross-checks the per-owner index (owned_) against the lineage map: the
+  // index must hold exactly the active caps, each under its owner in id
+  // order, and the map must hold no dead node (revoked, or donated with no
+  // child left). O(caps) under a shared lock; run by the invariant watchdog
+  // to catch silent index desync that no single query would notice (a
+  // missing entry just makes a cap invisible to owner-filtered queries).
   Status CheckOwnedIndex() const;
 
   // Walks every active capability (hardware-consistency validator support).
   void ForEachActive(const std::function<void(const Capability&)>& fn) const;
 
-  // Walks EVERY lineage node, active or not, in id order. Revoked and
-  // donated nodes are history a verifier may want to see (graph export).
+  // Walks EVERY lineage node, active or donated, in id order. Donated nodes
+  // are the live ancestry a verifier may want to see (graph export).
   void ForEach(const std::function<void(const Capability&)>& fn) const;
 
   // --- Snapshot / recovery support ---
@@ -241,8 +259,9 @@ class CapabilityEngine {
   // A complete value copy of the engine state.
   EngineImage Capture() const;
   // Replaces the engine state with `image`. Rejects internally inconsistent
-  // images (id mismatches, parents pointing at missing nodes, caps owned by
-  // unregistered domains) so a corrupted snapshot cannot half-install.
+  // images (id mismatches, parents pointing at missing nodes, revoked
+  // nodes, caps owned by unregistered domains) so a corrupted snapshot
+  // cannot half-install.
   Status Restore(const EngineImage& image);
 
  private:
@@ -257,14 +276,39 @@ class CapabilityEngine {
 
   Capability& NewCap(CapDomainId owner, ResourceKind kind);
   Result<Capability*> GetMutable(CapId cap);
+  // The lookup error for an id not in caps_: revoked if it was ever allocated.
+  Status MissingCap(CapId cap) const;
+
+  // Keep owned_ equal to the active set, each bucket in id order.
+  void IndexActive(const Capability& cap);
+  void UnindexActive(const Capability& cap);
+  // Calls fn on each active cap `domain` owns, in id order.
+  template <typename Fn>
+  void ForEachOwnedLocked(CapDomainId domain, Fn&& fn) const;
 
   // Checks the sealing rules for moving resources from src_owner to dst.
   Status CheckSealingRules(CapDomainId src_owner, CapDomainId dst) const;
+  // The validation every Share*/Grant* runs, in order: `requester` owns the
+  // active `src_cap`, of the right shape (memory iff `sub` is given), with
+  // the share or grant right; `sub` is a page-aligned piece of it and
+  // `perms` a non-empty subset of its permissions; `rights` attenuate its
+  // rights; and the sealing rules let it move to `dst`. `op` prefixes the
+  // error messages.
+  Result<Capability*> CheckDelegation(const char* op, CapDomainId requester, CapId src_cap,
+                                      CapDomainId dst, bool grant, const AddrRange* sub,
+                                      Perms perms, CapRights rights);
 
   // Cascade: deactivates the subtree rooted at `cap` (inclusive), appending
-  // effects and the deactivated ids. Returns number of caps deactivated.
+  // effects and the deactivated caps, and erases every node of it from
+  // caps_. The caller unlinks `cap` from its parent. Returns number of caps
+  // deactivated.
   uint64_t RevokeSubtree(CapId cap, std::set<CapId>* visited, CapEffects* effects,
-                         std::vector<CapId>* revoked_ids);
+                         std::vector<RevokeOutcome::Revoked>* revoked);
+
+  // Erases `cap`, then each ancestor in turn, for as long as the node is
+  // donated and childless: it confers no access and anchors no live piece.
+  // Called on the parent of every revoke root, so no such node persists.
+  void ReclaimDeadAncestors(CapId cap);
 
   // Emits the unmap/detach + cleanup effects for one deactivated cap.
   void EmitRevokeEffects(const Capability& cap, CapEffects* effects);
@@ -276,13 +320,14 @@ class CapabilityEngine {
   std::map<CapId, Capability> caps_;
   CapId next_id_ = 1;
 
-  // Per-owner index: every cap id EVER owned by a domain, in mint order.
-  // Ownership is immutable (grants and restores mint NEW caps), so entries
-  // are only appended by NewCap, rebuilt by Restore, and dropped when a purge
-  // unregisters the domain. Readers filter on active(); this turns the
+  // Per-owner index: the ids of the ACTIVE caps each domain owns, in id
+  // order. Ownership is immutable (grants and restores never re-own a node),
+  // so an id enters when its cap is minted or re-activated and leaves when
+  // the cap is donated or revoked; Restore rebuilds it. This turns the
   // owner-filtered queries (DomainCaps, EffectivePerms, DomainMemoryMap, the
-  // purge collection pass) from whole-lineage scans into direct lookups. Not
-  // part of EngineImage: it is derived state.
+  // purge collection pass) into lookups proportional to what the domain
+  // holds now, not to its history. Not part of EngineImage: it is derived
+  // state.
   std::map<CapDomainId, std::vector<CapId>> owned_;
 
   struct DomainInfo {

@@ -123,15 +123,8 @@ std::string ExportCapabilityGraphDot(const CapabilityEngine& engine,
     out << "  cap" << cap.id << " [label=\"cap#" << cap.id << " d" << cap.owner << "\\n"
         << EscapeGraphLabel(ResourceLabel(cap)) << "\\n" << OriginName(cap.origin)
         << " refcount=" << RefCountOf(engine, cap) << "\"";
-    switch (cap.state) {
-      case CapState::kActive:
-        break;
-      case CapState::kDonated:
-        out << ", style=dashed";
-        break;
-      case CapState::kRevoked:
-        out << ", style=filled, fillcolor=gray80, fontcolor=gray40";
-        break;
+    if (cap.state == CapState::kDonated) {
+      out << ", style=dashed";
     }
     out << "];\n";
   });

@@ -4,7 +4,9 @@
 // node with its owner, resource, state, and per-resource reference count
 // (distinct domains with active access), every parent->child edge -- as
 // GraphViz DOT or JSON. A verifier diffing two snapshots sees exactly which
-// sharing relationships appeared, moved, or were revoked.
+// sharing relationships appeared, moved, or were revoked. The engine
+// reclaims revoked nodes, so revocation history lives in the audit journal
+// (whose shadow replay feeds this same export), not in the graph.
 
 #ifndef SRC_CAPABILITY_GRAPH_EXPORT_H_
 #define SRC_CAPABILITY_GRAPH_EXPORT_H_
@@ -16,7 +18,8 @@
 namespace tyche {
 
 struct GraphExportOptions {
-  // Include revoked / donated lineage nodes (history), not just live access.
+  // Include donated lineage nodes (the ancestry of live pieces), not just
+  // live access.
   bool include_inactive = true;
 };
 
@@ -29,8 +32,8 @@ std::string EscapeGraphLabel(const std::string& text);
 // control characters as \uXXXX).
 std::string EscapeJsonString(const std::string& text);
 
-// GraphViz DOT. Active nodes are solid, donated nodes dashed, revoked nodes
-// greyed out; edge direction is parent -> child (the delegation direction).
+// GraphViz DOT. Active nodes are solid, donated nodes dashed; edge direction
+// is parent -> child (the delegation direction).
 std::string ExportCapabilityGraphDot(const CapabilityEngine& engine,
                                      const GraphExportOptions& options = {});
 

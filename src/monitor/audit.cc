@@ -199,17 +199,13 @@ void AuditJournal::GrantUnit(uint64_t span, uint32_t requester, uint32_t dst,
 }
 
 void AuditJournal::Cascades(std::vector<JournalRecord>* out, uint64_t span,
-                            uint64_t root_cap, const RevokeOutcome& outcome,
-                            const CapabilityEngine& engine) {
-  for (const CapId revoked : outcome.revoked_caps) {
+                            uint64_t root_cap, const RevokeOutcome& outcome) {
+  for (const RevokeOutcome::Revoked& revoked : outcome.revoked_caps) {
     JournalRecord record = Base(span, JournalEvent::kCascade);
-    record.cap = revoked;
+    record.cap = revoked.id;
     record.parent = root_cap;
-    const auto cap = engine.Get(revoked);
-    if (cap.ok()) {
-      record.domain = (*cap)->owner;
-      record.resource = static_cast<uint8_t>((*cap)->kind);
-    }
+    record.domain = revoked.owner;
+    record.resource = static_cast<uint8_t>(revoked.kind);
     out->push_back(record);
   }
 }
@@ -230,7 +226,7 @@ void AuditJournal::Revoke(uint64_t span, uint32_t requester, uint64_t cap,
   record.cap = cap;
   record.aux = outcome.revoked_count;
   records.push_back(record);
-  Cascades(&records, span, cap, outcome, engine);
+  Cascades(&records, span, cap, outcome);
   if (outcome.restored != kInvalidCap) {
     JournalRecord restore = Base(span, JournalEvent::kRestore);
     restore.cap = outcome.restored;
@@ -245,8 +241,7 @@ void AuditJournal::Revoke(uint64_t span, uint32_t requester, uint64_t cap,
   journal_.AppendGroup(records);
 }
 
-void AuditJournal::PurgeDomain(uint64_t span, uint32_t domain, const RevokeOutcome& outcome,
-                               const CapabilityEngine& engine) {
+void AuditJournal::PurgeDomain(uint64_t span, uint32_t domain, const RevokeOutcome& outcome) {
   if (!enabled()) {
     return;
   }
@@ -256,7 +251,7 @@ void AuditJournal::PurgeDomain(uint64_t span, uint32_t domain, const RevokeOutco
   record.domain = domain;
   record.aux = outcome.revoked_count;
   records.push_back(record);
-  Cascades(&records, span, 0, outcome, engine);
+  Cascades(&records, span, 0, outcome);
   journal_.AppendGroup(records);
 }
 
@@ -353,7 +348,7 @@ Result<JournalReplay> ReplayJournalInto(CapabilityEngine* shadow,
   // Cascade/restore records are cross-checked against the outcome of the
   // enclosing revoke: drops and reorders the hash chain would also catch
   // become *semantic* divergences here.
-  std::deque<CapId> expected_cascades;
+  std::deque<RevokeOutcome::Revoked> expected_cascades;
   CapId expected_restore = kInvalidCap;
   bool at_leading_edge = options.skip_leading_orphans;
 
@@ -477,8 +472,11 @@ Result<JournalReplay> ReplayJournalInto(CapabilityEngine* shadow,
         break;
       }
       case JournalEvent::kCascade:
-        if (expected_cascades.empty() || expected_cascades.front() != record.cap) {
-          return diverged(record.seq, "cascade id mismatch");
+        if (expected_cascades.empty() ||
+            expected_cascades.front() !=
+                RevokeOutcome::Revoked{record.cap, record.domain,
+                                       static_cast<ResourceKind>(record.resource)}) {
+          return diverged(record.seq, "cascade record mismatch");
         }
         expected_cascades.pop_front();
         break;

@@ -66,8 +66,7 @@ class AuditJournal {
   // when the revocation returned ownership: N+1 records, one span.
   void Revoke(uint64_t span, uint32_t requester, uint64_t cap, const RevokeOutcome& outcome,
               const CapabilityEngine& engine);
-  void PurgeDomain(uint64_t span, uint32_t domain, const RevokeOutcome& outcome,
-                   const CapabilityEngine& engine);
+  void PurgeDomain(uint64_t span, uint32_t domain, const RevokeOutcome& outcome);
   void Effect(uint64_t span, const CapEffect& effect);
   // An operation failed mid-flight: its compensating mutations (if any) were
   // journaled as ordinary records, and this marks the whole span as aborted
@@ -102,7 +101,7 @@ class AuditJournal {
  private:
   // Builds (does not append) one kCascade record per revoked cap.
   void Cascades(std::vector<JournalRecord>* out, uint64_t span, uint64_t root_cap,
-                const RevokeOutcome& outcome, const CapabilityEngine& engine);
+                const RevokeOutcome& outcome);
 
   Journal journal_;
 };

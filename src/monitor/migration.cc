@@ -668,7 +668,7 @@ Status MigrationInternal::CommitSourceTeardown(Monitor* source, DomainId domain,
     }
     first = purged.status();
   } else {
-    source->audit_.PurgeDomain(span, domain, *purged, source->engine_);
+    source->audit_.PurgeDomain(span, domain, *purged);
     source->Count(source->counters_.revocations_cascaded, purged->revoked_count);
     first = source->ApplyEffects(purged->effects, span);
   }

@@ -257,6 +257,14 @@ void Monitor::RegisterMetrics() {
       [] { return FaultInjector::active() ? 1u : 0u; });
   metrics_.AddCallback("tyche_domains_alive", "Trust domains currently alive", false, {},
                        [this] { return num_domains_alive(); });
+  // Capability state size, read only at scrape time. Revoked nodes are
+  // reclaimed, so every node is active or donated; a leak shows up here as a
+  // gauge that climbs with the op count.
+  metrics_.AddCallback("tyche_caps", "Capabilities held by the engine, by state", false,
+                       {{"state", "active"}}, [this] { return engine_.active_caps(); });
+  metrics_.AddCallback("tyche_caps", "Capabilities held by the engine, by state", false,
+                       {{"state", "donated"}},
+                       [this] { return engine_.total_caps() - engine_.active_caps(); });
   // captures() is a bare atomic, so this callback never touches the flight
   // recorder's mutex (a size() callback would deadlock against a capture
   // that is concurrently reading ScalarValues from the registry).
@@ -741,7 +749,7 @@ Result<CreateDomainResult> Monitor::CreateDomain(CoreId core, const std::string&
     // in lockstep; the id is simply never reused (next_domain_ moved on).
     const auto purge = engine_.PurgeDomain(id);
     if (purge.ok()) {
-      audit_.PurgeDomain(span, id, *purge, engine_);
+      audit_.PurgeDomain(span, id, *purge);
     }
     domains_.erase(id);
     audit_.Abort(span, static_cast<uint16_t>(ApiOp::kCreateDomain), caller, context.code());
@@ -884,7 +892,7 @@ Status Monitor::DestroyDomain(CoreId core, CapId domain_handle) {
     return purged.status();
   }
   const RevokeOutcome& outcome = *purged;
-  audit_.PurgeDomain(span, target, outcome, engine_);
+  audit_.PurgeDomain(span, target, outcome);
   Count(counters_.revocations_cascaded, outcome.revoked_count);
   // The engine purge is the commit point: teardown is never rolled back,
   // because a dead domain with live hardware state would be the worst torn
@@ -942,9 +950,10 @@ Result<GrantResult> Monitor::GrantMemory(CoreId core, CapId src_cap, CapId dst_d
                      outcome.remainders.size());
   const Status applied = ApplyEffects(outcome.effects, span);
   if (!applied.ok()) {
-    // Revoking the granted capability mints a restore capability back to the
-    // grantor (the engine's grant-revocation rule), so the rollback is
-    // access-equivalent to the pre-grant state.
+    // Revoking the granted capability returns it to the grantor (the
+    // engine's grant-revocation rule: the parent itself when the grant took
+    // it whole, else a restore child), so the rollback is access-equivalent
+    // to the pre-grant state.
     return RollbackTransfer(ApiOp::kGrantMemory, span, caller, dst, outcome.granted,
                             applied);
   }

@@ -77,9 +77,18 @@ Status VtxBackend::SyncMemory(DomainId domain, const AddrRange& range) {
   ++stats_.memory_syncs;
   auto sync_pages = [&]() -> Status {
     TYCHE_FAULT_POINT(faults::kVtxSyncMemory);
-    for (uint64_t page = AlignDown(range.base, kPageSize); page < range.end();
-         page += kPageSize) {
-      const Perms effective = engine_->EffectivePerms(domain, page);
+    // One pass: the effective map over the range, walked alongside the pages.
+    const uint64_t begin = AlignDown(range.base, kPageSize);
+    const auto regions =
+        engine_->DomainMemoryMap(domain, AddrRange{begin, range.end() - begin});
+    auto region = regions.begin();
+    for (uint64_t page = begin; page < range.end(); page += kPageSize) {
+      while (region != regions.end() && region->range.end() <= page) {
+        ++region;
+      }
+      const Perms effective = region != regions.end() && region->range.Contains(page)
+                                  ? region->perms
+                                  : Perms{};
       const auto current = ept->Lookup(page);
       if (effective.empty()) {
         if (current.ok()) {

@@ -43,7 +43,7 @@ void InvariantWatchdog::RunChecks(uint16_t op, uint64_t span) {
     }
   }
 
-  // 2. Per-owner root-cap index vs the lineage map. Sticky for the same
+  // 2. Per-owner active index vs the lineage map. Sticky for the same
   //    reason.
   if (index_healthy_.load(std::memory_order_relaxed)) {
     const Status index = engine_->CheckOwnedIndex();

@@ -12,9 +12,10 @@
 //     check still hash-chain onto the previously verified head
 //     (Journal::VerifyTail). Incremental, so the steady-state cost is
 //     proportional to the records appended between checks, not history.
-//  2. Owner-index consistency: the engine's per-owner root-cap index agrees
-//     with the lineage map's per-owner totals (CheckOwnedIndex). O(caps)
-//     under the engine's shared lock.
+//  2. Owner-index consistency: the engine's per-owner index holds exactly
+//     its active caps, and the lineage map holds no revoked node that
+//     escaped reclamation (CheckOwnedIndex). O(caps) under the engine's
+//     shared lock.
 //  3. Backend sync dirtiness: no domain is parked in the backend's fail-safe
 //     state (degraded hull / deny-all) -- enforcement is a full projection
 //     of the capability tree, not a subset.

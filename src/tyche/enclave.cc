@@ -11,14 +11,8 @@ Result<Enclave> Enclave::Create(Monitor* monitor, CoreId core, const TycheImage&
 }
 
 Result<CapId> Enclave::FindOwnCap(AddrRange range) const {
-  CapId found = kInvalidCap;
-  monitor_->engine().ForEachActive([&](const Capability& cap) {
-    if (cap.owner == loaded_.domain && cap.kind == ResourceKind::kMemory &&
-        cap.range.Contains(range)) {
-      found = cap.id;
-    }
-  });
-  if (found == kInvalidCap) {
+  const auto found = FindMemoryCap(*monitor_, loaded_.domain, range);
+  if (!found.ok()) {
     return Error(ErrorCode::kNotFound, "enclave holds no capability covering range");
   }
   return found;
@@ -37,17 +31,11 @@ Result<Enclave> Enclave::SpawnNested(CoreId core, const TycheImage& image, uint6
   options.size = size;
   options.cores = cores;
   for (const CoreId c : cores) {
-    CapId core_cap = kInvalidCap;
-    monitor_->engine().ForEachActive([&](const Capability& cap) {
-      if (cap.owner == loaded_.domain && cap.kind == ResourceKind::kCpuCore &&
-          cap.unit == c) {
-        core_cap = cap.id;
-      }
-    });
-    if (core_cap == kInvalidCap) {
+    const auto core_cap = FindUnitCap(*monitor_, loaded_.domain, ResourceKind::kCpuCore, c);
+    if (!core_cap.ok()) {
       return Error(ErrorCode::kNotFound, "enclave does not own the requested core");
     }
-    options.core_caps.push_back(core_cap);
+    options.core_caps.push_back(*core_cap);
   }
   options.seal = seal;
   options.policy = RevocationPolicy(RevocationPolicy::kObfuscate);

@@ -34,14 +34,15 @@ Result<std::vector<LayoutRegion>> ComputeLoadLayout(const TycheImage& image, uin
   return regions;
 }
 
+// Both finders walk the domain's own active caps in id order and keep the
+// last (newest) match.
 Result<CapId> FindMemoryCap(const Monitor& monitor, DomainId domain, AddrRange range) {
   CapId found = kInvalidCap;
-  monitor.engine().ForEachActive([&](const Capability& cap) {
-    if (cap.owner == domain && cap.kind == ResourceKind::kMemory &&
-        cap.range.Contains(range)) {
-      found = cap.id;
+  for (const Capability* cap : monitor.engine().DomainCaps(domain)) {
+    if (cap->kind == ResourceKind::kMemory && cap->range.Contains(range)) {
+      found = cap->id;
     }
-  });
+  }
   if (found == kInvalidCap) {
     return Error(ErrorCode::kNotFound, "no capability covering range");
   }
@@ -51,11 +52,11 @@ Result<CapId> FindMemoryCap(const Monitor& monitor, DomainId domain, AddrRange r
 Result<CapId> FindUnitCap(const Monitor& monitor, DomainId domain, ResourceKind kind,
                           uint64_t unit) {
   CapId found = kInvalidCap;
-  monitor.engine().ForEachActive([&](const Capability& cap) {
-    if (cap.owner == domain && cap.kind == kind && cap.unit == unit) {
-      found = cap.id;
+  for (const Capability* cap : monitor.engine().DomainCaps(domain)) {
+    if (cap->kind == kind && cap->unit == unit) {
+      found = cap->id;
     }
-  });
+  }
   if (found == kInvalidCap) {
     return Error(ErrorCode::kNotFound, "no capability for unit");
   }

@@ -110,33 +110,61 @@ TEST_F(EngineEdgeTest, PurgeUnregisteredDomainFails) {
 }
 
 TEST_F(EngineEdgeTest, CaptureRestoreRoundTripsAfterPurge) {
-  // Lineage nodes are never deleted, so after a purge the engine legitimately
-  // holds inactive caps owned by a now-unregistered domain. Capture of that
-  // state must round-trip through Restore (regression: migration staging
-  // rejected any destination that had ever been a migration source).
-  const CapId root = *engine_.MintMemory(0, AddrRange{0, kMiB}, Perms(Perms::kRWX),
+  // A donated node outlives the domain that donated it when its live pieces
+  // survive, so after a purge the engine legitimately holds an inactive cap
+  // owned by a now-unregistered domain. Capture of that state must
+  // round-trip through Restore (regression: migration staging rejected any
+  // destination that had ever been a migration source).
+  const CapId root = *engine_.MintMemory(1, AddrRange{0, kMiB}, Perms(Perms::kRWX),
                                          CapRights(CapRights::kAll));
-  const auto grant = engine_.GrantMemory(0, root, 1, AddrRange{0, kMiB},
+  const auto grant = engine_.GrantMemory(1, root, 2, AddrRange{0, kMiB},
                                          Perms(Perms::kRW), CapRights(CapRights::kAll),
                                          RevocationPolicy{});
   ASSERT_TRUE(grant.ok());
   ASSERT_TRUE(engine_.PurgeDomain(1).ok());
   ASSERT_FALSE(engine_.IsRegistered(1));
+  ASSERT_EQ((*engine_.Get(root))->state, CapState::kDonated);
 
   CapabilityEngine copy;
   ASSERT_TRUE(copy.Restore(engine_.Capture()).ok());
-  EXPECT_EQ(copy.EffectivePerms(0, 0).mask, Perms::kRWX);
+  EXPECT_EQ(copy.EffectivePerms(2, 0).mask, Perms::kRW);
   EXPECT_FALSE(copy.IsRegistered(1));
-  // An ACTIVE cap with an unregistered owner is still corruption.
-  EngineImage bad = engine_.Capture();
-  for (Capability& cap : bad.caps) {
-    if (cap.owner == 1 && !cap.active()) {
-      cap.state = CapState::kActive;
-      break;
+  EXPECT_TRUE(copy.CheckOwnedIndex().ok());
+  // An ACTIVE cap with an unregistered owner is still corruption, and so is
+  // a revoked node: a live engine reclaims those.
+  for (const CapState state : {CapState::kActive, CapState::kRevoked}) {
+    EngineImage bad = engine_.Capture();
+    for (Capability& cap : bad.caps) {
+      if (cap.id == root) {
+        cap.state = state;
+      }
     }
+    CapabilityEngine reject;
+    EXPECT_EQ(reject.Restore(bad).code(), ErrorCode::kInvalidArgument);
   }
-  CapabilityEngine reject;
-  EXPECT_EQ(reject.Restore(bad).code(), ErrorCode::kInvalidArgument);
+}
+
+TEST_F(EngineEdgeTest, GrantBackToAPurgedGrantorReclaimsTheDeadAncestry) {
+  // Domain 1 grants part of its memory to 2 and dies. When 2 later drops the
+  // grant there is no one to return it to: no restore cap for a dead owner,
+  // and the donated node with nothing left below it is reclaimed too.
+  const CapId root = *engine_.MintMemory(1, AddrRange{0, kMiB}, Perms(Perms::kRWX),
+                                         CapRights(CapRights::kAll));
+  const auto grant = engine_.GrantMemory(1, root, 2, AddrRange{0, kMiB / 2},
+                                         Perms(Perms::kRW), CapRights(CapRights::kAll),
+                                         RevocationPolicy{});
+  ASSERT_TRUE(grant.ok());
+  ASSERT_TRUE(engine_.PurgeDomain(1).ok());
+  ASSERT_EQ(engine_.total_caps(), 2u);  // the donated root anchors the grant
+
+  const auto dropped = engine_.Revoke(2, grant->granted);
+  ASSERT_TRUE(dropped.ok());
+  EXPECT_EQ(dropped->restored, kInvalidCap);
+  EXPECT_EQ(engine_.total_caps(), 0u);
+  EXPECT_EQ(engine_.Get(root).code(), ErrorCode::kCapabilityRevoked);
+  CapabilityEngine copy;
+  EXPECT_TRUE(copy.Restore(engine_.Capture()).ok());
+  EXPECT_TRUE(engine_.CheckOwnedIndex().ok());
 }
 
 TEST_F(EngineEdgeTest, RevokeAuthorizationViaParentNeedsRevokeRight) {
@@ -212,7 +240,7 @@ TEST_F(EngineEdgeTest, RevokeRootOfCircularShareKillsTheWholeLoop) {
   ASSERT_TRUE(revoked.ok());
   EXPECT_EQ(revoked->revoked_count, 3u);  // to_1, to_2, back_to_1
   for (const CapId cap : {to_1, to_2, back_to_1}) {
-    EXPECT_FALSE((*engine_.Get(cap))->active());
+    EXPECT_EQ(engine_.Get(cap).code(), ErrorCode::kCapabilityRevoked);
   }
   EXPECT_TRUE(engine_.EffectivePerms(1, 0).empty());
   EXPECT_TRUE(engine_.EffectivePerms(2, 0).empty());
@@ -245,7 +273,7 @@ TEST_F(EngineEdgeTest, PurgeDomainInsideCircularShareLeavesPeersSound) {
   ASSERT_TRUE(purge.ok());
   EXPECT_FALSE(engine_.IsRegistered(1));
   // Everything derived through 1 is dead -- including 2's received slice.
-  EXPECT_FALSE((*engine_.Get(to_2))->active());
+  EXPECT_EQ(engine_.Get(to_2).code(), ErrorCode::kCapabilityRevoked);
   EXPECT_TRUE(engine_.EffectivePerms(2, 0).empty());
   // The independent slice survives untouched.
   EXPECT_TRUE((*engine_.Get(direct_to_2))->active());
@@ -324,9 +352,9 @@ TEST_F(EngineEdgeTest, PurgeFailureLeavesDomainRegisteredAndNothingOrphaned) {
   EXPECT_EQ(partial[0].first, a);
   EXPECT_EQ(partial[1].first, b);
   EXPECT_EQ(partial[1].second.revoked_count, 2u);  // b + the shared child
-  EXPECT_FALSE((*engine_.Get(a))->active());
-  EXPECT_FALSE((*engine_.Get(b))->active());
-  EXPECT_FALSE((*engine_.Get(child))->active());
+  EXPECT_EQ(engine_.Get(a).code(), ErrorCode::kCapabilityRevoked);
+  EXPECT_EQ(engine_.Get(b).code(), ErrorCode::kCapabilityRevoked);
+  EXPECT_EQ(engine_.Get(child).code(), ErrorCode::kCapabilityRevoked);
   EXPECT_TRUE((*engine_.Get(c))->active());
   EXPECT_EQ(engine_.DomainCaps(1).size(), 1u);
 
@@ -336,7 +364,7 @@ TEST_F(EngineEdgeTest, PurgeFailureLeavesDomainRegisteredAndNothingOrphaned) {
   EXPECT_EQ(retry->revoked_count, 1u);
   EXPECT_FALSE(engine_.IsRegistered(1));
   EXPECT_TRUE(engine_.DomainCaps(1).empty());
-  EXPECT_FALSE((*engine_.Get(c))->active());
+  EXPECT_EQ(engine_.Get(c).code(), ErrorCode::kCapabilityRevoked);
 }
 
 TEST_F(EngineEdgeTest, PurgeFailureOnFirstRootCommitsNothing) {

@@ -101,8 +101,10 @@ TEST_P(EnginePropertyTest, RandomWorkloadAgreesWithShadowModel) {
       }
     }
 
-    // --- Invariant 1: active cap count agrees with shadow. ---
+    // --- Invariant 1: active cap count agrees with shadow, and the owner
+    //     index is exactly the active set over a map of live nodes. ---
     ASSERT_EQ(engine.active_caps(), shadow.size()) << "step " << step;
+    ASSERT_TRUE(engine.CheckOwnedIndex().ok()) << "step " << step;
 
     // --- Invariant 2: per-domain effective perms agree at sampled points.---
     for (int sample = 0; sample < 8; ++sample) {
@@ -176,6 +178,8 @@ TEST_P(EnginePropertyTest, RandomWorkloadAgreesWithShadowModel) {
     }
   }
   EXPECT_EQ(engine.active_caps(), 0u);
+  // With nothing live, nothing is left: every node was reclaimed.
+  EXPECT_EQ(engine.total_caps(), 0u);
   for (CapDomainId d = 0; d < kNumDomains; ++d) {
     EXPECT_TRUE(engine.EffectivePerms(d, 0).empty());
     EXPECT_TRUE(engine.DomainMemoryMap(d).empty());

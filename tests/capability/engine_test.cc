@@ -217,8 +217,8 @@ TEST_F(EngineTest, RevokeCascadesThroughDescendants) {
   const auto outcome = engine_.Revoke(kOs, to_app);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->revoked_count, 2u);
-  EXPECT_FALSE((*engine_.Get(to_app))->active());
-  EXPECT_FALSE((*engine_.Get(to_enclave))->active());
+  EXPECT_EQ(engine_.Get(to_app).code(), ErrorCode::kCapabilityRevoked);
+  EXPECT_EQ(engine_.Get(to_enclave).code(), ErrorCode::kCapabilityRevoked);
   EXPECT_EQ(engine_.MemoryRefCount(sub), 1u);
   EXPECT_TRUE(engine_.EffectivePerms(kApp, 4 * kMiB).empty());
   EXPECT_TRUE(engine_.EffectivePerms(kEnclave, 4 * kMiB).empty());
@@ -435,6 +435,72 @@ TEST_F(EngineTest, PurgeDomainRevokesEverything) {
   EXPECT_TRUE(engine_.EffectivePerms(kEnclave, 4 * kMiB).empty());
   EXPECT_FALSE(engine_.IsRegistered(kApp));
   EXPECT_EQ(engine_.MemoryRefCount(sub), 1u);
+}
+
+TEST_F(EngineTest, RevokeReclaimsTheSubtreeSoStateStaysBounded) {
+  const AddrRange sub{4 * kMiB, kMiB};
+  CapEffects effects;
+  const uint64_t start = engine_.total_caps();
+  for (int i = 0; i < 1000; ++i) {
+    const CapId to_app = *engine_.ShareMemory(kOs, root_, kApp, sub, Perms(Perms::kRW),
+                                              CapRights(CapRights::kShare),
+                                              RevocationPolicy{}, &effects);
+    ASSERT_TRUE(engine_
+                    .ShareMemory(kApp, to_app, kEnclave, sub, Perms(Perms::kRead),
+                                 CapRights{}, RevocationPolicy{}, &effects)
+                    .ok());
+    const auto outcome = engine_.Revoke(kOs, to_app);
+    ASSERT_TRUE(outcome.ok());
+    ASSERT_EQ(outcome->revoked_caps.size(), 2u);
+    // The outcome names each reclaimed cap's owner and kind, leaf first.
+    EXPECT_EQ(outcome->revoked_caps[0].owner, kEnclave);
+    EXPECT_EQ(outcome->revoked_caps[1], (RevokeOutcome::Revoked{to_app, kApp,
+                                                                ResourceKind::kMemory}));
+  }
+  EXPECT_EQ(engine_.total_caps(), start);
+  EXPECT_TRUE(engine_.DomainCaps(kApp).empty());
+  EXPECT_TRUE((*engine_.Get(root_))->children.empty());
+  EXPECT_TRUE(engine_.CheckOwnedIndex().ok());
+  // Reclaimed ids read as revoked; ids never allocated stay unknown.
+  EXPECT_EQ(engine_.Get(root_ + 1).code(), ErrorCode::kCapabilityRevoked);
+  EXPECT_EQ(engine_.Revoke(kOs, root_ + 1).code(), ErrorCode::kCapabilityRevoked);
+  EXPECT_EQ(engine_.Get(1u << 30).code(), ErrorCode::kNotFound);
+}
+
+TEST_F(EngineTest, RevokingAWholeGrantReactivatesTheParent) {
+  // A grant/revoke round trip over the whole capability must not grow a
+  // chain of donated nodes: the parent itself comes back.
+  for (int i = 0; i < 100; ++i) {
+    const auto grant =
+        engine_.GrantMemory(kOs, root_, kApp, AddrRange{0, 64 * kMiB}, Perms(Perms::kRW),
+                            CapRights(CapRights::kAll), RevocationPolicy{});
+    ASSERT_TRUE(grant.ok());
+    const auto outcome = engine_.Revoke(kOs, grant->granted);
+    ASSERT_TRUE(outcome.ok());
+    ASSERT_EQ(outcome->restored, root_);
+  }
+  EXPECT_EQ(engine_.total_caps(), 1u);
+  EXPECT_TRUE((*engine_.Get(root_))->active());
+  EXPECT_EQ(engine_.EffectivePerms(kOs, 0).mask, Perms::kRWX);
+  EXPECT_EQ(engine_.DomainCaps(kOs).size(), 1u);
+  EXPECT_TRUE(engine_.CheckOwnedIndex().ok());
+}
+
+TEST_F(EngineTest, PurgeRevokesEveryHandleNamingTheDomain) {
+  const CapId handle =
+      *engine_.MintUnit(kOs, ResourceKind::kDomain, kApp, CapRights(CapRights::kAll));
+  CapEffects effects;
+  const CapId copy = *engine_.ShareUnit(kOs, handle, kEnclave, CapRights{},
+                                        RevocationPolicy{}, &effects);
+  const size_t os_caps = engine_.DomainCaps(kOs).size();
+  const auto outcome = engine_.PurgeDomain(kApp);
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_EQ(outcome->revoked_count, 2u);
+  EXPECT_EQ(engine_.Get(handle).code(), ErrorCode::kCapabilityRevoked);
+  EXPECT_EQ(engine_.Get(copy).code(), ErrorCode::kCapabilityRevoked);
+  EXPECT_EQ(engine_.DomainCaps(kOs).size(), os_caps - 1);
+  EXPECT_FALSE(engine_.HasUnit(kEnclave, ResourceKind::kDomain, kApp));
+  EXPECT_TRUE(engine_.CheckOwnedIndex().ok());
 }
 
 TEST_F(EngineTest, DumpTreeShowsLineage) {

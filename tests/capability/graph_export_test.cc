@@ -1,5 +1,5 @@
 // Copyright 2026 The Tyche Reproduction Authors.
-// Graph-export tests: DOT/JSON escaping helpers, revoked-history rendering,
+// Graph-export tests: DOT/JSON escaping helpers, donated-ancestry rendering,
 // and a JSON refcount round-trip over a deep lineage tree.
 
 #include "src/capability/graph_export.h"
@@ -46,26 +46,33 @@ class GraphExportTest : public ::testing::Test {
   CapId root_ = kInvalidCap;
 };
 
-TEST_F(GraphExportTest, RevokedHistoryRendersGreyedAndIsOmittedWhenFiltered) {
+TEST_F(GraphExportTest, DonatedAncestryRendersDashedAndIsOmittedWhenFiltered) {
   engine_.RegisterDomain(1, kOs);
-  const CapId child =
-      *engine_.ShareMemory(kOs, root_, 1, AddrRange{0, kMiB}, Perms(Perms::kRW),
-                           CapRights(CapRights::kAll), RevocationPolicy{}, nullptr);
-  ASSERT_TRUE(engine_.Revoke(kOs, child).ok());
+  const auto grant = engine_.GrantMemory(kOs, root_, 1, AddrRange{0, kMiB},
+                                         Perms(Perms::kRW), CapRights(CapRights::kAll),
+                                         RevocationPolicy{});
+  ASSERT_TRUE(grant.ok());
+  const CapId shared =
+      *engine_.ShareMemory(1, grant->granted, kOs, AddrRange{0, kMiB}, Perms(Perms::kRead),
+                           CapRights{}, RevocationPolicy{}, nullptr);
+  ASSERT_TRUE(engine_.Revoke(1, shared).ok());
 
-  const std::string with_history = ExportCapabilityGraphDot(engine_);
-  EXPECT_NE(with_history.find("fillcolor=gray80"), std::string::npos);
-  EXPECT_NE(with_history.find("cap" + std::to_string(root_) + " -> cap" +
-                              std::to_string(child)),
+  // The donated root stays (dashed) as the ancestor of the live pieces; the
+  // revoked share is reclaimed and appears nowhere.
+  const std::string with_ancestry = ExportCapabilityGraphDot(engine_);
+  EXPECT_NE(with_ancestry.find("style=dashed"), std::string::npos);
+  EXPECT_NE(with_ancestry.find("cap" + std::to_string(root_) + " -> cap" +
+                               std::to_string(grant->granted)),
             std::string::npos);
+  EXPECT_EQ(with_ancestry.find("cap" + std::to_string(shared) + " "), std::string::npos);
 
   GraphExportOptions live_only;
   live_only.include_inactive = false;
-  const std::string without_history = ExportCapabilityGraphDot(engine_, live_only);
-  EXPECT_EQ(without_history.find("fillcolor=gray80"), std::string::npos);
-  EXPECT_EQ(without_history.find("cap" + std::to_string(child) + " "), std::string::npos);
-  // The root itself is still there.
-  EXPECT_NE(without_history.find("cap" + std::to_string(root_) + " "), std::string::npos);
+  const std::string live = ExportCapabilityGraphDot(engine_, live_only);
+  EXPECT_EQ(live.find("style=dashed"), std::string::npos);
+  EXPECT_EQ(live.find("cap" + std::to_string(root_) + " "), std::string::npos);
+  // The granted piece itself is still there.
+  EXPECT_NE(live.find("cap" + std::to_string(grant->granted) + " "), std::string::npos);
 }
 
 // Extracts `"key":<number>` occurrences from a JSON export. Enough structure

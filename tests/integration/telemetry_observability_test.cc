@@ -117,14 +117,16 @@ TEST_F(TelemetryObservabilityTest, CapabilityGraphExportCarriesRefcounts) {
   EXPECT_NE(snapshot.capability_graph_json.find("\"ref_count\":2"), std::string::npos);
   EXPECT_NE(snapshot.capability_graph_json.find("\"origin\":\"share\""), std::string::npos);
 
-  // Revoking the share removes the node from the active-only export but
-  // keeps it (marked revoked) in the full lineage history.
+  // Revoking the share reclaims the node: it leaves both exports, and the
+  // lineage history lives in the journal instead.
   ASSERT_EQ(Call(0, ApiOp::kRevoke, shared.ret0).error, 0u);
   const std::string active_only =
       ExportCapabilityGraphJson(monitor_->engine(), {.include_inactive = false});
   EXPECT_EQ(active_only.find("\"origin\":\"share\""), std::string::npos);
   const std::string full = ExportCapabilityGraphJson(monitor_->engine());
-  EXPECT_NE(full.find("\"state\":\"revoked\""), std::string::npos);
+  EXPECT_EQ(full.find("\"origin\":\"share\""), std::string::npos);
+  EXPECT_EQ(full.find("\"state\":\"revoked\""), std::string::npos);
+  EXPECT_EQ(monitor_->engine().Get(shared.ret0).code(), ErrorCode::kCapabilityRevoked);
 }
 
 TEST_F(TelemetryObservabilityTest, TelemetryOffRecordsNothing) {

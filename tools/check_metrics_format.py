@@ -50,6 +50,7 @@ MONITOR_FAMILIES = [
     "tyche_fault_injections_fired_total",
     "tyche_fault_injection_active",
     "tyche_domains_alive",
+    "tyche_caps",
     "tyche_dispatch_latency_ns",
     "tyche_flight_captures_total",
 ]
