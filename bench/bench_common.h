@@ -42,7 +42,7 @@ inline Testbed MustTestbed(TestbedOptions options = TestbedOptions{}) {
 // shared counter names. Call only when histograms were enabled for the
 // measured loop; the latency gate compares these across benches.
 inline void ExportPercentiles(benchmark::State& state, Monitor& monitor) {
-  const LatencyHistogram merged = monitor.telemetry().MergedHistogram();
+  const HistogramSnapshot merged = monitor.telemetry().MergedHistogram();
   state.counters["p50_ns"] = static_cast<double>(merged.Percentile(50));
   state.counters["p90_ns"] = static_cast<double>(merged.Percentile(90));
   state.counters["p99_ns"] = static_cast<double>(merged.Percentile(99));

@@ -98,7 +98,7 @@ void BM_Dispatch_PhaseReconciliation(benchmark::State& state) {
 
   uint64_t e2e_sum = 0;
   for (size_t op = 0; op < monitor.telemetry().op_count(); ++op) {
-    e2e_sum += monitor.telemetry().OpHistogram(op).sum();
+    e2e_sum += monitor.telemetry().OpHistogram(op).sum;
   }
   uint64_t phase_sum = 0;
   const DispatchProfiler& profiler = monitor.profiler();

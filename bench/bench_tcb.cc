@@ -6,7 +6,9 @@
 // lines of code per module (what a verifier must trust), the external API
 // surface, and the per-domain metadata footprint.
 //
-// Not a timing benchmark: prints a table.
+// Not a timing benchmark: prints a table. Exits non-zero when the TCB total
+// exceeds kTcbBudget (or the source tree cannot be found), so the tcb_budget
+// ctest fails on any growth that a reviewed diff has not budgeted for.
 
 #include <cstdio>
 #include <filesystem>
@@ -21,6 +23,11 @@
 
 namespace tyche {
 namespace {
+
+// TCB code lines this tree is allowed. Lower it when a change shrinks the
+// TCB; raising it is a deliberate, reviewed decision. The paper's bar is
+// 10 000 (§3.5).
+constexpr uint64_t kTcbBudget = 10054;
 
 struct ModuleCount {
   std::string name;
@@ -74,37 +81,39 @@ int Run() {
   std::printf("=== C7: TCB accounting ===\n\n");
   const std::filesystem::path root = FindSourceRoot();
   if (root.empty()) {
-    std::printf("source tree not found from CWD; LoC table skipped\n");
-  } else {
-    // The TRUSTED computing base is what enforces + attests isolation:
-    // capability engine, monitor, backends, crypto. The hardware model and
-    // the OS are explicitly NOT in the TCB.
-    const std::vector<std::pair<std::string, std::string>> modules = {
-        {"src/capability", "capability engine   [TCB]"},
-        {"src/monitor", "isolation monitor   [TCB]"},
-        {"src/crypto", "crypto (hash/sign)  [TCB]"},
-        {"src/support", "support lib         [TCB]"},
-        {"src/tyche", "libtyche            [untrusted]"},
-        {"src/os", "LinOS               [untrusted]"},
-        {"src/hw", "hardware model      [substrate]"},
-        {"src/baseline", "baselines           [harness]"},
-    };
-    std::printf("%-34s %6s %8s %10s\n", "module", "files", "lines", "code-lines");
-    uint64_t tcb_code = 0;
-    for (const auto& [dir, label] : modules) {
-      const ModuleCount count = CountModule(root / dir, label);
-      std::printf("%-34s %6llu %8llu %10llu\n", label.c_str(),
-                  static_cast<unsigned long long>(count.files),
-                  static_cast<unsigned long long>(count.lines),
-                  static_cast<unsigned long long>(count.code_lines));
-      if (label.find("[TCB]") != std::string::npos) {
-        tcb_code += count.code_lines;
-      }
-    }
-    std::printf("\nTCB total (code lines):            %llu   (paper target: < 10,000)\n",
-                static_cast<unsigned long long>(tcb_code));
-    std::printf("Linux kernel for comparison:       > 20,000,000\n");
+    std::printf("source tree not found from CWD; cannot check the TCB budget\n");
+    return 1;
   }
+  uint64_t tcb_code = 0;
+  // The TRUSTED computing base is what enforces + attests isolation:
+  // capability engine, monitor, backends, crypto. The hardware model and
+  // the OS are explicitly NOT in the TCB.
+  const std::vector<std::pair<std::string, std::string>> modules = {
+      {"src/capability", "capability engine   [TCB]"},
+      {"src/monitor", "isolation monitor   [TCB]"},
+      {"src/crypto", "crypto (hash/sign)  [TCB]"},
+      {"src/support", "support lib         [TCB]"},
+      {"src/tyche", "libtyche            [untrusted]"},
+      {"src/os", "LinOS               [untrusted]"},
+      {"src/hw", "hardware model      [substrate]"},
+      {"src/baseline", "baselines           [harness]"},
+  };
+  std::printf("%-34s %6s %8s %10s\n", "module", "files", "lines", "code-lines");
+  for (const auto& [dir, label] : modules) {
+    const ModuleCount count = CountModule(root / dir, label);
+    std::printf("%-34s %6llu %8llu %10llu\n", label.c_str(),
+                static_cast<unsigned long long>(count.files),
+                static_cast<unsigned long long>(count.lines),
+                static_cast<unsigned long long>(count.code_lines));
+    if (label.find("[TCB]") != std::string::npos) {
+      tcb_code += count.code_lines;
+    }
+  }
+  std::printf("\nTCB total (code lines):            %llu   (paper target: < 10,000)\n",
+              static_cast<unsigned long long>(tcb_code));
+  std::printf("TCB budget (kTcbBudget):           %llu\n",
+              static_cast<unsigned long long>(kTcbBudget));
+  std::printf("Linux kernel for comparison:       > 20,000,000\n");
 
   std::printf("\n--- API surface ---\n");
   std::printf("monitor API operations:            %d\n", static_cast<int>(ApiOp::kOpCount));
@@ -135,6 +144,12 @@ int Run() {
                 static_cast<unsigned long long>(testbed->monitor().engine().total_caps()));
     std::printf("monitor API calls for 1 load:        %llu\n",
                 static_cast<unsigned long long>(testbed->monitor().stats().TotalCalls()));
+  }
+  if (tcb_code > kTcbBudget) {
+    std::printf("\nFAIL: TCB total %llu exceeds the budget of %llu code lines\n",
+                static_cast<unsigned long long>(tcb_code),
+                static_cast<unsigned long long>(kTcbBudget));
+    return 1;
   }
   return 0;
 }

@@ -76,25 +76,8 @@ BENCHMARK(BM_Dispatch_HistogramsOnly);
 BENCHMARK(BM_Dispatch_HistogramsMetricsOn);
 BENCHMARK(BM_Dispatch_TelemetryFull);
 
-// The snapshot/export path: how expensive is DumpTelemetry() itself once a
-// workload has filled the ring and built a capability graph. Run outside
-// the timed region: build state once, snapshot per iteration.
-void BM_DumpTelemetry(benchmark::State& state) {
-  Testbed testbed = bench::MustTestbed();
-  Monitor& monitor = testbed.monitor();
-  ApiRegs regs;
-  regs.op = static_cast<uint64_t>(ApiOp::kTakeInterrupt);
-  for (int i = 0; i < 1024; ++i) {
-    (void)Dispatch(&monitor, 0, regs);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(monitor.DumpTelemetry());
-  }
-}
-BENCHMARK(BM_DumpTelemetry);
-
 // The scrape path: rendering the full Prometheus snapshot, histograms and
-// pull callbacks included, over the same warmed-up state.
+// pull callbacks included, once a workload has filled the trace ring.
 void BM_ExportMetrics(benchmark::State& state) {
   Testbed testbed = bench::MustTestbed();
   Monitor& monitor = testbed.monitor();

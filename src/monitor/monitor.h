@@ -118,44 +118,8 @@ struct MonitorStats {
   }
 };
 
-// The name telemetry dumps use for each effect-kind counter slot.
+// The scrape label for each effect-kind counter slot.
 const char* CapEffectKindName(CapEffect::Kind kind);
-
-// Everything an external verifier (or a bench) needs about what the monitor
-// did: per-op call counts and latency distributions, the trace of recent
-// ABI calls, the hardware-projection counters, and the capability graph a
-// judiciary would attest. Produced by Monitor::DumpTelemetry().
-struct TelemetrySnapshot {
-  MonitorStats stats;
-  BackendStats backend;
-  std::vector<TraceEntry> trace;                 // oldest first
-  uint64_t trace_recorded = 0;                   // total traced calls
-  uint64_t trace_dropped = 0;                    // overwritten by the ring
-  std::vector<LatencyHistogram> per_op_latency;  // indexed by ApiOp
-  std::string capability_graph_dot;
-  std::string capability_graph_json;
-
-  // Audit-journal view: record/checkpoint counts, chain head (hex), the
-  // per-event summary paragraph, and the causal span tree.
-  uint64_t journal_records = 0;
-  uint64_t journal_checkpoints = 0;
-  std::string journal_head;
-  std::string journal_summary;
-  std::string span_tree_json;
-
-  // Concurrent-dispatch view: lock-contention counters (how often a
-  // conditional guard had to block) and journal group-commit batching. All
-  // zero in the default serial mode.
-  uint64_t lock_exclusive_contention = 0;
-  uint64_t lock_shared_contention = 0;
-  uint64_t journal_batches = 0;
-  uint64_t journal_batched_records = 0;
-  uint64_t journal_max_batch = 0;
-
-  // Human-readable summary: per-op table (count/p50/p99/max), effect and
-  // backend counters, trace ring occupancy, graph size.
-  std::string ToString() const;
-};
 
 class Monitor {
  public:
@@ -289,13 +253,12 @@ class Monitor {
   Result<bool> AuditHardwareConsistency();
 
   // --- Introspection (tests, benches, examples) ---
-  // Full observability snapshot; see TelemetrySnapshot. Cheap relative to
-  // the work it describes, but it does walk the capability tree.
-  TelemetrySnapshot DumpTelemetry() const;
   // Prometheus text-exposition snapshot of every registered metric: stat
   // counters, backend/journal/trace/contention signals, fault-injection
-  // hits, per-op latency histograms. Safe against concurrent dispatchers
-  // (quiesces via api_mu_ exactly like DumpTelemetry).
+  // hits, per-op latency histograms. The registry is the one source of
+  // stats; stats(), backend().stats(), telemetry().ring() and audit() are
+  // typed views of the same signals. Safe against concurrent dispatchers
+  // (quiesces via api_mu_).
   std::string ExportMetrics() const;
   // Checkpoints and serializes the audit journal (wire format for
   // RemoteVerifier::VerifyJournal / tools/journal_verify).

@@ -504,7 +504,9 @@ Status Monitor::Recover(std::span<const uint8_t> snapshot_bytes,
   frozen_.clear();
 
   // 8. Telemetry reset-and-mark: only the recovery counter crosses the
-  //    epoch, so post-recovery dumps never mix pre-crash samples. The
+  //    epoch, so post-recovery dumps never mix pre-crash samples -- the
+  //    phase profiler included, whose exemplars would otherwise point at
+  //    trace entries that no longer exist. The
   //    recovered-seq flight record is captured BEFORE the reset so its
   //    metrics delta shows the pre-crash epoch draining to zero.
   const uint64_t recovered_seq =
@@ -520,6 +522,7 @@ Status Monitor::Recover(std::span<const uint8_t> snapshot_bytes,
   counters_.recoveries->Add(recoveries);
   telemetry_.ring().Clear();
   telemetry_.ClearHistograms();
+  profiler_.Reset();
 
   audit_.Recovery(recovery_span, recovered_seq);
   TYCHE_LOG(kWarn) << "monitor recovered to journal seq " << recovered_seq << " ("

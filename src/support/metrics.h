@@ -13,6 +13,10 @@
 //    at first use) and increments it with one relaxed fetch_add, so eight
 //    dispatching cores never bounce a shared line. Reads sum the stripes --
 //    monotonic but not linearizable, which is exactly what a scraper needs.
+//  - Log2Histogram: the monitor's one live latency histogram -- 64 relaxed
+//    atomic log2 bucket cells plus sum and max, so recording never takes a
+//    lock. Snapshot() turns it into the HistogramSnapshot value type the
+//    registry exports and callers compute percentiles on.
 //  - MetricsRegistry: named families of counters, gauges, and histogram
 //    views, each with optional labels. Native counters/gauges live in the
 //    registry; signals owned elsewhere (backend stats, journal sizes, fault
@@ -22,8 +26,8 @@
 //
 // Everything here is independent of the monitor's types: histogram views
 // are exported through the plain HistogramSnapshot struct below, so
-// telemetry.h can include this header (for the striped contention counters)
-// without a cycle.
+// telemetry.h can include this header (for the striped contention counters
+// and Log2Histogram) without a cycle.
 
 #ifndef SRC_SUPPORT_METRICS_H_
 #define SRC_SUPPORT_METRICS_H_
@@ -124,15 +128,67 @@ class MetricGauge {
   std::atomic<int64_t> value_{0};
 };
 
-// A histogram rendered into the export: log2 (or any) bucket upper bounds
-// with per-bucket counts, plus count/sum. Produced by a pull callback so
-// the registry needs no knowledge of the histogram implementation.
+// A histogram value: bucket upper bounds with per-bucket counts, plus
+// count/sum/max. Log2Histogram::Snapshot() produces it; the registry
+// renders it, and callers merge it and read percentiles from it.
 struct HistogramSnapshot {
   // (inclusive upper bound, count in bucket) pairs, ascending. The exporter
   // emits cumulative counts and appends the +Inf bucket itself.
   std::vector<std::pair<uint64_t, uint64_t>> buckets;
   uint64_t count = 0;
   uint64_t sum = 0;
+  uint64_t max = 0;
+
+  // Adds `other` bucket by bucket. Both sides must use the same upper bound
+  // at each index, as every Log2Histogram snapshot does.
+  void Merge(const HistogramSnapshot& other);
+
+  // Upper bound of the bucket holding the p-th percentile sample (p in
+  // [0,100], nearest rank). 0 on an empty histogram.
+  uint64_t Percentile(double p) const;
+};
+
+// Log2-bucketed histogram of non-negative 64-bit values with relaxed atomic
+// cells: Record() is wait-free and safe from any number of threads.
+// Bucket i counts values v with 2^(i-1) < v <= 2^i (bucket 0 counts 0 and
+// 1; the last bucket counts every value above 2^62).
+class Log2Histogram {
+ public:
+  static constexpr size_t kBuckets = 64;
+
+  static size_t BucketIndex(uint64_t value) {
+    if (value <= 1) {
+      return 0;
+    }
+    // Smallest i with value <= 2^i, i.e. ceil(log2(value)), clamped so
+    // values above 2^63 land in the last bucket instead of past it.
+    const size_t index = static_cast<size_t>(64 - __builtin_clzll(value - 1));
+    return index < kBuckets ? index : kBuckets - 1;
+  }
+
+  // Inclusive upper bound of values landing in bucket i.
+  static uint64_t BucketUpperBound(size_t i) { return i >= 63 ? ~0ull : (1ull << i); }
+
+  void Record(uint64_t value) {
+    buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(value, std::memory_order_relaxed);
+    uint64_t seen = max_.load(std::memory_order_relaxed);
+    while (value > seen &&
+           !max_.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
+    }
+  }
+
+  // Buckets up to the highest non-empty one. `count` is the sum of the
+  // bucket cells read, so the exported +Inf bucket always equals the last
+  // cumulative bucket even while writers are active.
+  HistogramSnapshot Snapshot() const;
+
+  void Reset();
+
+ private:
+  std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
+  std::atomic<uint64_t> sum_{0};
+  std::atomic<uint64_t> max_{0};
 };
 
 // label key/value pairs, rendered in the order given.

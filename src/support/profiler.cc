@@ -37,33 +37,17 @@ const char* DispatchPhaseName(DispatchPhase phase) {
   return "?";
 }
 
-namespace {
-
-// Same bucketing as LatencyHistogram::Record: smallest i with value <= 2^i,
-// saturating at the last bucket. Keeping the two identical is what makes
-// "p99 within one log2 bucket" comparisons between the e2e histogram and
-// the phase histograms meaningful.
-size_t BucketIndex(uint64_t value) {
-  if (value <= 1) {
-    return 0;
-  }
-  return std::min<size_t>(LatencyHistogram::kBuckets - 1,
-                          static_cast<size_t>(64 - __builtin_clzll(value - 1)));
-}
-
-}  // namespace
-
 DispatchProfiler::DispatchProfiler(size_t op_count)
     : op_count_(op_count == 0 ? 1 : op_count) {}
 
 void DispatchProfiler::set_enabled(bool enabled) {
   if (enabled) {
     std::lock_guard<std::mutex> lock(storage_mu_);
-    if (cell_storage_ == nullptr) {
-      const size_t total = kMetricStripes * op_count_ * kDispatchPhaseCount * kSlots;
-      cell_storage_ = std::make_unique<std::atomic<uint64_t>[]>(total);
+    if (histogram_storage_ == nullptr) {
+      histogram_storage_ =
+          std::make_unique<Log2Histogram[]>(kMetricStripes * op_count_ * kDispatchPhaseCount);
       exemplars_ = std::make_unique<ExemplarCell[]>(op_count_ * kDispatchPhaseCount);
-      cells_.store(cell_storage_.get(), std::memory_order_release);
+      histograms_.store(histogram_storage_.get(), std::memory_order_release);
     }
   }
   enabled_.store(enabled, std::memory_order_relaxed);
@@ -107,17 +91,15 @@ void DispatchProfiler::RecordDetached(uint16_t op, DispatchPhase phase, uint64_t
 
 void DispatchProfiler::RecordSample(uint16_t op, size_t phase, uint64_t ns,
                                     uint64_t span, uint64_t ts_ns) {
-  std::atomic<uint64_t>* cells = cells_.load(std::memory_order_acquire);
-  if (cells == nullptr || op >= op_count_) {
+  Log2Histogram* histograms = histograms_.load(std::memory_order_acquire);
+  if (histograms == nullptr || op >= op_count_) {
     return;
   }
   size_t stripe = metrics_internal::tls_stripe_plus1;
   if (stripe == 0) {
     stripe = metrics_internal::AssignThisThreadStripe();
   }
-  const size_t base = CellBase(stripe - 1, op, phase);
-  cells[base + BucketIndex(ns)].fetch_add(1, std::memory_order_relaxed);
-  cells[base + kBucketSlots].fetch_add(ns, std::memory_order_relaxed);
+  histograms[HistogramIndex(stripe - 1, op, phase)].Record(ns);
   ExemplarCell& exemplar = exemplars_[op * kDispatchPhaseCount + phase];
   if (ns > exemplar.max_ns.load(std::memory_order_relaxed)) [[unlikely]] {
     MaybeUpdateExemplar(exemplar, ns, span, ts_ns);
@@ -138,29 +120,15 @@ void DispatchProfiler::MaybeUpdateExemplar(ExemplarCell& cell, uint64_t ns,
 HistogramSnapshot DispatchProfiler::PhaseSnapshot(uint16_t op,
                                                   DispatchPhase phase) const {
   HistogramSnapshot snapshot;
-  const std::atomic<uint64_t>* cells = cells_.load(std::memory_order_acquire);
-  if (cells == nullptr || op >= op_count_ ||
+  const Log2Histogram* histograms = histograms_.load(std::memory_order_acquire);
+  if (histograms == nullptr || op >= op_count_ ||
       phase >= DispatchPhase::kPhaseCount) {
     return snapshot;
   }
-  std::array<uint64_t, kBucketSlots> buckets{};
-  uint64_t sum = 0;
   for (size_t stripe = 0; stripe < kMetricStripes; ++stripe) {
-    const size_t base = CellBase(stripe, op, static_cast<size_t>(phase));
-    for (size_t i = 0; i < kBucketSlots; ++i) {
-      buckets[i] += cells[base + i].load(std::memory_order_relaxed);
-    }
-    sum += cells[base + kBucketSlots].load(std::memory_order_relaxed);
+    snapshot.Merge(
+        histograms[HistogramIndex(stripe, op, static_cast<size_t>(phase))].Snapshot());
   }
-  size_t last = kBucketSlots;
-  while (last > 0 && buckets[last - 1] == 0) {
-    --last;
-  }
-  for (size_t i = 0; i < last; ++i) {
-    snapshot.buckets.emplace_back(LatencyHistogram::BucketUpperBound(i), buckets[i]);
-    snapshot.count += buckets[i];
-  }
-  snapshot.sum = sum;
   return snapshot;
 }
 
@@ -181,33 +149,25 @@ DispatchProfiler::ExemplarSample DispatchProfiler::Exemplar(
 }
 
 uint64_t DispatchProfiler::TotalSamples() const {
-  const std::atomic<uint64_t>* cells = cells_.load(std::memory_order_acquire);
-  if (cells == nullptr) {
+  const Log2Histogram* histograms = histograms_.load(std::memory_order_acquire);
+  if (histograms == nullptr) {
     return 0;
   }
   uint64_t total = 0;
-  for (size_t stripe = 0; stripe < kMetricStripes; ++stripe) {
-    for (size_t op = 0; op < op_count_; ++op) {
-      for (size_t phase = 0; phase < kDispatchPhaseCount; ++phase) {
-        const size_t base = CellBase(stripe, op, phase);
-        for (size_t i = 0; i < kBucketSlots; ++i) {
-          total += cells[base + i].load(std::memory_order_relaxed);
-        }
-      }
-    }
+  for (size_t i = 0; i < kMetricStripes * op_count_ * kDispatchPhaseCount; ++i) {
+    total += histograms[i].Snapshot().count;
   }
   return total;
 }
 
 void DispatchProfiler::Reset() {
   std::lock_guard<std::mutex> storage_lock(storage_mu_);
-  std::atomic<uint64_t>* cells = cells_.load(std::memory_order_acquire);
-  if (cells == nullptr) {
+  Log2Histogram* histograms = histograms_.load(std::memory_order_acquire);
+  if (histograms == nullptr) {
     return;
   }
-  const size_t total = kMetricStripes * op_count_ * kDispatchPhaseCount * kSlots;
-  for (size_t i = 0; i < total; ++i) {
-    cells[i].store(0, std::memory_order_relaxed);
+  for (size_t i = 0; i < kMetricStripes * op_count_ * kDispatchPhaseCount; ++i) {
+    histograms[i].Reset();
   }
   std::lock_guard<std::mutex> lock(exemplar_mu_);
   for (size_t i = 0; i < op_count_ * kDispatchPhaseCount; ++i) {

@@ -25,11 +25,11 @@
 //
 // Cost model: ScopedPhase is one bare TLS load when no window is open (the
 // profiler off / serial production case), and two steady-clock reads when
-// one is. Samples land in per-op x per-phase log2 histograms striped over
-// the same per-thread cells as StripedCounter, so eight dispatching cores
-// never bounce a bucket line. The whole feature sits behind a kill switch
-// (set_enabled) mirroring the telemetry switches; storage (~1.2 MiB) is
-// allocated on first enable, never on the record path.
+// one is. Samples land in per-op x per-phase Log2Histograms, one per
+// stripe, picked by the same per-thread stripe id as StripedCounter, so
+// eight dispatching cores never bounce a bucket line. The whole feature
+// sits behind a kill switch (set_enabled) mirroring the telemetry switches;
+// storage (~1.2 MiB) is allocated on first enable, never on the record path.
 //
 // Exemplars: every (op, phase) keeps its slowest sample's trace span id and
 // steady-clock timestamp, so a histogram outlier is clickable into the
@@ -48,7 +48,6 @@
 #include <string>
 
 #include "src/support/metrics.h"
-#include "src/support/telemetry.h"
 
 namespace tyche {
 
@@ -136,7 +135,7 @@ class ScopedPhase {
   uint8_t prev_;
 };
 
-// Per-op x per-phase log2 latency histograms with striped atomic cells plus
+// Per-op x per-phase log2 latency histograms, striped per thread, plus
 // slowest-sample exemplars. One instance per Monitor; the scratch window is
 // per-thread and global, so nested monitors on one thread are not supported
 // (BeginWindow refuses while a window is open).
@@ -164,9 +163,8 @@ class DispatchProfiler {
   void RecordDetached(uint16_t op, DispatchPhase phase, uint64_t ns, uint64_t span,
                       uint64_t ts_ns);
 
-  // Aggregated view of one (op, phase) histogram: log2 buckets in
-  // HistogramSnapshot shape (trailing empty buckets trimmed), stripe cells
-  // summed. Zero-filled when the op is out of range or nothing recorded.
+  // One (op, phase) histogram with its stripes merged (trailing empty
+  // buckets trimmed). Empty when the op is out of range or nothing recorded.
   HistogramSnapshot PhaseSnapshot(uint16_t op, DispatchPhase phase) const;
 
   struct ExemplarSample {
@@ -186,19 +184,14 @@ class DispatchProfiler {
   void Reset();
 
  private:
-  // Cell layout per (stripe, op, phase): kBucketSlots bucket counters then
-  // one sum-of-ns slot.
-  static constexpr size_t kBucketSlots = LatencyHistogram::kBuckets;
-  static constexpr size_t kSlots = kBucketSlots + 1;
-
   struct ExemplarCell {
     std::atomic<uint64_t> max_ns{0};
     uint64_t span = 0;   // guarded by exemplar_mu_
     uint64_t ts_ns = 0;  // guarded by exemplar_mu_
   };
 
-  size_t CellBase(size_t stripe, size_t op, size_t phase) const {
-    return ((stripe * op_count_ + op) * kDispatchPhaseCount + phase) * kSlots;
+  size_t HistogramIndex(size_t stripe, size_t op, size_t phase) const {
+    return (stripe * op_count_ + op) * kDispatchPhaseCount + phase;
   }
 
   void RecordSample(uint16_t op, size_t phase, uint64_t ns, uint64_t span,
@@ -210,9 +203,9 @@ class DispatchProfiler {
   std::atomic<bool> enabled_{false};
   // Storage pointer is written once (under storage_mu_) and read with an
   // acquire load on the record path; null until the first enable.
-  std::atomic<std::atomic<uint64_t>*> cells_{nullptr};
+  std::atomic<Log2Histogram*> histograms_{nullptr};
   std::mutex storage_mu_;
-  std::unique_ptr<std::atomic<uint64_t>[]> cell_storage_;
+  std::unique_ptr<Log2Histogram[]> histogram_storage_;
   std::unique_ptr<ExemplarCell[]> exemplars_;
   mutable std::mutex exemplar_mu_;  // guards ExemplarCell span/ts pairs
 };

@@ -100,65 +100,10 @@ std::string TraceRing::DumpJson(
   return out.str();
 }
 
-namespace {
-
-size_t BucketIndex(uint64_t value) {
-  if (value <= 1) {
-    return 0;
-  }
-  // Smallest i with value <= 2^i, i.e. ceil(log2(value)). Values above 2^63
-  // have no power-of-two upper bound in 64 bits; they land in the last
-  // bucket (whose upper bound saturates to ~0) instead of indexing past it.
-  return std::min<size_t>(LatencyHistogram::kBuckets - 1,
-                          static_cast<size_t>(64 - __builtin_clzll(value - 1)));
-}
-
-}  // namespace
-
-void LatencyHistogram::Record(uint64_t value) {
-  ++buckets_[BucketIndex(value)];
-  ++count_;
-  sum_ += value;
-  min_ = std::min(min_, value);
-  max_ = std::max(max_, value);
-}
-
-void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  for (size_t i = 0; i < kBuckets; ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-void LatencyHistogram::Clear() { *this = LatencyHistogram{}; }
-
-uint64_t LatencyHistogram::BucketUpperBound(size_t i) {
-  return i >= 63 ? ~0ull : (1ull << i);
-}
-
-uint64_t LatencyHistogram::Percentile(double p) const {
-  if (count_ == 0) {
-    return 0;
-  }
-  p = std::clamp(p, 0.0, 100.0);
-  // Rank of the percentile sample, 1-based (nearest-rank definition).
-  const uint64_t rank =
-      std::max<uint64_t>(1, static_cast<uint64_t>(p / 100.0 * count_ + 0.5));
-  uint64_t seen = 0;
-  for (size_t i = 0; i < kBuckets; ++i) {
-    seen += buckets_[i];
-    if (seen >= rank) {
-      return BucketUpperBound(i);
-    }
-  }
-  return max_;
-}
-
 Telemetry::Telemetry(size_t op_count, size_t ring_capacity)
-    : op_count_(op_count), per_op_(op_count), ring_(ring_capacity) {}
+    : op_count_(op_count),
+      per_op_(std::make_unique<Log2Histogram[]>(op_count)),
+      ring_(ring_capacity) {}
 
 void Telemetry::set_trace_enabled(bool enabled) {
   if (enabled) {
@@ -170,53 +115,43 @@ void Telemetry::set_trace_enabled(bool enabled) {
 
 void Telemetry::RecordCall(const TraceEntry& entry) {
   if (histograms_enabled() && entry.op < op_count_) {
-    std::lock_guard<std::mutex> lock(mu_);
     per_op_[entry.op].Record(entry.duration_ns);
   }
   ring_.Record(entry);
 }
 
-LatencyHistogram Telemetry::OpHistogram(size_t op) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return op < op_count_ ? per_op_[op] : LatencyHistogram{};
+HistogramSnapshot Telemetry::OpHistogram(size_t op) const {
+  return op < op_count_ ? per_op_[op].Snapshot() : HistogramSnapshot{};
 }
 
-std::vector<LatencyHistogram> Telemetry::AllHistograms() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return per_op_;
-}
-
-LatencyHistogram Telemetry::MergedHistogram() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  LatencyHistogram merged;
-  for (const LatencyHistogram& histogram : per_op_) {
-    merged.Merge(histogram);
+HistogramSnapshot Telemetry::MergedHistogram() const {
+  HistogramSnapshot merged;
+  for (size_t op = 0; op < op_count_; ++op) {
+    merged.Merge(per_op_[op].Snapshot());
   }
   return merged;
 }
 
 void Telemetry::ClearHistograms() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (LatencyHistogram& histogram : per_op_) {
-    histogram.Clear();
+  for (size_t op = 0; op < op_count_; ++op) {
+    per_op_[op].Reset();
   }
 }
 
 std::string Telemetry::SummaryText(
     const std::function<std::string(uint16_t)>& op_name) const {
-  const std::vector<LatencyHistogram> histograms = AllHistograms();
   std::ostringstream out;
   out << "op                         calls       p50(ns)     p99(ns)     max(ns)\n";
-  for (size_t op = 0; op < histograms.size(); ++op) {
-    const LatencyHistogram& histogram = histograms[op];
-    if (histogram.count() == 0) {
+  for (size_t op = 0; op < op_count_; ++op) {
+    const HistogramSnapshot histogram = OpHistogram(op);
+    if (histogram.count == 0) {
       continue;
     }
     std::string name = op_name(static_cast<uint16_t>(op));
     name.resize(24, ' ');
-    out << name << " " << histogram.count();
+    out << name << " " << histogram.count;
     for (const uint64_t value :
-         {histogram.Percentile(50), histogram.Percentile(99), histogram.max()}) {
+         {histogram.Percentile(50), histogram.Percentile(99), histogram.max}) {
       out << "  " << value;
     }
     out << "\n";

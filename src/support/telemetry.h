@@ -11,12 +11,10 @@
 //    wall-clock nanoseconds the monitor spent on the call. Old entries are
 //    overwritten (and counted as dropped) so tracing never allocates on the
 //    hot path after construction.
-//  - LatencyHistogram: log2-bucketed, mergeable. Bucket i counts values v
-//    with 2^(i-1) < v <= 2^i (bucket 0 counts 0 and 1). Good enough for
-//    p50/p99 at power-of-two resolution without storing samples.
-//  - Telemetry: per-op histograms plus the ring, with independent enable
-//    switches so the instrumentation cost itself can be benchmarked
-//    (bench_telemetry) and turned off on production hot paths.
+//  - Telemetry: one lock-free Log2Histogram (metrics.h) per op plus the
+//    ring, with independent enable switches so the instrumentation cost
+//    itself can be benchmarked (bench_telemetry) and turned off on
+//    production hot paths.
 //
 // Everything here is deliberately independent of the monitor's types: the
 // per-op dimension is just an index, named via a caller-provided callback
@@ -25,11 +23,11 @@
 #ifndef SRC_SUPPORT_TELEMETRY_H_
 #define SRC_SUPPORT_TELEMETRY_H_
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -95,40 +93,8 @@ class TraceRing {
   uint64_t next_seq_ = 0;
 };
 
-// Log2-bucketed histogram of non-negative 64-bit values. Not thread-safe by
-// itself (Telemetry serializes access); plain data so it copies and merges.
-class LatencyHistogram {
- public:
-  static constexpr size_t kBuckets = 64;
-
-  void Record(uint64_t value);
-  void Merge(const LatencyHistogram& other);
-  void Clear();
-
-  uint64_t count() const { return count_; }
-  uint64_t sum() const { return sum_; }
-  uint64_t min() const { return count_ == 0 ? 0 : min_; }
-  uint64_t max() const { return max_; }
-  const std::array<uint64_t, kBuckets>& buckets() const { return buckets_; }
-
-  // Upper bound of the bucket containing the p-th percentile (p in [0,100]).
-  // Returns 0 on an empty histogram. Percentile(50) / Percentile(99) are the
-  // p50/p99 used in telemetry summaries.
-  uint64_t Percentile(double p) const;
-
-  // Inclusive upper bound of values landing in bucket i.
-  static uint64_t BucketUpperBound(size_t i);
-
- private:
-  std::array<uint64_t, kBuckets> buckets_ = {};
-  uint64_t count_ = 0;
-  uint64_t sum_ = 0;
-  uint64_t min_ = ~0ull;
-  uint64_t max_ = 0;
-};
-
 // The aggregate carried by the monitor: one latency histogram per ABI op
-// plus the trace ring. Thread-safe.
+// plus the trace ring. Thread-safe; only the ring takes a lock.
 class Telemetry {
  public:
   explicit Telemetry(size_t op_count, size_t ring_capacity = TraceRing::kDefaultCapacity);
@@ -154,10 +120,10 @@ class Telemetry {
   TraceRing& ring() { return ring_; }
   const TraceRing& ring() const { return ring_; }
 
-  LatencyHistogram OpHistogram(size_t op) const;
-  std::vector<LatencyHistogram> AllHistograms() const;
+  // Empty for an out-of-range op.
+  HistogramSnapshot OpHistogram(size_t op) const;
   // All per-op histograms merged into one.
-  LatencyHistogram MergedHistogram() const;
+  HistogramSnapshot MergedHistogram() const;
   void ClearHistograms();
 
   // Per-op latency table: "op  count  p50  p99  max  total_ns" lines for
@@ -194,8 +160,7 @@ class Telemetry {
   StripedCounter exclusive_wait_ns_;
   StripedCounter shared_wait_ns_;
   StripedCounter shard_wait_ns_;
-  mutable std::mutex mu_;  // guards per_op_
-  std::vector<LatencyHistogram> per_op_;
+  std::unique_ptr<Log2Histogram[]> per_op_;
   TraceRing ring_;
 };
 

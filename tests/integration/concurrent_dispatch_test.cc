@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/capability/engine.h"
+#include "src/capability/graph_export.h"
 #include "src/monitor/audit.h"
 #include "src/monitor/attestation.h"
 #include "src/monitor/dispatch.h"
@@ -114,25 +115,28 @@ TEST_F(ConcurrentDispatchTest, StressedMonitorStillReplaysAndVerifies) {
 
   // The concurrent run must leave the same kind of evidence a serial run
   // does: a verifying chain whose replay reproduces the live engine.
-  const TelemetrySnapshot snapshot = monitor_->DumpTelemetry();
+  const std::string graph_json = ExportCapabilityGraphJson(monitor_->engine());
   const std::vector<uint8_t> wire = monitor_->ExportJournal();
-  ASSERT_TRUE(RemoteVerifier::VerifyJournal(wire, monitor_->public_key(),
-                                            &snapshot.capability_graph_json)
-                  .ok());
+  ASSERT_TRUE(RemoteVerifier::VerifyJournal(wire, monitor_->public_key(), &graph_json).ok());
   const std::vector<JournalRecord> records = monitor_->audit().journal().Records();
   CapabilityEngine shadow;
   const auto replay = ReplayJournalInto(&shadow, std::span<const JournalRecord>(records));
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   EXPECT_EQ(EngineDigest(shadow).ToHex(), EngineDigest(monitor_->engine()).ToHex());
 
-  // Group commit accounted for every record, and the snapshot surfaces the
-  // new concurrency counters.
+  // Group commit accounted for every record, and the scrape surfaces the
+  // concurrency counters.
   const auto stats = monitor_->audit().journal().group_commit_stats();
   EXPECT_GT(stats.batches, 0u);
   EXPECT_EQ(stats.batched_records, monitor_->audit().journal().size());
   EXPECT_GE(stats.max_batch, 1u);
-  EXPECT_EQ(snapshot.journal_batches, stats.batches);
-  EXPECT_EQ(snapshot.journal_batched_records, stats.batched_records);
+  const std::string scrape = monitor_->ExportMetrics();
+  EXPECT_NE(scrape.find("tyche_journal_group_commit_batches_total " +
+                        std::to_string(stats.batches) + "\n"),
+            std::string::npos);
+  EXPECT_NE(scrape.find("tyche_journal_group_commit_records_total " +
+                        std::to_string(stats.batched_records) + "\n"),
+            std::string::npos);
 }
 
 TEST_F(ConcurrentDispatchTest, DestroyDomainPartialPurgeJournalsCommittedPrefix) {
@@ -176,11 +180,9 @@ TEST_F(ConcurrentDispatchTest, DestroyDomainPartialPurgeJournalsCommittedPrefix)
   EXPECT_FALSE(monitor_->engine().IsRegistered(child));
   EXPECT_TRUE(monitor_->engine().DomainCaps(child).empty());
 
-  const TelemetrySnapshot snapshot = monitor_->DumpTelemetry();
+  const std::string graph_json = ExportCapabilityGraphJson(monitor_->engine());
   const std::vector<uint8_t> wire = monitor_->ExportJournal();
-  EXPECT_TRUE(RemoteVerifier::VerifyJournal(wire, monitor_->public_key(),
-                                            &snapshot.capability_graph_json)
-                  .ok());
+  EXPECT_TRUE(RemoteVerifier::VerifyJournal(wire, monitor_->public_key(), &graph_json).ok());
 }
 
 TEST_F(ConcurrentDispatchTest, ConcurrencyAndSnapshotsAreMutuallyExclusive) {

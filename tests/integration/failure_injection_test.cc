@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/capability/graph_export.h"
 #include "src/monitor/attestation.h"
 #include "src/monitor/vtx_backend.h"
 #include "src/support/faults.h"
@@ -64,10 +65,9 @@ class FailureInjectionTest : public BootedMachineTest {
   }
 
   void VerifyJournalAgainstLiveGraph() {
-    const TelemetrySnapshot snapshot = monitor_->DumpTelemetry();
+    const std::string graph_json = ExportCapabilityGraphJson(monitor_->engine());
     const Status verified = RemoteVerifier::VerifyJournal(
-        monitor_->ExportJournal(), monitor_->public_key(),
-        &snapshot.capability_graph_json);
+        monitor_->ExportJournal(), monitor_->public_key(), &graph_json);
     EXPECT_TRUE(verified.ok()) << verified.ToString();
   }
 };

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "src/capability/graph_export.h"
 #include "src/monitor/attestation.h"
 #include "src/monitor/audit.h"
 #include "src/monitor/dispatch.h"
@@ -223,10 +224,10 @@ void VerifyConsistency(Testbed& bed) {
   ASSERT_TRUE(consistent.ok()) << consistent.status().ToString();
   EXPECT_TRUE(*consistent) << "hardware diverged from the capability tree";
 
-  const TelemetrySnapshot snapshot = bed.monitor->DumpTelemetry();
+  const std::string graph_json = ExportCapabilityGraphJson(bed.monitor->engine());
   const std::vector<uint8_t> wire = bed.monitor->ExportJournal();
-  const Status verified = RemoteVerifier::VerifyJournal(
-      wire, bed.monitor->public_key(), &snapshot.capability_graph_json);
+  const Status verified =
+      RemoteVerifier::VerifyJournal(wire, bed.monitor->public_key(), &graph_json);
   EXPECT_TRUE(verified.ok()) << verified.ToString();
 }
 

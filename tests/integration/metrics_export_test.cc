@@ -1,6 +1,7 @@
 // Copyright 2026 The Tyche Reproduction Authors.
-// Fleet observability end-to-end: every signal DumpTelemetry() reports must
-// be reachable through Monitor::ExportMetrics() (the Prometheus scrape), the
+// Fleet observability end-to-end: every signal the monitor's typed views
+// report (stats(), backend().stats(), the trace ring, the journal) must be
+// reachable through Monitor::ExportMetrics() (the Prometheus scrape), the
 // flight recorder must capture fault-injected dispatch failures with the
 // causal span id of the failing call, and the counter kill switch must
 // freeze accounting without breaking the scrape.
@@ -36,8 +37,8 @@ class MetricsExportTest : public BootedMachineTest {
   }
 
   // Runs create -> share -> revoke plus a few failing take-interrupts, the
-  // same shape the telemetry-observability test validates against
-  // DumpTelemetry().
+  // same shape the telemetry-observability test validates against the
+  // monitor's typed views.
   void RunWorkload() {
     const ApiResult created = Call(0, ApiOp::kCreateDomain);
     ASSERT_EQ(created.error, 0u);
@@ -58,9 +59,9 @@ class MetricsExportTest : public BootedMachineTest {
   }
 };
 
-TEST_F(MetricsExportTest, ExportCoversEveryDumpTelemetrySignal) {
+TEST_F(MetricsExportTest, ExportCoversEveryTypedStatsSignal) {
   RunWorkload();
-  const TelemetrySnapshot snapshot = monitor_->DumpTelemetry();
+  const MonitorStats stats = monitor_->stats();
   const std::string text = monitor_->ExportMetrics();
 
   // Every family the registry promises (and CI's check_metrics_format.py
@@ -92,8 +93,7 @@ TEST_F(MetricsExportTest, ExportCoversEveryDumpTelemetrySignal) {
         << "family missing from scrape: " << family;
   }
 
-  // Counter samples agree with the stats snapshot the old interface reports.
-  const MonitorStats& stats = snapshot.stats;
+  // Counter samples agree with the typed stats view.
   const auto op_calls = [&stats](ApiOp op) {
     return stats.api_calls[static_cast<size_t>(op)];
   };
@@ -114,7 +114,8 @@ TEST_F(MetricsExportTest, ExportCoversEveryDumpTelemetrySignal) {
 
   // Pull callbacks agree with their owners: trace accounting, journal chain
   // length, live-domain gauge, backend projection counters.
-  EXPECT_NE(text.find(Sample("tyche_trace_recorded_total", snapshot.trace_recorded)),
+  EXPECT_NE(text.find(Sample("tyche_trace_recorded_total",
+                             monitor_->telemetry().ring().recorded())),
             std::string::npos);
   EXPECT_NE(text.find(Sample("tyche_domains_alive", monitor_->num_domains_alive())),
             std::string::npos);
@@ -123,7 +124,7 @@ TEST_F(MetricsExportTest, ExportCoversEveryDumpTelemetrySignal) {
   const std::string backend_series = std::string("tyche_backend_ops_total{backend=\"") +
                                      monitor_->backend().name() +
                                      "\",op=\"memory_syncs\"}";
-  EXPECT_NE(text.find(Sample(backend_series, snapshot.backend.memory_syncs)),
+  EXPECT_NE(text.find(Sample(backend_series, monitor_->backend().stats().memory_syncs)),
             std::string::npos);
 
   // The per-op latency histogram made it across: the share op's histogram
@@ -149,9 +150,9 @@ TEST_F(MetricsExportTest, FaultInjectedDispatchErrorCapturesFlightRecord) {
 
   // The failing dispatch is the newest trace entry; the flight record must
   // carry the SAME span id, tying the post-mortem to the causal trail.
-  const TelemetrySnapshot snapshot = monitor_->DumpTelemetry();
-  ASSERT_FALSE(snapshot.trace.empty());
-  const TraceEntry& failing = snapshot.trace.back();
+  const std::vector<TraceEntry> trace = monitor_->telemetry().ring().Snapshot();
+  ASSERT_FALSE(trace.empty());
+  const TraceEntry& failing = trace.back();
   ASSERT_EQ(failing.op, static_cast<uint16_t>(ApiOp::kShareMemory));
   ASSERT_NE(failing.span, 0u);
 

@@ -1,13 +1,17 @@
 // Copyright 2026 The Tyche Reproduction Authors.
-// TraceRing and LatencyHistogram: capacity/overwrite semantics, percentile
-// math, merge, enable gating, and multi-threaded recording (the concurrency
-// the ASan/UBSan CI job gates).
+// TraceRing and Log2Histogram/HistogramSnapshot: capacity/overwrite
+// semantics, percentile math, merge, enable gating, and multi-threaded
+// recording with a concurrent lock-free reader (the concurrency the
+// ASan/UBSan and TSan CI jobs gate).
 
 #include "src/support/telemetry.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <initializer_list>
 #include <thread>
+#include <vector>
 
 namespace tyche {
 namespace {
@@ -75,79 +79,96 @@ TEST(TraceRingTest, DumpFormatsContainOpNames) {
   EXPECT_NE(json.find("\"duration_ns\":42"), std::string::npos);
 }
 
-TEST(LatencyHistogramTest, BucketsArePowersOfTwo) {
-  LatencyHistogram histogram;
-  histogram.Record(0);
-  histogram.Record(1);
-  histogram.Record(2);
-  histogram.Record(3);
-  histogram.Record(1024);
-  EXPECT_EQ(histogram.count(), 5u);
-  EXPECT_EQ(histogram.sum(), 1030u);
-  EXPECT_EQ(histogram.min(), 0u);
-  EXPECT_EQ(histogram.max(), 1024u);
-  EXPECT_EQ(histogram.buckets()[0], 2u);   // 0, 1
-  EXPECT_EQ(histogram.buckets()[1], 1u);   // 2
-  EXPECT_EQ(histogram.buckets()[2], 1u);   // 3..4
-  EXPECT_EQ(histogram.buckets()[10], 1u);  // 513..1024
+// Count in the snapshot bucket whose inclusive upper bound is `bound`.
+uint64_t BucketCount(const HistogramSnapshot& snapshot, uint64_t bound) {
+  for (const auto& [upper, count] : snapshot.buckets) {
+    if (upper == bound) {
+      return count;
+    }
+  }
+  return 0;
 }
 
-TEST(LatencyHistogramTest, PercentilesAtBucketResolution) {
-  LatencyHistogram histogram;
+HistogramSnapshot SnapshotOf(std::initializer_list<uint64_t> values) {
+  Log2Histogram histogram;
+  for (const uint64_t value : values) {
+    histogram.Record(value);
+  }
+  return histogram.Snapshot();
+}
+
+TEST(Log2HistogramTest, BucketsArePowersOfTwo) {
+  const HistogramSnapshot histogram = SnapshotOf({0, 1, 2, 3, 1024});
+  EXPECT_EQ(histogram.count, 5u);
+  EXPECT_EQ(histogram.sum, 1030u);
+  EXPECT_EQ(histogram.max, 1024u);
+  EXPECT_EQ(BucketCount(histogram, 1), 2u);     // 0, 1
+  EXPECT_EQ(BucketCount(histogram, 2), 1u);     // 2
+  EXPECT_EQ(BucketCount(histogram, 4), 1u);     // 3..4
+  EXPECT_EQ(BucketCount(histogram, 1024), 1u);  // 513..1024
+  // Trailing empty buckets are trimmed: 1024 is bucket 10, the last one.
+  ASSERT_EQ(histogram.buckets.size(), 11u);
+  EXPECT_EQ(histogram.buckets.back().first, 1024u);
+  EXPECT_EQ(Log2Histogram::BucketIndex(1024), 10u);
+  EXPECT_EQ(Log2Histogram::BucketIndex(1025), 11u);
+}
+
+TEST(Log2HistogramTest, PercentilesAtBucketResolution) {
+  Log2Histogram histogram;
   // 99 cheap samples and one expensive one: p50 stays in the cheap bucket,
   // p99+ reaches the tail.
   for (int i = 0; i < 99; ++i) {
     histogram.Record(100);  // bucket upper bound 128
   }
   histogram.Record(1u << 20);
-  EXPECT_EQ(histogram.Percentile(50), 128u);
-  EXPECT_EQ(histogram.Percentile(99), 128u);
-  EXPECT_EQ(histogram.Percentile(100), 1u << 20);
-  EXPECT_EQ(LatencyHistogram{}.Percentile(99), 0u);
+  const HistogramSnapshot snapshot = histogram.Snapshot();
+  EXPECT_EQ(snapshot.Percentile(50), 128u);
+  EXPECT_EQ(snapshot.Percentile(99), 128u);
+  EXPECT_EQ(snapshot.Percentile(100), 1u << 20);
+  EXPECT_EQ(HistogramSnapshot{}.Percentile(99), 0u);
 }
 
-TEST(LatencyHistogramTest, EmptyHistogramIsAllZero) {
-  const LatencyHistogram histogram;
-  EXPECT_EQ(histogram.count(), 0u);
-  EXPECT_EQ(histogram.min(), 0u);
-  EXPECT_EQ(histogram.max(), 0u);
+TEST(Log2HistogramTest, EmptyHistogramIsAllZero) {
+  const HistogramSnapshot histogram = Log2Histogram{}.Snapshot();
+  EXPECT_EQ(histogram.count, 0u);
+  EXPECT_EQ(histogram.sum, 0u);
+  EXPECT_EQ(histogram.max, 0u);
+  EXPECT_TRUE(histogram.buckets.empty());
   EXPECT_EQ(histogram.Percentile(0), 0u);
   EXPECT_EQ(histogram.Percentile(50), 0u);
   EXPECT_EQ(histogram.Percentile(100), 0u);
 }
 
-TEST(LatencyHistogramTest, SingleSampleAnswersEveryPercentile) {
-  LatencyHistogram histogram;
-  histogram.Record(300);  // bucket upper bound 512
-  EXPECT_EQ(histogram.min(), 300u);
-  EXPECT_EQ(histogram.max(), 300u);
+TEST(Log2HistogramTest, SingleSampleAnswersEveryPercentile) {
+  const HistogramSnapshot histogram = SnapshotOf({300});  // bucket upper bound 512
+  EXPECT_EQ(histogram.max, 300u);
   // With one sample the nearest rank is 1 for every p, including p=0.
   EXPECT_EQ(histogram.Percentile(0), 512u);
   EXPECT_EQ(histogram.Percentile(50), 512u);
   EXPECT_EQ(histogram.Percentile(100), 512u);
 }
 
-TEST(LatencyHistogramTest, HugeValuesClampToTheLastBucket) {
-  LatencyHistogram histogram;
-  // Values above 2^63 used to compute bucket index 64 -- one past the end.
-  histogram.Record(~0ull);
-  histogram.Record((1ull << 63) + 1);
-  EXPECT_EQ(histogram.buckets()[LatencyHistogram::kBuckets - 1], 2u);
+TEST(Log2HistogramTest, HugeValuesClampToTheLastBucket) {
+  // Values above 2^63 would compute bucket index 64 -- one past the end.
+  const HistogramSnapshot histogram = SnapshotOf({~0ull, (1ull << 63) + 1});
+  ASSERT_EQ(histogram.buckets.size(), Log2Histogram::kBuckets);
+  EXPECT_EQ(histogram.buckets.back().second, 2u);
   EXPECT_EQ(histogram.Percentile(100), ~0ull);
-  EXPECT_EQ(histogram.max(), ~0ull);
+  EXPECT_EQ(histogram.max, ~0ull);
 }
 
-TEST(LatencyHistogramTest, DisjointBucketMergeKeepsRanksInRange) {
-  LatencyHistogram low;
-  LatencyHistogram high;
+TEST(Log2HistogramTest, DisjointBucketMergeKeepsRanksInRange) {
+  Log2Histogram low_cells;
+  Log2Histogram high_cells;
   for (int i = 0; i < 10; ++i) {
-    low.Record(3);  // bucket upper bound 4
+    low_cells.Record(3);  // bucket upper bound 4
   }
   for (int i = 0; i < 10; ++i) {
-    high.Record(1ull << 40);
+    high_cells.Record(1ull << 40);
   }
-  low.Merge(high);
-  ASSERT_EQ(low.count(), 20u);
+  HistogramSnapshot low = low_cells.Snapshot();
+  low.Merge(high_cells.Snapshot());
+  ASSERT_EQ(low.count, 20u);
   // Ranks land inside real buckets on both sides of the empty middle; the
   // nearest-rank scan must terminate inside the table for every p.
   EXPECT_EQ(low.Percentile(0), 4u);
@@ -160,16 +181,18 @@ TEST(LatencyHistogramTest, DisjointBucketMergeKeepsRanksInRange) {
   }
 }
 
-TEST(LatencyHistogramTest, MergeAddsCountsAndExtremes) {
-  LatencyHistogram a;
-  LatencyHistogram b;
-  a.Record(4);
-  b.Record(4096);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.min(), 4u);
-  EXPECT_EQ(a.max(), 4096u);
+TEST(Log2HistogramTest, MergeAddsCountsAndExtremes) {
+  HistogramSnapshot a = SnapshotOf({4});
+  a.Merge(SnapshotOf({4096, 4}));
+  EXPECT_EQ(a.count, 3u);
+  EXPECT_EQ(a.sum, 4104u);
+  EXPECT_EQ(a.max, 4096u);
+  EXPECT_EQ(BucketCount(a, 4), 2u);
   EXPECT_EQ(a.Percentile(100), 4096u);
+  // Merging keeps the bucket list sorted and the log2 bounds contiguous.
+  for (size_t i = 0; i < a.buckets.size(); ++i) {
+    EXPECT_EQ(a.buckets[i].first, Log2Histogram::BucketUpperBound(i));
+  }
 }
 
 TEST(TelemetryTest, RecordsPerOpHistogramsAndRing) {
@@ -178,15 +201,16 @@ TEST(TelemetryTest, RecordsPerOpHistogramsAndRing) {
   telemetry.RecordCall(entry);
   telemetry.RecordCall(MakeEntry(2, 200));
   telemetry.RecordCall(MakeEntry(0, 1));
-  EXPECT_EQ(telemetry.OpHistogram(2).count(), 2u);
-  EXPECT_EQ(telemetry.OpHistogram(0).count(), 1u);
-  EXPECT_EQ(telemetry.OpHistogram(1).count(), 0u);
-  EXPECT_EQ(telemetry.MergedHistogram().count(), 3u);
+  EXPECT_EQ(telemetry.OpHistogram(2).count, 2u);
+  EXPECT_EQ(telemetry.OpHistogram(0).count, 1u);
+  EXPECT_EQ(telemetry.OpHistogram(1).count, 0u);
+  EXPECT_EQ(telemetry.MergedHistogram().count, 3u);
   EXPECT_EQ(telemetry.ring().recorded(), 3u);
   // Out-of-range op: traced but not histogrammed.
   telemetry.RecordCall(MakeEntry(9, 5));
   EXPECT_EQ(telemetry.ring().recorded(), 4u);
-  EXPECT_EQ(telemetry.MergedHistogram().count(), 3u);
+  EXPECT_EQ(telemetry.MergedHistogram().count, 3u);
+  EXPECT_EQ(telemetry.OpHistogram(9).count, 0u);
 }
 
 TEST(TelemetryTest, EnableSwitchesAreIndependent) {
@@ -196,11 +220,11 @@ TEST(TelemetryTest, EnableSwitchesAreIndependent) {
   EXPECT_TRUE(telemetry.any_enabled());  // histograms still on
   telemetry.RecordCall(MakeEntry(0, 1));
   EXPECT_EQ(telemetry.ring().recorded(), 0u);
-  EXPECT_EQ(telemetry.OpHistogram(0).count(), 1u);
+  EXPECT_EQ(telemetry.OpHistogram(0).count, 1u);
   telemetry.set_histograms_enabled(false);
   EXPECT_FALSE(telemetry.any_enabled());
   telemetry.RecordCall(MakeEntry(0, 1));
-  EXPECT_EQ(telemetry.OpHistogram(0).count(), 1u);
+  EXPECT_EQ(telemetry.OpHistogram(0).count, 1u);
 }
 
 TEST(TelemetryTest, SummaryTextListsOpsWithSamples) {
@@ -216,6 +240,30 @@ TEST(TelemetryTest, ConcurrentRecordingIsConsistent) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 2000;
   Telemetry telemetry(/*op_count=*/4, /*ring_capacity=*/1024);
+  // A reader snapshots the lock-free histograms while the writers record:
+  // every snapshot must be internally consistent (count == sum of buckets,
+  // so the exported +Inf bucket matches the last cumulative one) and counts
+  // must never go backwards.
+  std::atomic<bool> writers_done{false};
+  uint64_t snapshots = 0;
+  uint64_t torn = 0;
+  uint64_t regressions = 0;
+  std::thread reader([&] {
+    uint64_t last_count = 0;
+    bool last_pass = false;
+    while (!last_pass) {
+      last_pass = writers_done.load(std::memory_order_acquire);
+      const HistogramSnapshot snapshot = telemetry.MergedHistogram();
+      uint64_t bucket_total = 0;
+      for (const auto& bucket : snapshot.buckets) {
+        bucket_total += bucket.second;
+      }
+      torn += bucket_total != snapshot.count;
+      regressions += snapshot.count < last_count;
+      last_count = snapshot.count;
+      ++snapshots;
+    }
+  });
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&telemetry, t] {
@@ -227,10 +275,19 @@ TEST(TelemetryTest, ConcurrentRecordingIsConsistent) {
   for (std::thread& thread : threads) {
     thread.join();
   }
+  writers_done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_GE(snapshots, 1u);
+  EXPECT_EQ(torn, 0u);
+  EXPECT_EQ(regressions, 0u);
+
   constexpr uint64_t kTotal = uint64_t{kThreads} * kPerThread;
   EXPECT_EQ(telemetry.ring().recorded(), kTotal);
   EXPECT_EQ(telemetry.ring().dropped(), kTotal - 1024);
-  EXPECT_EQ(telemetry.MergedHistogram().count(), kTotal);
+  const HistogramSnapshot merged = telemetry.MergedHistogram();
+  EXPECT_EQ(merged.count, kTotal);
+  EXPECT_EQ(merged.sum, uint64_t{kThreads} * (kPerThread * (kPerThread - 1) / 2));
+  EXPECT_EQ(merged.max, uint64_t{kPerThread - 1});
   // Every sequence number in the snapshot is unique and the snapshot is
   // sorted oldest-first.
   const auto snapshot = telemetry.ring().Snapshot();

@@ -3,10 +3,12 @@
 
 Validates the text exposition format line by line -- HELP/TYPE headers,
 metric-name and label syntax, numeric sample values, histogram structure
-(cumulative buckets ending in le="+Inf", plus _sum and _count) -- and then
-asserts the export covers the signal families every DumpTelemetry() consumer
-relies on. Fails (exit 1) listing every violation, so a formatting
-regression in the exporter is caught before a real scraper trips on it.
+(cumulative buckets ending in le="+Inf" equal to _count, plus _sum and
+_count for every series) -- and then asserts the export covers the signal
+families the monitor's stats views (stats(), backend().stats(), the trace
+ring, the journal) are mirrored into. Fails (exit 1) listing every
+violation, so a formatting regression in the exporter is caught before a
+real scraper trips on it.
 
 Usage:
     check_metrics_format.py metrics.prom [--require-nonzero tyche_api_calls_total]
@@ -29,8 +31,8 @@ SAMPLE_RE = re.compile(
     r"\s+(?P<value>[0-9]+(?:\.[0-9]+)?|[+-]Inf|NaN)\s*$"
 )
 
-# Families the monitor has always surfaced through DumpTelemetry(); the
-# export is only complete if each appears (a histogram counts via _count).
+# Families the monitor registry always exports; the export is only complete
+# if each appears (a histogram counts via _count).
 MONITOR_FAMILIES = [
     "tyche_api_calls_total",
     "tyche_transitions_total",
@@ -137,6 +139,8 @@ def main():
     declared = {}  # family -> type
     family_values = {}  # family -> [float]
     histogram_state = {}  # family+labels(frozen) -> last cumulative, saw_inf
+    histogram_inf = {}  # family+labels(frozen) -> le="+Inf" bucket value
+    histogram_parts = {}  # family+labels(frozen) -> {"_sum": v, "_count": v}
 
     for line_no, line in enumerate(lines, start=1):
         if not line:
@@ -172,11 +176,13 @@ def main():
         family_values.setdefault(family, []).append(value)
 
         if ftype == "histogram":
+            key = (family, tuple(sorted((k, v) for k, v in labels.items() if k != "le")))
             if name.endswith("_bucket"):
                 if "le" not in labels:
                     errors.append(f"line {line_no}: histogram bucket without 'le' label")
                     continue
-                key = (family, tuple(sorted((k, v) for k, v in labels.items() if k != "le")))
+                if labels["le"] == "+Inf":
+                    histogram_inf[key] = value
                 last, saw_inf = histogram_state.get(key, (0.0, False))
                 if saw_inf:
                     errors.append(f"line {line_no}: bucket after le=\"+Inf\" for {family}")
@@ -186,7 +192,9 @@ def main():
                         f"({value} < {last})"
                     )
                 histogram_state[key] = (value, labels["le"] == "+Inf")
-            elif not (name.endswith("_sum") or name.endswith("_count")):
+            elif name.endswith("_sum") or name.endswith("_count"):
+                histogram_parts.setdefault(key, {})[name[len(family):]] = value
+            else:
                 errors.append(f"line {line_no}: bad histogram sample name '{name}'")
         elif ftype == "counter":
             if not family.endswith("_total"):
@@ -197,6 +205,20 @@ def main():
     for key, (_, saw_inf) in histogram_state.items():
         if not saw_inf:
             errors.append(f"histogram series {key[0]}{dict(key[1])} never emitted le=\"+Inf\"")
+
+    # A torn histogram: the +Inf bucket and _count must describe the same
+    # samples, and every series needs both _sum and _count.
+    for key in sorted(set(histogram_state) | set(histogram_parts)):
+        series = f"{key[0]}{dict(key[1])}"
+        parts = histogram_parts.get(key, {})
+        for suffix in ("_sum", "_count"):
+            if suffix not in parts:
+                errors.append(f"histogram series {series} has no {suffix}")
+        if key in histogram_inf and "_count" in parts and histogram_inf[key] != parts["_count"]:
+            errors.append(
+                f"histogram series {series}: le=\"+Inf\" bucket {histogram_inf[key]} "
+                f"!= _count {parts['_count']}"
+            )
 
     for family in PROFILES[args.profile]:
         if family not in family_values:

@@ -103,7 +103,7 @@ int Run(const char* out_path, const char* metrics_path, const char* flight_path,
     call(ApiOp::kEnumerate, created_b.ret1);
   }
 
-  const TelemetrySnapshot snapshot = monitor.DumpTelemetry();
+  const std::vector<TraceEntry> trace = monitor.telemetry().ring().Snapshot();
   const std::vector<JournalRecord> records = monitor.audit().journal().Records();
 
   // Join the profiler's slowest-sample exemplars into the timeline so a
@@ -128,7 +128,7 @@ int Run(const char* out_path, const char* metrics_path, const char* flight_path,
   }
 
   const std::string trace_json = ExportChromeTrace(
-      snapshot.trace, records,
+      trace, records,
       [](uint16_t op) { return std::string(ApiOpName(static_cast<ApiOp>(op))); },
       [](uint8_t event) {
         return std::string(JournalEventName(static_cast<JournalEvent>(event)));
@@ -139,7 +139,7 @@ int Run(const char* out_path, const char* metrics_path, const char* flight_path,
   // actually on -- an empty export used to pass vacuously), the export must
   // parse back with dispatch slices present, and every slice span must be
   // resolvable in the journal's span set.
-  if (snapshot.trace.empty()) {
+  if (trace.empty()) {
     std::fprintf(stderr, "self-check failed: trace ring is empty (no dispatches "
                          "recorded, nothing to export)\n");
     return 1;
@@ -155,9 +155,9 @@ int Run(const char* out_path, const char* metrics_path, const char* flight_path,
       ++slices;
     }
   }
-  if (slices != snapshot.trace.size()) {
+  if (slices != trace.size()) {
     std::fprintf(stderr, "self-check failed: %zu slices for %zu trace entries\n", slices,
-                 snapshot.trace.size());
+                 trace.size());
     return 1;
   }
 
