@@ -1,9 +1,12 @@
 // Copyright 2026 The Tyche Reproduction Authors.
-// Audit-journal overhead. Two questions:
+// Audit-journal overhead. Three questions:
 //
 //  1. Raw append cost: chain hash per record (enabled), nothing (disabled),
 //     and the amortized Schnorr signature when checkpoints are on.
-//  2. Dispatch-path cost: with the journal disabled the wrapper must stay
+//  2. Evidence primitives: one chain link against a bare one-shot SHA-256
+//     of the same 118 bytes (the gap is encoding and bookkeeping, gated in
+//     bench/baselines/journal_baseline.json), and one Schnorr sign/verify.
+//  3. Dispatch-path cost: with the journal disabled the wrapper must stay
 //     within 2x of the telemetry-off fast path from bench_telemetry (one
 //     extra relaxed load and a branch); with it enabled the cost of the
 //     record build plus chain hash is visible and bounded.
@@ -12,6 +15,8 @@
 // queue so the measurement is dispatch plumbing, not capability work.
 
 #include <benchmark/benchmark.h>
+
+#include <cstring>
 
 #include "src/crypto/schnorr.h"
 #include "src/monitor/dispatch.h"
@@ -72,6 +77,55 @@ void BM_JournalAppend_Checkpointed(benchmark::State& state) {
 BENCHMARK(BM_JournalAppend_Disabled);
 BENCHMARK(BM_JournalAppend_Enabled);
 BENCHMARK(BM_JournalAppend_Checkpointed);
+
+// Each link feeds the next, as on the append path.
+void BM_ChainLink(benchmark::State& state) {
+  JournalRecord record = SampleRecord();
+  Digest head = JournalGenesis();
+  for (auto _ : state) {
+    ++record.seq;
+    head = ChainLink(head, record);
+  }
+  benchmark::DoNotOptimize(head);
+}
+
+// The floor under BM_ChainLink: a one-shot hash of the same 32 + 86 bytes,
+// chained the same way.
+void BM_Sha256_118B(benchmark::State& state) {
+  uint8_t buf[32 + kJournalCanonicalBytes] = {};
+  Digest digest;
+  for (auto _ : state) {
+    std::memcpy(buf, digest.bytes.data(), digest.bytes.size());
+    digest = Sha256::Hash(std::span<const uint8_t>(buf, sizeof(buf)));
+  }
+  benchmark::DoNotOptimize(digest);
+}
+
+void BM_SchnorrSign(benchmark::State& state) {
+  const uint8_t seed[] = {'b', 'e', 'n', 'c', 'h'};
+  const SchnorrKeyPair key = DeriveKeyPair(seed);
+  Digest digest = JournalGenesis();
+  for (auto _ : state) {
+    const SchnorrSignature sig = SchnorrSign(key.priv, digest);
+    digest = sig.e;
+  }
+  benchmark::DoNotOptimize(digest);
+}
+
+void BM_SchnorrVerify(benchmark::State& state) {
+  const uint8_t seed[] = {'b', 'e', 'n', 'c', 'h'};
+  const SchnorrKeyPair key = DeriveKeyPair(seed);
+  const Digest digest = JournalGenesis();
+  const SchnorrSignature sig = SchnorrSign(key.priv, digest);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SchnorrVerify(key.pub, digest, sig));
+  }
+}
+
+BENCHMARK(BM_ChainLink);
+BENCHMARK(BM_Sha256_118B);
+BENCHMARK(BM_SchnorrSign);
+BENCHMARK(BM_SchnorrVerify);
 
 void DispatchLoop(benchmark::State& state, bool journal_on) {
   auto testbed = Testbed::Create(TestbedOptions{});

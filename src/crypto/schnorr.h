@@ -114,6 +114,7 @@ Digest DhSharedSecret(const SchnorrPrivateKey& mine, const SchnorrPublicKey& the
 
 // Modular arithmetic helpers (exposed for tests).
 uint64_t MulMod(uint64_t a, uint64_t b, uint64_t m);
+// base^exp mod m: MultiExpMod over one base.
 uint64_t PowMod(uint64_t base, uint64_t exp, uint64_t m);
 // prod_i bases[i]^{exps[i]} mod m with one shared square-and-multiply pass:
 // the squarings are paid once for the whole product instead of once per

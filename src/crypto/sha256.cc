@@ -266,23 +266,19 @@ void Sha256::Update(std::string_view data) {
 
 Digest Sha256::Finalize() {
   const uint64_t bit_len = total_bytes_ * 8;
-
-  const uint8_t pad_byte = 0x80;
-  Update(std::span<const uint8_t>(&pad_byte, 1));
-  const uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    Update(std::span<const uint8_t>(&zero, 1));
+  // Padding: 0x80, zeros up to byte 56 of a block (spilling into a second
+  // block when fewer than 8 bytes remain), then the big-endian bit length.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, sizeof(buffer_) - buffer_len_);
+    ProcessBlock(buffer_);
+    buffer_len_ = 0;
   }
-
-  uint8_t len_bytes[8];
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+    buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
   }
-  // Bypass total_bytes_ accounting: the length field is part of padding.
-  std::memcpy(buffer_ + buffer_len_, len_bytes, 8);
-  buffer_len_ += 8;
   ProcessBlock(buffer_);
-  buffer_len_ = 0;
 
   Digest digest;
   for (int i = 0; i < 8; ++i) {

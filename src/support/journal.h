@@ -31,7 +31,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <span>
@@ -126,11 +125,12 @@ Digest JournalGenesis();
 Digest JournalCheckpointDigest(uint64_t seq, const Digest& head,
                                const Digest& snapshot = Digest{});
 
-// Canonical byte serialization of a record EXCLUDING the link field: the
-// exact bytes the chain hashes and the wire format carries.
-std::vector<uint8_t> CanonicalRecordBytes(const JournalRecord& record);
+// Size of a record's canonical serialization, EXCLUDING the link field: the
+// exact bytes the chain hashes and the wire format carries. Every field in
+// declaration order, little-endian, no padding.
+inline constexpr size_t kJournalCanonicalBytes = 86;
 
-// link = SHA-256(prev.bytes || CanonicalRecordBytes(record)).
+// link = SHA-256(prev.bytes || canonical record bytes).
 Digest ChainLink(const Digest& prev, const JournalRecord& record);
 
 // Thread-safe append-only journal. Appends assign seq/tick/link under one
@@ -291,8 +291,11 @@ class Journal {
   // mu_ (the combiner drops it across the chain extension).
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;
-  std::deque<PendingAppend*> pending_;
+  std::vector<PendingAppend*> pending_;
   bool combiner_active_ = false;
+  // The running combiner's drained batch. Only the combiner touches it, and
+  // swapping it with pending_ keeps both buffers' capacity across batches.
+  std::vector<PendingAppend*> batch_;
 
   // Commit-wait attribution; striped atomics, outside both locks.
   StripedCounter commit_waits_;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace tyche {
 namespace {
 
@@ -49,6 +52,48 @@ TEST(Sha256Test, MillionAs) {
   }
   EXPECT_EQ(ctx.Finalize().ToHex(),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+// Deterministic non-constant message bytes, so a padding bug cannot hide
+// behind a run of identical bytes.
+std::vector<uint8_t> Pattern(size_t n) {
+  std::vector<uint8_t> out(n);
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  return out;
+}
+
+TEST(Sha256Test, PaddingBoundaryVectors) {
+  // 55/56 and 119/120 bytes straddle the "length field still fits in this
+  // block" edge; 63/64 straddle a whole block. Expected values come from an
+  // independent implementation (Python hashlib) over Pattern(n).
+  const std::pair<size_t, const char*> cases[] = {
+      {55, "16ed9c4697ca11d5f6fb25ea7900252dd4cb97215d7f6d0b2bb3e2a86ac0ec72"},
+      {56, "939ada93b2fe1e9c596d767bb408567c83e253667f0b25e5be8e16f35f2cbac9"},
+      {63, "6073f83b09ae82016cdbe24c18996c48f0eaa08ca675d0f6b90b807fc29e0149"},
+      {64, "b337ba9b0c69c391364e985fdcb23a889887e59800832c92fbfa22b8a3c40304"},
+      {119, "9773fbac8194c3d789af101b49b6a26073076895ef6e0f658432849dd477a43f"},
+      {120, "070a538f085dd94821d4dc197c5c8b791051891d4fa2a1bf25d3c275236676f7"},
+  };
+  for (const auto& [length, hex] : cases) {
+    EXPECT_EQ(Sha256::Hash(Pattern(length)).ToHex(), hex) << length;
+  }
+}
+
+TEST(Sha256Test, SplitUpdateMatchesOneShotAtEveryLength) {
+  // Every length across two padding boundaries, every split point: the
+  // buffered-tail path must pad exactly like the one-shot path.
+  for (size_t length = 0; length <= 130; ++length) {
+    const std::vector<uint8_t> data = Pattern(length);
+    const Digest one_shot = Sha256::Hash(data);
+    for (size_t split = 0; split <= length; ++split) {
+      Sha256 ctx;
+      ctx.Update(std::span<const uint8_t>(data.data(), split));
+      ctx.Update(std::span<const uint8_t>(data.data() + split, length - split));
+      ASSERT_EQ(ctx.Finalize(), one_shot) << length << " split at " << split;
+    }
+  }
 }
 
 TEST(Sha256Test, ResetAfterFinalize) {

@@ -195,6 +195,88 @@ TEST(JournalTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(Journal::Deserialize(wire).ok());
 }
 
+TEST(JournalTest, DeserializeRejectsCountsBeyondRemainingBytes) {
+  // A record is 118 bytes on the wire (86 canonical + 32 link) and a
+  // checkpoint 112, so a header may claim at most remaining / 118 records.
+  // One more must be refused before anything is reserved, not discovered
+  // later as a truncated record.
+  Journal journal;
+  for (int i = 0; i < 3; ++i) {
+    journal.Append(Record(JournalEvent::kShareMemory, 1, 10 + i));
+  }
+  const std::vector<uint8_t> wire = journal.Serialize();
+  constexpr size_t kHeader = 24;  // magic, version, two counts
+  ASSERT_EQ(wire.size(), kHeader + 3 * 118);
+  const uint64_t remaining = wire.size() - kHeader;
+  const auto with_counts = [&wire](uint64_t records, uint64_t checkpoints) {
+    std::vector<uint8_t> out = wire;
+    for (int i = 0; i < 8; ++i) {
+      out[8 + i] = static_cast<uint8_t>(records >> (8 * i));
+      out[16 + i] = static_cast<uint8_t>(checkpoints >> (8 * i));
+    }
+    return out;
+  };
+  const auto claims = [&](uint64_t records, uint64_t checkpoints) {
+    return Journal::Deserialize(with_counts(records, checkpoints)).status().message();
+  };
+  EXPECT_NE(claims(remaining / 118 + 1, 0).find("implausible"), std::string::npos)
+      << claims(remaining / 118 + 1, 0);
+  EXPECT_NE(claims(0, remaining / 112 + 1).find("implausible"), std::string::npos);
+  EXPECT_NE(claims(3, 1).find("implausible"), std::string::npos);
+  EXPECT_NE(claims(~0ull, ~0ull).find("implausible"), std::string::npos);
+  EXPECT_TRUE(Journal::Deserialize(with_counts(3, 0)).ok());
+}
+
+// splitmix64: a fixed, dependency-free stream for the pinned chain below.
+uint64_t NextRandom(uint64_t* state) {
+  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+TEST(JournalTest, VariedChainHeadAndWireBytesArePinned) {
+  // 1 000 records with every field varied, signed checkpoints every 128
+  // records and one at the tail: the head and the digest of the whole wire
+  // image were recorded once and must never change, whatever the encoder or
+  // hash implementation underneath.
+  Journal journal;
+  SignWithTestKey(journal);
+  uint64_t tick = 5000;
+  journal.set_tick_source([&tick] { return tick += 3; });
+  uint64_t state = 14;
+  for (int i = 0; i < 1000; ++i) {
+    JournalRecord record;
+    const uint64_t a = NextRandom(&state);
+    const uint64_t b = NextRandom(&state);
+    record.span = a >> 40;
+    record.event = static_cast<uint8_t>(a % static_cast<uint64_t>(JournalEvent::kEventCount));
+    record.op = static_cast<uint8_t>(a >> 8);
+    record.domain = static_cast<uint32_t>(b);
+    record.dst = static_cast<uint32_t>(b >> 32);
+    record.resource = static_cast<uint8_t>(a >> 16);
+    record.perms = static_cast<uint8_t>(a >> 24);
+    record.rights = static_cast<uint8_t>(a >> 32);
+    record.policy = static_cast<uint8_t>(b >> 16);
+    record.cap = NextRandom(&state);
+    record.parent = NextRandom(&state);
+    record.base = NextRandom(&state);
+    record.size = NextRandom(&state);
+    record.result = i % 7 == 0 ? NextRandom(&state) : 0;
+    record.aux = NextRandom(&state);
+    journal.Append(record);
+  }
+  journal.Checkpoint();
+  const std::vector<uint8_t> wire = journal.Serialize();
+  EXPECT_EQ(wire.size(), 24u + 1000 * 118 + journal.checkpoint_count() * 112);
+  EXPECT_EQ(journal.head().ToHex(),
+            "e63bf88c74ed90daa27148902db783c84ee650a7b97896378a51a58ee4398f6b");
+  EXPECT_EQ(Sha256::Hash(wire).ToHex(),
+            "8df60ef4d4e1c37446b7fc87e42ecc7529149ba21db86c9d88ff3e69dd89f48a");
+  EXPECT_TRUE(
+      Journal::VerifyChain(journal.Records(), journal.Checkpoints(), TestKey().pub).ok());
+}
+
 TEST(JournalTest, ConcurrentAppendsKeepTheChainConsistent) {
   Journal journal(/*checkpoint_interval=*/64);
   SignWithTestKey(journal);
