@@ -106,6 +106,54 @@ void BM_AttestDomain(benchmark::State& state) {
 }
 BENCHMARK(BM_AttestDomain)->Arg(1)->Arg(16);
 
+// Report generation for a sealed one-window domain while the engine holds
+// `range(0)` other memory caps (one-page shares to a bystander). The report
+// carries reference counts over its own window only, so its cost should
+// barely follow the rest of the machine's capability count; gated as the
+// /1024 : /16 ratio (bench/baselines/attestation_baseline.json).
+void BM_AttestOneWindow(benchmark::State& state) {
+  auto testbed = Testbed::Create(TestbedOptions{});
+  if (!testbed.ok()) {
+    std::abort();
+  }
+  Monitor& monitor = testbed->monitor();
+  const auto bystander = monitor.CreateDomain(0, "bystander");
+  const uint64_t others = static_cast<uint64_t>(state.range(0));
+  const AddrRange pool{testbed->Scratch(kMiB), others * kPageSize};
+  const auto pool_cap = testbed->OsMemCap(pool);
+  if (!bystander.ok() || !pool_cap.ok()) {
+    std::abort();
+  }
+  for (uint64_t i = 0; i < others; ++i) {
+    if (!monitor
+             .ShareMemory(0, *pool_cap, bystander->handle,
+                          AddrRange{pool.base + i * kPageSize, kPageSize}, Perms(Perms::kRW),
+                          CapRights{}, RevocationPolicy{})
+             .ok()) {
+      std::abort();
+    }
+  }
+  const auto service = monitor.CreateDomain(0, "service");
+  const AddrRange window{AlignUp(pool.end(), kMiB) + kMiB, 16 * kPageSize};
+  const auto window_cap = testbed->OsMemCap(window);
+  if (!service.ok() || !window_cap.ok() ||
+      !monitor
+           .GrantMemory(0, *window_cap, service->handle, window, Perms(Perms::kRWX),
+                        CapRights(CapRights::kAll), RevocationPolicy{})
+           .ok() ||
+      !monitor.SetEntryPoint(0, service->handle, window.base).ok() ||
+      !monitor.ExtendMeasurement(0, service->handle, window).ok() ||
+      !monitor.Seal(0, service->handle).ok()) {
+    std::abort();
+  }
+  uint64_t nonce = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(monitor.AttestDomain(0, service->handle, nonce++));
+  }
+  state.counters["active_caps"] = static_cast<double>(monitor.engine().active_caps());
+}
+BENCHMARK(BM_AttestOneWindow)->Arg(16)->Arg(1024);
+
 // Report verification (customer side; wall time is the honest metric here
 // since verification runs on the verifier's real CPU).
 void BM_VerifyDomainReport(benchmark::State& state) {

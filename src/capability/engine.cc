@@ -6,6 +6,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <sstream>
+#include <tuple>
 
 #include "src/support/faults.h"
 #include "src/support/log.h"
@@ -641,17 +642,14 @@ uint32_t CapabilityEngine::UnitRefCount(ResourceKind kind, uint64_t unit) const 
 
 bool CapabilityEngine::ExclusivelyOwned(CapDomainId domain, AddrRange range) const {
   std::shared_lock lock(mu_);
-  if (range.empty()) {
+  if (range.empty() || range.Wraps()) {
     return false;
   }
   // Every byte must be covered by `domain` and by no one else. The view's
-  // regions are sorted and only cover held bytes, so a gap between the
-  // regions overlapping `range` is a byte nobody holds.
+  // regions are sorted and only cover held bytes, so a gap between them is
+  // a byte nobody holds.
   uint64_t covered_until = range.base;
-  for (const RegionView& view : MemoryViewLocked(0)) {
-    if (!view.range.Overlaps(range)) {
-      continue;
-    }
+  for (const RegionView& view : MemoryViewLocked(range)) {
     if (view.domains.size() != 1 || view.domains[0] != domain ||
         view.range.base > covered_until) {
       return false;
@@ -699,46 +697,45 @@ std::vector<CapabilityEngine::MappedRegion> CapabilityEngine::DomainMemoryMap(
   return regions;
 }
 
-std::vector<RegionView> CapabilityEngine::MemoryView(uint64_t limit) const {
+std::vector<RegionView> CapabilityEngine::MemoryView(AddrRange within) const {
   std::shared_lock lock(mu_);
-  return MemoryViewLocked(limit);
+  return MemoryViewLocked(within);
 }
 
-std::vector<RegionView> CapabilityEngine::MemoryViewLocked(uint64_t limit) const {
-  std::vector<uint64_t> boundaries;
-  std::vector<const Capability*> mem_caps;
+std::vector<RegionView> CapabilityEngine::MemoryViewLocked(AddrRange within) const {
+  // One sweep over the clipped cap ends (address, owner, +1 at a start or
+  // -1 at an end) in address order. Between two consecutive addresses the
+  // holders, the owners with a non-zero count, are constant.
+  std::vector<std::tuple<uint64_t, CapDomainId, int>> ends;
   for (const auto& [id, cap] : caps_) {
-    if (cap.active() && cap.kind == ResourceKind::kMemory) {
-      if (limit != 0 && cap.range.base >= limit) {
-        continue;
-      }
-      mem_caps.push_back(&cap);
-      boundaries.push_back(cap.range.base);
-      boundaries.push_back(limit != 0 ? std::min(cap.range.end(), limit) : cap.range.end());
+    const AddrRange clip = within.empty() ? cap.range : within;
+    if (cap.active() && cap.kind == ResourceKind::kMemory && cap.range.Overlaps(clip)) {
+      ends.emplace_back(std::max(cap.range.base, clip.base), cap.owner, 1);
+      ends.emplace_back(std::min(cap.range.end(), clip.end()), cap.owner, -1);
     }
   }
-  std::sort(boundaries.begin(), boundaries.end());
-  boundaries.erase(std::unique(boundaries.begin(), boundaries.end()), boundaries.end());
-
+  std::sort(ends.begin(), ends.end());
+  std::map<CapDomainId, int> counts;
   std::vector<RegionView> views;
-  for (size_t i = 0; i + 1 < boundaries.size(); ++i) {
-    const AddrRange interval{boundaries[i], boundaries[i + 1] - boundaries[i]};
-    std::set<CapDomainId> holders;
-    for (const Capability* cap : mem_caps) {
-      if (cap->range.Overlaps(interval)) {
-        holders.insert(cap->owner);
+  for (size_t i = 0; i < ends.size();) {
+    const uint64_t addr = std::get<0>(ends[i]);
+    for (; i < ends.size() && std::get<0>(ends[i]) == addr; ++i) {
+      const auto& [at, owner, delta] = ends[i];
+      if ((counts[owner] += delta) == 0) {
+        counts.erase(owner);
       }
     }
-    if (holders.empty()) {
-      continue;
+    if (counts.empty()) {
+      continue;  // a gap, or past the last end
     }
-    RegionView view;
-    view.range = interval;
-    view.domains.assign(holders.begin(), holders.end());
+    RegionView view{AddrRange{addr, std::get<0>(ends[i]) - addr}, {}};
+    for (const auto& [owner, count] : counts) {
+      view.domains.push_back(owner);
+    }
     // Merge with the previous view when contiguous and identical.
-    if (!views.empty() && views.back().range.end() == interval.base &&
+    if (!views.empty() && views.back().range.end() == addr &&
         views.back().domains == view.domains) {
-      views.back().range.size += interval.size;
+      views.back().range.size += view.range.size;
     } else {
       views.push_back(std::move(view));
     }

@@ -229,9 +229,11 @@ class CapabilityEngine {
   std::vector<MappedRegion> DomainMemoryMap(CapDomainId domain,
                                             AddrRange within = AddrRange{}) const;
 
-  // Figure 4: the physical memory view as maximal constant-refcount regions.
-  // Only ranges below `limit` are reported (0 = no limit).
-  std::vector<RegionView> MemoryView(uint64_t limit = 0) const;
+  // Figure 4: the physical memory view as maximal constant-refcount regions,
+  // sorted by base. A non-empty `within` clips the view to that range: the
+  // result equals the full view intersected with `within`, at a cost of
+  // O(caps + k log k) for the k cap ends inside it.
+  std::vector<RegionView> MemoryView(AddrRange within = AddrRange{}) const;
 
   // Lineage inspection (for audits and tests). Every node is active or
   // donated, so total_caps() - active_caps() is the donated count.
@@ -272,7 +274,7 @@ class CapabilityEngine {
   bool IsRegisteredLocked(CapDomainId domain) const;
   Result<const Capability*> GetLocked(CapId cap) const;
   Result<RevokeOutcome> RevokeLocked(CapDomainId requester, CapId cap);
-  std::vector<RegionView> MemoryViewLocked(uint64_t limit) const;
+  std::vector<RegionView> MemoryViewLocked(AddrRange within) const;
 
   Capability& NewCap(CapDomainId owner, ResourceKind kind);
   Result<Capability*> GetMutable(CapId cap);

@@ -763,12 +763,21 @@ Status Monitor::ExtendMeasurement(CoreId core, CapId domain_handle, AddrRange ra
     return Error(ErrorCode::kDomainSealed, "measurement already finalized");
   }
   // The measured range must belong to the target (readable by it): the
-  // measurement covers the domain's own initial content.
-  for (uint64_t page = AlignDown(range.base, kPageSize); page < range.end();
-       page += kPageSize) {
-    if (!engine_.EffectivePerms(target, page).Allows(AccessType::kRead)) {
-      return Error(ErrorCode::kPolicyViolation, "measured range not owned by target");
+  // measurement covers the domain's own initial content. The target's map,
+  // clipped to its pages from the first one up to range.end(), must cover
+  // them readably and without a gap.
+  const uint64_t first_page = AlignDown(range.base, kPageSize);
+  uint64_t covered = first_page;
+  if (range.end() > first_page) {
+    for (const auto& region :
+         engine_.DomainMemoryMap(target, AddrRange{first_page, range.end() - first_page})) {
+      if (region.range.base == covered && region.perms.Allows(AccessType::kRead)) {
+        covered = region.range.end();
+      }
     }
+  }
+  if (covered < range.end()) {
+    return Error(ErrorCode::kPolicyViolation, "measured range not owned by target");
   }
   TYCHE_ASSIGN_OR_RETURN(const Digest digest,
                          machine_->MeasureRange(range.base, range.size));
@@ -1014,8 +1023,8 @@ Result<DomainAttestation> Monitor::BuildAttestation(DomainId target, uint64_t no
   // Memory claims are reported at constant-refcount granularity (the
   // resolution of the paper's Figure 4): a capability spanning both private
   // and shared bytes is split, so a verifier's per-region policy can tell
-  // the attested channel from the private heap around it.
-  const std::vector<RegionView> view = engine_.MemoryView();
+  // the attested channel from the private heap around it. The view within
+  // the cap's own range is exactly those pieces, already clipped.
   for (const Capability* cap : caps) {
     if (cap->kind != ResourceKind::kMemory) {
       ResourceClaim claim;
@@ -1025,15 +1034,10 @@ Result<DomainAttestation> Monitor::BuildAttestation(DomainId target, uint64_t no
       report.resources.push_back(claim);
       continue;
     }
-    for (const RegionView& region : view) {
-      if (!region.range.Overlaps(cap->range)) {
-        continue;
-      }
+    for (const RegionView& region : engine_.MemoryView(cap->range)) {
       ResourceClaim claim;
       claim.kind = ResourceKind::kMemory;
-      claim.range.base = std::max(region.range.base, cap->range.base);
-      claim.range.size =
-          std::min(region.range.end(), cap->range.end()) - claim.range.base;
+      claim.range = region.range;
       claim.perms = cap->perms;
       claim.ref_count = region.ref_count();
       report.resources.push_back(claim);

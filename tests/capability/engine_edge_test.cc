@@ -75,16 +75,41 @@ TEST_F(EngineEdgeTest, DomainHandlesAreShareableUnits) {
   EXPECT_TRUE((*engine_.Get(*shared))->rights.CanManage());
 }
 
-TEST_F(EngineEdgeTest, MemoryViewHonoursLimit) {
+TEST_F(EngineEdgeTest, MemoryViewHonoursWithin) {
   (void)*engine_.MintMemory(0, AddrRange{0, 4 * kMiB}, Perms(Perms::kRW),
                             CapRights(CapRights::kAll));
   (void)*engine_.MintMemory(0, AddrRange{64 * kMiB, 4 * kMiB}, Perms(Perms::kRW),
                             CapRights(CapRights::kAll));
   const auto full = engine_.MemoryView();
-  const auto limited = engine_.MemoryView(8 * kMiB);
+  const auto limited = engine_.MemoryView(AddrRange{0, 8 * kMiB});
   EXPECT_EQ(full.size(), 2u);
   ASSERT_EQ(limited.size(), 1u);
   EXPECT_EQ(limited[0].range.base, 0u);
+
+  // A cap straddling either clip edge is cut at the edge, and the holder
+  // set of the clipped piece is the one inside the clip.
+  (void)*engine_.MintMemory(1, AddrRange{2 * kMiB, 8 * kMiB}, Perms(Perms::kRW),
+                            CapRights(CapRights::kAll));
+  const auto straddled = engine_.MemoryView(AddrRange{3 * kMiB, 4 * kMiB});
+  ASSERT_EQ(straddled.size(), 2u);
+  EXPECT_EQ(straddled[0].range, (AddrRange{3 * kMiB, kMiB}));
+  EXPECT_EQ(straddled[0].domains, (std::vector<CapDomainId>{0, 1}));
+  EXPECT_EQ(straddled[1].range, (AddrRange{4 * kMiB, 3 * kMiB}));
+  EXPECT_EQ(straddled[1].domains, (std::vector<CapDomainId>{1}));
+  // Clipping inside one region yields that region, cut to the clip.
+  const auto inside = engine_.MemoryView(AddrRange{65 * kMiB, kPageSize});
+  ASSERT_EQ(inside.size(), 1u);
+  EXPECT_EQ(inside[0].range, (AddrRange{65 * kMiB, kPageSize}));
+  // A clip over unheld memory is empty.
+  EXPECT_TRUE(engine_.MemoryView(AddrRange{32 * kMiB, kMiB}).empty());
+}
+
+TEST_F(EngineEdgeTest, ExclusivelyOwnedRefusesAWrappingRange) {
+  (void)*engine_.MintMemory(0, AddrRange{0, 4 * kMiB}, Perms(Perms::kRW),
+                            CapRights(CapRights::kAll));
+  EXPECT_TRUE(engine_.ExclusivelyOwned(0, AddrRange{0, kMiB}));
+  // base + size overflows: no byte of such a range can be owned.
+  EXPECT_FALSE(engine_.ExclusivelyOwned(0, AddrRange{~0ull - kPageSize + 1, 2 * kPageSize}));
 }
 
 TEST_F(EngineEdgeTest, PurgeRestoresGrantorsOfReceivedGrants) {

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "src/capability/engine.h"
 #include "src/support/prng.h"
@@ -24,6 +28,80 @@ struct ShadowCap {
   AddrRange range;
   Perms perms;
 };
+
+// A view as comparable values: (range, holders) per region.
+using FlatView = std::vector<std::pair<AddrRange, std::vector<CapDomainId>>>;
+
+FlatView Flatten(const std::vector<RegionView>& view) {
+  FlatView flat;
+  for (const RegionView& region : view) {
+    flat.emplace_back(region.range, region.domains);
+  }
+  return flat;
+}
+
+// Brute-force reference for MemoryView(within): the holder set of every
+// interval between consecutive clipped cap ends, then contiguous intervals
+// with the same holders merged. An empty `within` means no clip.
+FlatView ReferenceView(const std::map<CapId, ShadowCap>& shadow, AddrRange within) {
+  std::vector<uint64_t> bounds;
+  for (const auto& [id, cap] : shadow) {
+    const AddrRange clip = within.empty() ? cap.range : within;
+    if (cap.range.Overlaps(clip)) {
+      bounds.push_back(std::max(cap.range.base, clip.base));
+      bounds.push_back(std::min(cap.range.end(), clip.end()));
+    }
+  }
+  std::sort(bounds.begin(), bounds.end());
+  bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+  FlatView view;
+  for (size_t i = 0; i + 1 < bounds.size(); ++i) {
+    const AddrRange interval{bounds[i], bounds[i + 1] - bounds[i]};
+    std::set<CapDomainId> holders;
+    for (const auto& [id, cap] : shadow) {
+      if (cap.range.Overlaps(interval)) {
+        holders.insert(cap.owner);
+      }
+    }
+    if (holders.empty()) {
+      continue;
+    }
+    std::vector<CapDomainId> domains(holders.begin(), holders.end());
+    if (!view.empty() && view.back().first.end() == interval.base &&
+        view.back().second == domains) {
+      view.back().first.size += interval.size;
+    } else {
+      view.emplace_back(interval, std::move(domains));
+    }
+  }
+  return view;
+}
+
+// The full view cut to `within`.
+FlatView Intersect(const FlatView& full, AddrRange within) {
+  FlatView cut;
+  for (const auto& [range, domains] : full) {
+    if (range.Overlaps(within)) {
+      const uint64_t base = std::max(range.base, within.base);
+      cut.emplace_back(AddrRange{base, std::min(range.end(), within.end()) - base}, domains);
+    }
+  }
+  return cut;
+}
+
+// Reference exclusivity: the view within `range` covers it without a gap,
+// and `domain` alone holds every region.
+bool ReferenceExclusive(const std::map<CapId, ShadowCap>& shadow, CapDomainId domain,
+                        AddrRange range) {
+  uint64_t covered = range.base;
+  for (const auto& [region, domains] : ReferenceView(shadow, range)) {
+    if (region.base != covered || domains != std::vector<CapDomainId>{domain}) {
+      return false;
+    }
+    covered = region.end();
+  }
+  return !range.empty() && covered == range.end();
+}
 
 class EnginePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -133,9 +211,39 @@ TEST_P(EnginePropertyTest, RandomWorkloadAgreesWithShadowModel) {
       }
       ASSERT_EQ(engine.MemoryRefCount(probe), holders.size()) << "step " << step;
     }
+
+    // --- Invariant 4: the view within random clips (byte-granular, or none)
+    //     equals the brute-force reference and the full view cut to the
+    //     clip; exclusivity agrees with the reference. ---
+    const FlatView full = Flatten(engine.MemoryView());
+    ASSERT_EQ(full, ReferenceView(shadow, AddrRange{})) << "step " << step;
+    for (int sample = 0; sample < 3; ++sample) {
+      const uint64_t base = prng.Below(kTotal);
+      const AddrRange within{base, 1 + prng.Below(kTotal - base)};
+      ASSERT_EQ(Flatten(engine.MemoryView(within)), ReferenceView(shadow, within))
+          << "step " << step << " within " << within.base << "+" << within.size;
+      ASSERT_EQ(Flatten(engine.MemoryView(within)), Intersect(full, within))
+          << "step " << step;
+      const CapDomainId d = static_cast<CapDomainId>(prng.Below(kNumDomains));
+      ASSERT_EQ(engine.ExclusivelyOwned(d, within), ReferenceExclusive(shadow, d, within))
+          << "step " << step;
+    }
+    // Exclusivity over (part of) one region, and across a region boundary,
+    // where the answer is often yes.
+    if (!full.empty()) {
+      const auto& [region, domains] = full[prng.Below(full.size())];
+      const uint64_t off = prng.Below(region.size);
+      const AddrRange part{region.base + off, 1 + prng.Below(region.size - off)};
+      ASSERT_EQ(engine.ExclusivelyOwned(domains[0], part), domains.size() == 1)
+          << "step " << step;
+      const AddrRange across{region.base, region.size + kPageSize};
+      ASSERT_EQ(engine.ExclusivelyOwned(domains[0], across),
+                ReferenceExclusive(shadow, domains[0], across))
+          << "step " << step;
+    }
   }
 
-  // --- Invariant 4: lineage structure is consistent at the end. ---
+  // --- Invariant 5: lineage structure is consistent at the end. ---
   engine.ForEachActive([&](const Capability& cap) {
     if (cap.parent != kInvalidCap) {
       const auto parent = engine.Get(cap.parent);
@@ -151,7 +259,7 @@ TEST_P(EnginePropertyTest, RandomWorkloadAgreesWithShadowModel) {
     }
   });
 
-  // --- Invariant 5: revoking everything leaves no active caps and every
+  // --- Invariant 6: revoking everything leaves no active caps and every
   //     domain with zero access. ---
   for (CapDomainId d = 0; d < kNumDomains; ++d) {
     std::vector<CapId> to_revoke;

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/crypto/sha256.h"
+#include "src/monitor/attestation.h"
 #include "tests/testing/booted_machine.h"
 
 namespace tyche {
@@ -126,6 +128,24 @@ TEST_F(Figure4Test, ReconstructsTheFigureRefCounts) {
   EXPECT_TRUE(monitor_->engine().ExclusivelyOwned(crypto->domain, crypto_conf));
   EXPECT_FALSE(monitor_->engine().ExclusivelyOwned(crypto->domain, crypto_saas));
   EXPECT_TRUE(monitor_->engine().ExclusivelyOwned(driver->domain, driver_conf));
+
+  // Pinned report bytes: every actor's serialized report for a fixed nonce.
+  // The counts above are what these reports carry to a verifier; a change
+  // to any claim, range, permission or count alters the digest.
+  std::vector<uint8_t> wire;
+  uint64_t nonce = 0xF164;
+  for (const CapId handle : {crypto->handle, saas->handle, vm->handle, driver->handle}) {
+    const auto report = monitor_->AttestDomain(0, handle, nonce++);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const std::vector<uint8_t> bytes = SerializeAttestation(*report);
+    wire.insert(wire.end(), bytes.begin(), bytes.end());
+  }
+  const auto os_report = monitor_->AttestSelf(0, nonce);
+  ASSERT_TRUE(os_report.ok());
+  const std::vector<uint8_t> os_bytes = SerializeAttestation(*os_report);
+  wire.insert(wire.end(), os_bytes.begin(), os_bytes.end());
+  EXPECT_EQ(Sha256::Hash(wire).ToHex(),
+            "efbd3011bfa926c1263e6f5c337d47e741e139a2eb0be8dfda71108e3dea13a2");
 }
 
 }  // namespace

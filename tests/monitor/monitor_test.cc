@@ -158,6 +158,62 @@ TEST_F(MonitorTest, SealRequiresEntryPointAndExecPerms) {
   EXPECT_EQ(monitor_->Seal(0, created->handle).code(), ErrorCode::kPolicyViolation);
 }
 
+TEST_F(MonitorTest, ExtendMeasurementRequiresReadableOwnedPages) {
+  // The target must be able to read every page from AlignDown(base) up to
+  // range.end(). Layout, in pages from 16 MiB: [0,2) RW, [2,3) a hole,
+  // [3,4) R and [4,5) RX (two caps, contiguous), [5,6) write-only.
+  constexpr uint64_t kP = kPageSize;
+  const uint64_t base = 16 * kMiB;
+  const auto created = monitor_->CreateDomain(0, "measured");
+  ASSERT_TRUE(created.ok());
+  const CapId handle = created->handle;
+  const struct {
+    uint64_t first_page, pages;
+    uint8_t perms;
+  } pieces[] = {{0, 2, Perms::kRW}, {3, 1, Perms::kRead}, {4, 1, Perms::kRX},
+                {5, 1, Perms::kWrite}};
+  for (const auto& piece : pieces) {
+    const AddrRange range{base + piece.first_page * kP, piece.pages * kP};
+    ASSERT_TRUE(monitor_
+                    ->GrantMemory(0, OsMemoryCap(), handle, range, Perms(piece.perms),
+                                  CapRights(CapRights::kAll), RevocationPolicy{})
+                    .ok());
+  }
+  const struct {
+    const char* what;
+    AddrRange range;
+    ErrorCode code;
+  } cases[] = {
+      {"unaligned base inside", {base + 100, 1000}, ErrorCode::kOk},
+      {"unaligned base to the hole's edge", {base + 100, 2 * kP - 100}, ErrorCode::kOk},
+      {"partial last page in the hole", {base, 2 * kP + 1}, ErrorCode::kPolicyViolation},
+      {"unaligned, partial last page in the hole", {base + kP + 10, kP},
+       ErrorCode::kPolicyViolation},
+      {"zero size, aligned, owned", {base, 0}, ErrorCode::kOk},
+      {"zero size, aligned, in the hole", {base + 2 * kP, 0}, ErrorCode::kOk},
+      {"zero size, unaligned, owned", {base + 8, 0}, ErrorCode::kOk},
+      {"zero size, unaligned, in the hole", {base + 2 * kP + 8, 0},
+       ErrorCode::kPolicyViolation},
+      {"hole in the middle", {base, 4 * kP}, ErrorCode::kPolicyViolation},
+      {"hole at the start", {base + 2 * kP + 8, 2 * kP}, ErrorCode::kPolicyViolation},
+      {"two contiguous caps", {base + 3 * kP, 2 * kP}, ErrorCode::kOk},
+      {"runs into the write-only piece", {base + 3 * kP, 3 * kP},
+       ErrorCode::kPolicyViolation},
+      {"write-only piece", {base + 5 * kP, 16}, ErrorCode::kPolicyViolation},
+      {"unaligned into the write-only piece", {base + 4 * kP + 4000, 200},
+       ErrorCode::kPolicyViolation},
+      {"never owned", {base + 8 * kP, kP}, ErrorCode::kPolicyViolation},
+      // A wrapping range checks the pages it names, if any, then fails to
+      // measure: the machine has no such bytes.
+      {"wraps, ends below its first page", {~0ull - 99, 200}, ErrorCode::kOutOfRange},
+      {"wraps, ends above its first page", {~0ull - 99, ~0ull - 49},
+       ErrorCode::kPolicyViolation},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(monitor_->ExtendMeasurement(0, handle, c.range).code(), c.code) << c.what;
+  }
+}
+
 TEST_F(MonitorTest, SealedDomainRejectsNewResources) {
   const uint64_t base = 16 * kMiB;
   const CapId handle = MakeChildDomain(base, kMiB, /*seal=*/true);
