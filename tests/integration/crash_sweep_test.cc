@@ -21,12 +21,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <iterator>
-#include <cstdlib>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -37,6 +33,7 @@
 #include "src/monitor/recovery.h"
 #include "src/support/faults.h"
 #include "tests/testing/booted_machine.h"
+#include "tests/testing/sweep_driver.h"
 
 namespace tyche {
 namespace {
@@ -301,139 +298,65 @@ void SweepCompactedJournals(IsaArch arch) {
   EXPECT_GE(anchors, 2u);
 }
 
-// One faulted recovery: PrepareMonitor by hand so the half-recovered
-// monitor survives for the retry, arm `plan` around Recover() only.
-// Returns the monitor after a successful clean retry.
-void FaultedRecoveryTrial(IsaArch arch, const Evidence& evidence,
-                          const FaultPlan& plan, bool require_fire) {
-  ParsedJournal journal;
-  journal.records = evidence.records;
-  journal.checkpoints = evidence.checkpoints;
-  const auto snapshot = evidence.store.Latest();
-  ASSERT_TRUE(snapshot.ok());
+// A monitor prepared by hand for Recover(), so a faulted recovery leaves it
+// alive for the clean retry. Every world of one backend replays the same
+// evidence, collected once.
+struct RecoveryWorld {
+  const Evidence* evidence = nullptr;
+  std::unique_ptr<Machine> machine;
+  std::unique_ptr<Monitor> monitor;
+  Status recovered;
 
-  auto machine = MakeMachine(arch);
-  ASSERT_NE(machine, nullptr);
-  machine->tpm().Reset();
-  auto prepared = PrepareMonitor(machine.get(), evidence.Params());
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  Monitor* monitor = prepared->monitor.get();
-
-  Status faulted;
-  {
-    ScopedFaultPlan scoped(plan);
-    faulted = monitor->Recover(snapshot->bytes, journal);
-  }
-  const bool fired = FaultInjector::Instance().fired_count() > 0;
-  if (require_fire) {
-    EXPECT_TRUE(fired) << "plan " << plan.ToString() << " never fired";
-  }
-  if (fired) {
-    // The failure surfaced as a typed error, never a silent half-recovery.
-    ASSERT_FALSE(faulted.ok()) << "fault fired but Recover() reported success";
-    EXPECT_NE(faulted.code(), ErrorCode::kOk);
-  }
-  // Recover() is re-entrant: the same evidence, injector quiet, must land
-  // exactly on the oracle state with consistent hardware.
-  const Status retried = monitor->Recover(snapshot->bytes, journal);
-  ASSERT_TRUE(retried.ok()) << retried.ToString();
-  ExpectRecoveredMonitorIsSound(monitor, OracleDigest(evidence.records));
-}
-
-// Counting run over a clean recovery: which injection sites does Recover()
-// cross, and how often? Drives both the exhaustive re-sync sweep and the
-// seeded soak.
-std::map<std::string, uint64_t> CountRecoverySites(IsaArch arch,
-                                                   const Evidence& evidence) {
-  ParsedJournal journal;
-  journal.records = evidence.records;
-  journal.checkpoints = evidence.checkpoints;
-  const auto snapshot = evidence.store.Latest();
-  EXPECT_TRUE(snapshot.ok());
-  auto machine = MakeMachine(arch);
-  EXPECT_NE(machine, nullptr);
-  machine->tpm().Reset();
-  auto prepared = PrepareMonitor(machine.get(), evidence.Params());
-  EXPECT_TRUE(prepared.ok());
-  FaultInjector::Instance().StartCounting();
-  const Status recovered = prepared->monitor->Recover(snapshot->bytes, journal);
-  auto counts = FaultInjector::Instance().StopCounting();
-  EXPECT_TRUE(recovered.ok()) << recovered.ToString();
-  // Drop the silent-corruption sites (journal.head_tamper,
-  // engine.owned_desync): they corrupt state without failing the operation,
-  // so Recover() legitimately reports success and only the invariant
-  // watchdog detects them (tests/monitor/watchdog_test.cc). The resync
-  // sweep asserts typed-error propagation, which they never produce.
-  const auto& sweepable = AllFaultSites();
-  for (auto it = counts.begin(); it != counts.end();) {
-    const bool known = std::find(sweepable.begin(), sweepable.end(), it->first) !=
-                       sweepable.end();
-    it = known ? std::next(it) : counts.erase(it);
-  }
-  return counts;
-}
-
-void SweepResyncFaults(IsaArch arch, const std::set<std::string>& required_sites) {
-  const auto evidence = CollectEvidence(arch);
-  ASSERT_NE(evidence, nullptr);
-  const auto counts = CountRecoverySites(arch, *evidence);
-  for (const std::string& site : required_sites) {
-    EXPECT_TRUE(counts.contains(site) && counts.at(site) > 0)
-        << "recovery never crossed " << site;
-  }
-  // First / middle / last occurrence of every site recovery crosses.
-  for (const auto& [site, count] : counts) {
-    if (count == 0) {
-      continue;
+  static std::unique_ptr<RecoveryWorld> Prepare(IsaArch arch) {
+    static std::map<IsaArch, std::unique_ptr<Evidence>> evidence_by_arch;
+    std::unique_ptr<Evidence>& evidence = evidence_by_arch[arch];
+    if (evidence == nullptr) {
+      evidence = CollectEvidence(arch);
     }
-    for (const uint64_t trigger : std::set<uint64_t>{1, (count + 1) / 2, count}) {
-      SCOPED_TRACE(site + "#" + std::to_string(trigger) + "/" +
-                   std::to_string(count));
-      FaultedRecoveryTrial(arch, *evidence, FaultPlan::Single(site, trigger),
-                           /*require_fire=*/true);
-      if (::testing::Test::HasFatalFailure()) {
-        return;
-      }
+    auto world = std::make_unique<RecoveryWorld>();
+    world->machine = MakeMachine(arch);
+    if (evidence == nullptr || world->machine == nullptr) {
+      return nullptr;
     }
-  }
-}
-
-void SoakRecovery(IsaArch arch, int trials) {
-  const auto evidence = CollectEvidence(arch);
-  ASSERT_NE(evidence, nullptr);
-  const auto counts = CountRecoverySites(arch, *evidence);
-  ASSERT_FALSE(counts.empty());
-  uint64_t base_seed = 0xD1CE + static_cast<uint64_t>(arch);
-  if (const char* env = std::getenv("TYCHE_FAULT_SEED")) {
-    base_seed = std::strtoull(env, nullptr, 0);
-  }
-  std::printf("[ soak ] arch=%d base_seed=0x%llx trials=%d\n",
-              static_cast<int>(arch),
-              static_cast<unsigned long long>(base_seed), trials);
-  for (int trial = 0; trial < trials; ++trial) {
-    const uint64_t seed = base_seed + static_cast<uint64_t>(trial) * 0x9E3779B9ull;
-    const FaultPlan plan = FaultPlan::FromSeed(seed, counts);
-    ASSERT_FALSE(plan.empty());
-    SCOPED_TRACE("seed " + std::to_string(seed) + " plan " + plan.ToString());
-    FaultedRecoveryTrial(arch, *evidence, plan, /*require_fire=*/false);
-    if (::testing::Test::HasFatalFailure()) {
-      return;
+    world->evidence = evidence.get();
+    world->machine->tpm().Reset();
+    auto prepared = PrepareMonitor(world->machine.get(), evidence->Params());
+    if (!prepared.ok()) {
+      return nullptr;
     }
+    world->monitor = std::move(prepared->monitor);
+    return world;
   }
-}
 
-const std::set<std::string> kVtxResyncSites = {
-    std::string(faults::kVtxCreateContext),
-    std::string(faults::kVtxSyncMemory),
-    std::string(faults::kVtxAttachDevice),
-    std::string(faults::kVtxBindCore),
+  void Recover() {
+    const auto snapshot = evidence->store.Latest();
+    recovered = snapshot.ok() ? monitor->Recover(snapshot->bytes,
+                                                 {evidence->records, evidence->checkpoints})
+                              : snapshot.status();
+  }
 };
 
-const std::set<std::string> kPmpResyncSites = {
-    std::string(faults::kPmpCreateContext),
-    std::string(faults::kPmpRecompile),
-    std::string(faults::kPmpBindCore),
-    std::string(faults::kPmpAttachDevice),
+// A faulted Recover() surfaces a typed error, never a silent half-recovery.
+// Recover() is re-entrant: the same evidence, injector quiet, must land
+// exactly on the oracle state with consistent hardware.
+const Sweep<RecoveryWorld> kRecoverySweep = {
+    .name = "recovery",
+    .sites = kRecoverySweepSites,
+    .soak_seed = 0xD1CE,
+    .soak_trials = 12,
+    .fresh_world = RecoveryWorld::Prepare,
+    .workload = &RecoveryWorld::Recover,
+    .oracle =
+        [](RecoveryWorld& world, const FaultSpec* fault, const RecoveryWorld&) {
+          if (fault != nullptr) {
+            ASSERT_FALSE(world.recovered.ok())
+                << "fault fired but Recover() reported success";
+            world.Recover();
+          }
+          ASSERT_TRUE(world.recovered.ok()) << world.recovered.ToString();
+          ExpectRecoveredMonitorIsSound(world.monitor.get(),
+                                        OracleDigest(world.evidence->records));
+        },
 };
 
 TEST(CrashSweepTest, EveryRecordBoundaryOnVtx) { SweepEveryBoundary(IsaArch::kX86_64); }
@@ -448,20 +371,16 @@ TEST(CrashSweepTest, EverySnapshotAnchoredCompactionOnPmp) {
   SweepCompactedJournals(IsaArch::kRiscV);
 }
 
-TEST(CrashSweepTest, EveryResyncFaultSiteOnVtx) {
-  SweepResyncFaults(IsaArch::kX86_64, kVtxResyncSites);
-}
+TEST(CrashSweepTest, EveryResyncFaultSiteOnVtx) { RunGrid(kRecoverySweep, IsaArch::kX86_64); }
 
-TEST(CrashSweepTest, EveryResyncFaultSiteOnPmp) {
-  SweepResyncFaults(IsaArch::kRiscV, kPmpResyncSites);
-}
+TEST(CrashSweepTest, EveryResyncFaultSiteOnPmp) { RunGrid(kRecoverySweep, IsaArch::kRiscV); }
 
 TEST(CrashSweepTest, RandomizedRecoveryFaultSoakOnVtx) {
-  SoakRecovery(IsaArch::kX86_64, 12);
+  RunSoak(kRecoverySweep, IsaArch::kX86_64);
 }
 
 TEST(CrashSweepTest, RandomizedRecoveryFaultSoakOnPmp) {
-  SoakRecovery(IsaArch::kRiscV, 12);
+  RunSoak(kRecoverySweep, IsaArch::kRiscV);
 }
 
 }  // namespace

@@ -25,13 +25,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <memory>
-#include <set>
-#include <string>
 #include <vector>
 
 #include "src/monitor/attestation.h"
@@ -41,48 +35,50 @@
 #include "src/tyche/channel.h"
 #include "src/tyche/loader.h"
 #include "src/tyche/verifier.h"
+#include "tests/testing/booted_machine.h"
+#include "tests/testing/sweep_driver.h"
 
 namespace tyche {
 namespace {
 
 constexpr uint64_t kMiB = 1ull << 20;
 constexpr uint64_t kMemoryBytes = 64ull << 20;
-constexpr uint32_t kNumCores = 4;
 constexpr uint64_t kNonce = 0x5EED;
 
 // A two-monitor world: the failover deployment. Both machines boot the SAME
 // measured demo image, so both monitors derive the SAME attestation key —
 // that key continuity is what keeps the migrated domain's quote verifiable.
 struct World {
-  std::unique_ptr<Machine> source_machine;
-  std::unique_ptr<Machine> dest_machine;
-  std::unique_ptr<Monitor> source;
-  std::unique_ptr<Monitor> dest;
-  DomainId source_os = kInvalidDomain;
-  DomainId dest_os = kInvalidDomain;
-  Digest golden_firmware;
-  Digest golden_monitor;
+  explicit World(IsaArch arch)
+      : source_side({.arch = arch, .memory_bytes = kMemoryBytes}),
+        dest_side({.arch = arch, .memory_bytes = kMemoryBytes}) {}
+
+  BootedMachine source_side;
+  BootedMachine dest_side;
+  Machine* source_machine = source_side.machine_.get();
+  Machine* dest_machine = dest_side.machine_.get();
+  Monitor* source = source_side.monitor_.get();
+  Monitor* dest = dest_side.monitor_.get();
+  DomainId source_os = source_side.os_domain_;
+  DomainId dest_os = dest_side.os_domain_;
 
   // The migrating service domain, set up by BuildVictim.
   DomainId victim = kInvalidDomain;
   CapId victim_handle = kInvalidCap;
   AddrRange window;
   Digest victim_measurement;
-};
+  // Both engines before any migration: what a rollback must restore.
+  Digest pre_source;
+  Digest pre_dest;
 
-std::unique_ptr<Machine> MakeMachine(IsaArch arch) {
-  MachineConfig config;
-  config.arch = arch;
-  config.memory_bytes = kMemoryBytes;
-  config.num_cores = kNumCores;
-  return std::make_unique<Machine>(config);
-}
+  Result<MigrationReport> report = Error(ErrorCode::kInternal, "not run");
+};
 
 // The victim: a sealed service with 4 exclusively-granted pages of secret
 // state (zero-on-revoke) and an exclusively-granted core. Grant — not
 // share — everywhere: migration refuses resources it cannot move whole.
 bool BuildVictim(World* world) {
-  Monitor* monitor = world->source.get();
+  Monitor* monitor = world->source;
   const auto created = monitor->CreateDomain(0, "svc");
   if (!created.ok()) {
     return false;
@@ -134,53 +130,31 @@ bool BuildVictim(World* world) {
 }
 
 std::unique_ptr<World> MakeWorld(IsaArch arch) {
-  auto world = std::make_unique<World>();
-  world->source_machine = MakeMachine(arch);
-  world->dest_machine = MakeMachine(arch);
-  // BootParams holds spans; the images must outlive both boots.
-  const std::vector<uint8_t> firmware = DemoFirmwareImage();
-  const std::vector<uint8_t> monitor_image = DemoMonitorImage();
-  BootParams params;
-  params.firmware_image = firmware;
-  params.monitor_image = monitor_image;
-  auto source_boot = MeasuredBoot(world->source_machine.get(), params);
-  auto dest_boot = MeasuredBoot(world->dest_machine.get(), params);
-  if (!source_boot.ok() || !dest_boot.ok()) {
-    return nullptr;
-  }
-  world->source = std::move(source_boot->monitor);
-  world->source_os = source_boot->initial_domain;
-  world->dest = std::move(dest_boot->monitor);
-  world->dest_os = dest_boot->initial_domain;
-  world->golden_firmware = source_boot->firmware_measurement;
-  world->golden_monitor = source_boot->monitor_measurement;
+  auto world = std::make_unique<World>(arch);
   if (world->source->public_key().y != world->dest->public_key().y) {
     return nullptr;  // same measured image must derive the same key
   }
   if (!BuildVictim(world.get())) {
     return nullptr;
   }
+  world->pre_source = EngineDigest(world->source->engine());
+  world->pre_dest = EngineDigest(world->dest->engine());
   return world;
 }
 
-// What the fault trials compare against: digests and journals of one clean,
-// unfaulted migration per backend.
-struct Oracle {
-  Digest source_engine;
-  Digest dest_engine;
-  DomainId dest_domain = kInvalidDomain;
-  std::vector<uint8_t> source_journal;
-  std::vector<uint8_t> dest_journal;
-  SchnorrPublicKey key;
-};
+void Migrate(World& world) {
+  LossyChannel channel;
+  world.report = MigrateDomain(world.source, world.dest, world.victim,
+                               &channel, world.source->public_key());
+}
 
 // The full post-migration verification: the domain is live on exactly the
 // destination, its pages moved (and were scrubbed at the source by the
 // zero-on-revoke policy), its quote still verifies against the
 // pre-migration measurement, and the journals splice.
 void ExpectMigrated(World* world, const MigrationReport& report) {
-  Monitor* source = world->source.get();
-  Monitor* dest = world->dest.get();
+  Monitor* source = world->source;
+  Monitor* dest = world->dest;
   EXPECT_FALSE(source->migration_in_progress());
   EXPECT_FALSE(dest->migration_in_progress());
   EXPECT_EQ(source->num_domains_alive(), 1u) << "victim still alive on the source";
@@ -208,7 +182,8 @@ void ExpectMigrated(World* world, const MigrationReport& report) {
   const auto quote = dest->AttestDomain(0, *handle, kNonce + 1);
   ASSERT_TRUE(quote.ok()) << quote.status().ToString();
   RemoteVerifier verifier(world->dest_machine->tpm().attestation_key(),
-                          world->golden_firmware, world->golden_monitor);
+                          world->source_side.golden_firmware_,
+                          world->source_side.golden_monitor_);
   const auto identity = dest->Identity(kNonce + 2);
   ASSERT_TRUE(identity.ok());
   ASSERT_TRUE(verifier.VerifyMonitor(*identity, kNonce + 2).ok());
@@ -231,221 +206,107 @@ void ExpectMigrated(World* world, const MigrationReport& report) {
   EXPECT_TRUE(splice.ok()) << splice.ToString();
 }
 
-Oracle CleanMigration(IsaArch arch) {
-  Oracle oracle;
-  auto world = MakeWorld(arch);
-  EXPECT_NE(world, nullptr);
-  if (world == nullptr) {
-    return oracle;
-  }
-  LossyChannel channel;  // no plan armed: perfect delivery
-  const auto report = MigrateDomain(world->source.get(), world->dest.get(),
-                                    world->victim, &channel,
-                                    world->source->public_key());
-  EXPECT_TRUE(report.ok()) << report.status().ToString();
-  if (!report.ok()) {
-    return oracle;
-  }
-  ExpectMigrated(world.get(), *report);
-  oracle.source_engine = EngineDigest(world->source->engine());
-  oracle.dest_engine = EngineDigest(world->dest->engine());
-  oracle.dest_domain = report->dest_domain;
-  oracle.source_journal = world->source->ExportJournal();
-  oracle.dest_journal = world->dest->ExportJournal();
-  oracle.key = world->source->public_key();
-  return oracle;
-}
-
-// Counting run: how often each migration / channel site fires in one clean
-// migration. Only the sites this sweep owns are kept — everything else
-// (engine.*, vtx.*, pmp.*) already has its own sweep, and injecting those
-// mid-commit would legitimately diverge from the unmigrated oracle.
-std::map<std::string, uint64_t> CountOccurrences(IsaArch arch) {
-  auto world = MakeWorld(arch);
-  EXPECT_NE(world, nullptr);
-  if (world == nullptr) {
-    return {};
-  }
-  FaultInjector::Instance().StartCounting();
-  LossyChannel channel;
-  const auto report = MigrateDomain(world->source.get(), world->dest.get(),
-                                    world->victim, &channel,
-                                    world->source->public_key());
-  auto counts = FaultInjector::Instance().StopCounting();
-  EXPECT_TRUE(report.ok()) << report.status().ToString();
-  for (auto it = counts.begin(); it != counts.end();) {
-    const bool ours = it->first.rfind("migrate.", 0) == 0 ||
-                      it->first.rfind("channel.", 0) == 0;
-    it = ours ? std::next(it) : counts.erase(it);
-  }
-  return counts;
-}
-
-// One injected trial: fresh two-monitor world, one (site, occurrence)
-// fault, one migration attempt, then the invariants.
-void RunTrial(IsaArch arch, const std::string& site, uint64_t trigger,
-              const Oracle& oracle) {
-  auto world = MakeWorld(arch);
-  ASSERT_NE(world, nullptr);
-  Monitor* source = world->source.get();
-  Monitor* dest = world->dest.get();
-  const Digest pre_source = EngineDigest(source->engine());
-  const Digest pre_dest = EngineDigest(dest->engine());
-
-  LossyChannel channel;
-  Result<MigrationReport> report = Error(ErrorCode::kInternal, "not run");
-  {
-    ScopedFaultPlan scoped(FaultPlan::Single(site, trigger));
-    report = MigrateDomain(source, dest, world->victim, &channel,
-                           source->public_key());
-  }
-  EXPECT_EQ(FaultInjector::Instance().fired_count(), 1u)
-      << site << "#" << trigger << " did not fire exactly once";
-
-  if (site.rfind("channel.", 0) == 0) {
+// A channel fault is CONSUMED by the lossy wire; a migrate.* stage fault
+// surfaces as a typed error and rolls the migration back to the source.
+void CheckMigration(World& world, const FaultSpec* fault, const World& clean) {
+  Monitor* source = world.source;
+  Monitor* dest = world.dest;
+  if (fault == nullptr || fault->site.starts_with("channel.")) {
     // A lossy wire is weather, not failure: the retry rounds absorb it and
-    // the migration lands on exactly the oracle state.
-    ASSERT_TRUE(report.ok()) << site << "#" << trigger << ": "
-                             << report.status().ToString();
-    if (site == faults::kChannelDrop) {
-      EXPECT_GE(report->retries, 1u) << "a dropped frame must cost a retry round";
+    // the migration lands on exactly the clean migration's state.
+    ASSERT_TRUE(world.report.ok()) << world.report.status().ToString();
+    if (fault != nullptr && fault->site == faults::kChannelDrop) {
+      EXPECT_GE(world.report->retries, 1u) << "a dropped frame must cost a retry round";
     }
-    ExpectMigrated(world.get(), *report);
-    EXPECT_EQ(EngineDigest(source->engine()), oracle.source_engine)
+    ExpectMigrated(&world, *world.report);
+    EXPECT_EQ(EngineDigest(source->engine()), EngineDigest(clean.source->engine()))
         << "faulted migration's source engine diverged from the oracle";
-    EXPECT_EQ(EngineDigest(dest->engine()), oracle.dest_engine)
+    EXPECT_EQ(EngineDigest(dest->engine()), EngineDigest(clean.dest->engine()))
         << "faulted migration's destination engine diverged from the oracle";
     return;
   }
 
-  // migrate.* stage fault: typed error, full rollback to the source.
-  ASSERT_FALSE(report.ok()) << site << "#" << trigger << " unexpectedly succeeded";
-  EXPECT_EQ(report.status().code(), DefaultFaultCode(site))
-      << report.status().ToString();
+  ASSERT_FALSE(world.report.ok()) << "stage fault unexpectedly succeeded";
+  EXPECT_EQ(world.report.status().code(), fault->code) << world.report.status().ToString();
   EXPECT_FALSE(source->migration_in_progress()) << "domain left frozen";
   EXPECT_FALSE(dest->migration_in_progress());
-  EXPECT_EQ(EngineDigest(source->engine()), pre_source)
+  EXPECT_EQ(EngineDigest(source->engine()), world.pre_source)
       << "rollback did not restore the source engine";
-  EXPECT_EQ(EngineDigest(dest->engine()), pre_dest)
+  EXPECT_EQ(EngineDigest(dest->engine()), world.pre_dest)
       << "rollback did not restore the destination engine";
   EXPECT_EQ(source->num_domains_alive(), 2u);
   EXPECT_EQ(dest->num_domains_alive(), 1u);
 
   // The domain is fully serviceable again: attestable, and still migratable
   // — the same world completes a clean migration after the rollback.
-  const auto quote = source->AttestDomain(0, world->victim_handle, kNonce + 3);
+  const auto quote = source->AttestDomain(0, world.victim_handle, kNonce + 3);
   ASSERT_TRUE(quote.ok()) << quote.status().ToString();
-  EXPECT_EQ(quote->measurement, world->victim_measurement);
-  LossyChannel retry_channel;
-  const auto retried = MigrateDomain(source, dest, world->victim, &retry_channel,
-                                     source->public_key());
-  ASSERT_TRUE(retried.ok()) << "post-rollback migration failed: "
-                            << retried.status().ToString();
-  ExpectMigrated(world.get(), *retried);
+  EXPECT_EQ(quote->measurement, world.victim_measurement);
+  Migrate(world);
+  ASSERT_TRUE(world.report.ok()) << "post-rollback migration failed: "
+                                 << world.report.status().ToString();
+  ExpectMigrated(&world, *world.report);
 }
 
-void RunSweep(IsaArch arch) {
-  const Oracle oracle = CleanMigration(arch);
-  ASSERT_NE(oracle.dest_domain, kInvalidDomain);
-  const auto counts = CountOccurrences(arch);
-  ASSERT_FALSE(counts.empty());
+const Sweep<World> kMigrationSweep = {
+    .name = "migration",
+    .sites = kMigrationSweepSites,
+    .soak_seed = 0x5EEDCAFE,
+    .soak_trials = 25,
+    .fresh_world = MakeWorld,
+    .workload = Migrate,
+    .oracle = CheckMigration,
+};
 
-  // Coverage: one clean migration reaches every site this sweep owns.
-  for (const std::string_view site :
-       {faults::kMigrateFreeze, faults::kMigrateCapture, faults::kMigrateTransfer,
-        faults::kMigrateRestore, faults::kMigrateResync, faults::kMigrateCommit,
-        faults::kChannelDrop, faults::kChannelDup, faults::kChannelReorder}) {
-    const auto it = counts.find(std::string(site));
-    ASSERT_TRUE(it != counts.end() && it->second > 0)
-        << "clean migration never reached " << site;
-  }
-
-  uint64_t trials = 0;
-  for (const auto& [site, count] : counts) {
-    for (const uint64_t trigger : std::set<uint64_t>{1, (count + 1) / 2, count}) {
-      SCOPED_TRACE(site + "#" + std::to_string(trigger) + "/" + std::to_string(count));
-      RunTrial(arch, site, trigger, oracle);
-      ++trials;
-      if (::testing::Test::HasFatalFailure()) {
-        return;
-      }
-    }
-  }
-  std::printf("[ sweep ] arch=%d sites=%zu trials=%llu\n", static_cast<int>(arch),
-              counts.size(), static_cast<unsigned long long>(trials));
+TEST(MigrationSweep, EveryStageEveryOccurrenceVtx) {
+  RunGrid(kMigrationSweep, IsaArch::kX86_64);
 }
-
-TEST(MigrationSweep, EveryStageEveryOccurrenceVtx) { RunSweep(IsaArch::kX86_64); }
-TEST(MigrationSweep, EveryStageEveryOccurrencePmp) { RunSweep(IsaArch::kRiscV); }
-
-// Randomized soak on top of the fixed grid: (site, occurrence) pairs
-// sampled uniformly across the migration and channel sites. The seed is
-// printed so any failing trial replays verbatim with TYCHE_FAULT_SEED.
-TEST(MigrationSweep, RandomizedMigrationSoak) {
-  const IsaArch arch = IsaArch::kX86_64;
-  const Oracle oracle = CleanMigration(arch);
-  ASSERT_NE(oracle.dest_domain, kInvalidDomain);
-  const auto counts = CountOccurrences(arch);
-  ASSERT_FALSE(counts.empty());
-  uint64_t base_seed = 0x5EEDCAFE;
-  if (const char* env = std::getenv("TYCHE_FAULT_SEED")) {
-    base_seed = std::strtoull(env, nullptr, 0);
-  }
-  constexpr int kTrials = 25;
-  std::printf("[ soak ] base_seed=0x%llx trials=%d\n",
-              static_cast<unsigned long long>(base_seed), kTrials);
-  for (int trial = 0; trial < kTrials; ++trial) {
-    const uint64_t seed = base_seed + static_cast<uint64_t>(trial) * 0x9E3779B9ull;
-    const FaultPlan plan = FaultPlan::FromSeed(seed, counts);
-    ASSERT_FALSE(plan.empty());
-    const FaultSpec& spec = plan.specs()[0];
-    SCOPED_TRACE("seed " + std::to_string(seed) + " site " + spec.site + "#" +
-                 std::to_string(spec.trigger));
-    RunTrial(arch, spec.site, spec.trigger, oracle);
-    if (::testing::Test::HasFatalFailure()) {
-      return;
-    }
-  }
+TEST(MigrationSweep, EveryStageEveryOccurrencePmp) {
+  RunGrid(kMigrationSweep, IsaArch::kRiscV);
+}
+TEST(MigrationSweep, RandomizedMigrationSoak) { RunSoak(kMigrationSweep, IsaArch::kX86_64); }
+TEST(MigrationSweep, RandomizedMigrationSoakOnPmp) {
+  RunSoak(kMigrationSweep, IsaArch::kRiscV);
 }
 
 // The journal splice rejects what it must: tampered bytes, cross-world
 // journal pairs, and a destination that claims an adoption nobody handed
 // off. (Exit-code mapping is covered by journal_verify's self-test.)
 TEST(MigrationSweep, SpliceRejectsTamperAndMismatch) {
-  const Oracle oracle = CleanMigration(IsaArch::kX86_64);
-  ASSERT_NE(oracle.dest_domain, kInvalidDomain);
-  ASSERT_TRUE(VerifyJournalSplice(oracle.source_journal, oracle.dest_journal, oracle.key,
-                                  oracle.key)
-                  .ok());
+  auto world = MakeWorld(IsaArch::kX86_64);
+  auto other = MakeWorld(IsaArch::kRiscV);
+  ASSERT_TRUE(world != nullptr && other != nullptr);
+  Migrate(*world);
+  Migrate(*other);
+  ASSERT_TRUE(world->report.ok() && other->report.ok());
+  const std::vector<uint8_t> source_journal = world->source->ExportJournal();
+  const std::vector<uint8_t> dest_journal = world->dest->ExportJournal();
+  const SchnorrPublicKey key = world->source->public_key();
+  ASSERT_TRUE(VerifyJournalSplice(source_journal, dest_journal, key, key).ok());
 
   // Any single flipped byte in either journal breaks the splice.
-  for (const std::vector<uint8_t>* journal :
-       {&oracle.source_journal, &oracle.dest_journal}) {
+  for (const std::vector<uint8_t>* journal : {&source_journal, &dest_journal}) {
     std::vector<uint8_t> tampered = *journal;
     tampered[tampered.size() / 2] ^= 0x01;
-    const Status verdict =
-        journal == &oracle.source_journal
-            ? VerifyJournalSplice(tampered, oracle.dest_journal, oracle.key, oracle.key)
-            : VerifyJournalSplice(oracle.source_journal, tampered, oracle.key, oracle.key);
+    const Status verdict = journal == &source_journal
+                               ? VerifyJournalSplice(tampered, dest_journal, key, key)
+                               : VerifyJournalSplice(source_journal, tampered, key, key);
     EXPECT_FALSE(verdict.ok()) << "tampered journal spliced";
   }
 
   // A destination journal from a DIFFERENT world: its kMigrateIn does not
   // match this source's handoff (and vice versa the source kMigrateOut is
   // unmatched). Both directions must fail.
-  const Oracle other = CleanMigration(IsaArch::kRiscV);
-  ASSERT_NE(other.dest_domain, kInvalidDomain);
-  EXPECT_FALSE(VerifyJournalSplice(oracle.source_journal, other.dest_journal, oracle.key,
-                                   other.key)
+  EXPECT_FALSE(VerifyJournalSplice(source_journal, other->dest->ExportJournal(), key,
+                                   other->source->public_key())
                    .ok());
 
   // A pristine journal pair WITHOUT the migration: the source never handed
   // anything off, so a lone destination adoption must be rejected.
-  auto world = MakeWorld(IsaArch::kX86_64);
-  ASSERT_NE(world, nullptr);
-  EXPECT_FALSE(VerifyJournalSplice(world->source->ExportJournal(), oracle.dest_journal,
-                                   oracle.key, oracle.key)
-                   .ok());
+  auto pristine = MakeWorld(IsaArch::kX86_64);
+  ASSERT_NE(pristine, nullptr);
+  EXPECT_FALSE(
+      VerifyJournalSplice(pristine->source->ExportJournal(), dest_journal, key, key).ok());
 }
 
 // The freeze window: a frozen domain rejects operations BY it and ON it
@@ -454,7 +315,7 @@ TEST(MigrationSweep, SpliceRejectsTamperAndMismatch) {
 TEST(MigrationSweep, FreezeWindowRejectsAndExcludes) {
   auto world = MakeWorld(IsaArch::kX86_64);
   ASSERT_NE(world, nullptr);
-  Monitor* source = world->source.get();
+  Monitor* source = world->source;
 
   FreezeDomainForTest(source, world->victim);
   EXPECT_TRUE(source->migration_in_progress());
@@ -476,7 +337,7 @@ TEST(MigrationSweep, FreezeWindowRejectsAndExcludes) {
   // ...and concurrent dispatch refuses migration (both monitors checked).
   ASSERT_TRUE(world->dest->EnableConcurrentDispatch().ok());
   LossyChannel channel;
-  const auto refused = MigrateDomain(source, world->dest.get(), world->victim, &channel,
+  const auto refused = MigrateDomain(source, world->dest, world->victim, &channel,
                                      source->public_key());
   EXPECT_EQ(refused.status().code(), ErrorCode::kFailedPrecondition);
   EXPECT_FALSE(source->migration_in_progress());
@@ -486,8 +347,8 @@ TEST(MigrationSweep, FreezeWindowRejectsAndExcludes) {
 TEST(MigrationSweep, FreezeRefusesUnmovableDomains) {
   auto world = MakeWorld(IsaArch::kX86_64);
   ASSERT_NE(world, nullptr);
-  Monitor* source = world->source.get();
-  Monitor* dest = world->dest.get();
+  Monitor* source = world->source;
+  Monitor* dest = world->dest;
   LossyChannel channel;
   const auto migrate = [&](DomainId domain) {
     return MigrateDomain(source, dest, domain, &channel, source->public_key()).status();
@@ -541,7 +402,7 @@ TEST(MigrationSweep, FreezeRefusesUnmovableDomains) {
 TEST(MigrationSweep, DestinationWithoutResourcesRollsBack) {
   auto world = MakeWorld(IsaArch::kX86_64);
   ASSERT_NE(world, nullptr);
-  Monitor* dest = world->dest.get();
+  Monitor* dest = world->dest;
 
   // The destination OS grants away the core the victim needs, to a local
   // domain, so no covering unit capability is left to carve the grant from.
@@ -556,7 +417,7 @@ TEST(MigrationSweep, DestinationWithoutResourcesRollsBack) {
   const Digest pre_dest = EngineDigest(dest->engine());
 
   LossyChannel channel;
-  const auto report = MigrateDomain(world->source.get(), dest, world->victim, &channel,
+  const auto report = MigrateDomain(world->source, dest, world->victim, &channel,
                                     world->source->public_key());
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), ErrorCode::kFailedPrecondition);
@@ -569,7 +430,7 @@ TEST(MigrationSweep, DestinationWithoutResourcesRollsBack) {
   LossyChannel channel2;
   const std::vector<uint8_t> wrong_seed = {0xBA, 0xDC, 0x0D, 0xE0};
   const SchnorrPublicKey wrong_key = DeriveKeyPair(wrong_seed).pub;
-  const auto forged = MigrateDomain(world->source.get(), dest, world->victim, &channel2,
+  const auto forged = MigrateDomain(world->source, dest, world->victim, &channel2,
                                     wrong_key);
   ASSERT_FALSE(forged.ok());
   EXPECT_EQ(forged.status().code(), ErrorCode::kSignatureInvalid);

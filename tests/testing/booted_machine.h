@@ -1,6 +1,7 @@
 // Copyright 2026 The Tyche Reproduction Authors.
 // Shared fixture: a machine booted under the monitor with LinOS as the
-// initial domain. Used by libtyche, OS, and integration tests.
+// initial domain. Used by libtyche, OS, and integration tests; the fault
+// and migration sweeps build their fresh worlds on BootedMachine.
 
 #ifndef TESTS_TESTING_BOOTED_MACHINE_H_
 #define TESTS_TESTING_BOOTED_MACHINE_H_
@@ -13,8 +14,7 @@
 
 namespace tyche {
 
-class BootedMachineTest : public ::testing::Test {
- protected:
+struct BootedMachine {
   static constexpr uint64_t kMiB = 1ull << 20;
 
   struct FixtureOptions {
@@ -28,9 +28,7 @@ class BootedMachineTest : public ::testing::Test {
   static constexpr PciBdf kNicBdf = PciBdf(0, 3, 0);
   static constexpr PciBdf kGpuBdf = PciBdf(0, 4, 0);
 
-  BootedMachineTest() : BootedMachineTest(FixtureOptions{}) {}
-
-  explicit BootedMachineTest(const FixtureOptions& fixture) {
+  explicit BootedMachine(const FixtureOptions& fixture) {
     MachineConfig config;
     config.arch = fixture.arch;
     config.memory_bytes = fixture.memory_bytes;
@@ -67,13 +65,18 @@ class BootedMachineTest : public ::testing::Test {
                                   managed_);
   }
 
-  CapId OsMemCap(AddrRange range) { return *FindMemoryCap(*monitor_, os_domain_, range); }
-  CapId OsCoreCap(CoreId core) {
-    return *FindUnitCap(*monitor_, os_domain_, ResourceKind::kCpuCore, core);
+  // kInvalidCap when the OS holds no such capability, so the call it feeds
+  // fails with a typed error instead of the lookup reading an empty Result.
+  CapId OsMemCap(AddrRange range) const {
+    return OrInvalid(FindMemoryCap(*monitor_, os_domain_, range));
   }
-  CapId OsDeviceCap(uint16_t bdf) {
-    return *FindUnitCap(*monitor_, os_domain_, ResourceKind::kPciDevice, bdf);
+  CapId OsCoreCap(CoreId core) const {
+    return OrInvalid(FindUnitCap(*monitor_, os_domain_, ResourceKind::kCpuCore, core));
   }
+  CapId OsDeviceCap(uint16_t bdf) const {
+    return OrInvalid(FindUnitCap(*monitor_, os_domain_, ResourceKind::kPciDevice, bdf));
+  }
+  static CapId OrInvalid(const Result<CapId>& cap) { return cap.ok() ? *cap : kInvalidCap; }
 
   // Unmanaged scratch region for direct domain placement.
   AddrRange Scratch(uint64_t offset, uint64_t size) const {
@@ -89,6 +92,12 @@ class BootedMachineTest : public ::testing::Test {
   AddrRange managed_;
   Digest golden_firmware_;
   Digest golden_monitor_;
+};
+
+class BootedMachineTest : public ::testing::Test, public BootedMachine {
+ protected:
+  BootedMachineTest() : BootedMachineTest(FixtureOptions{}) {}
+  explicit BootedMachineTest(const FixtureOptions& fixture) : BootedMachine(fixture) {}
 };
 
 }  // namespace tyche
