@@ -184,7 +184,7 @@ std::vector<SchnorrBatchItem> MakeQuoteBatch(size_t n) {
     for (size_t b = 0; b < digest.bytes.size(); ++b) {
       digest.bytes[b] = static_cast<uint8_t>(0x33 ^ (i * 17) ^ (b * 5));
     }
-    items.push_back({key.pub, digest, SchnorrSign(key.priv, digest)});
+    items.push_back({key.pub, digest, SchnorrSign(key, digest)});
   }
   return items;
 }

@@ -3,9 +3,10 @@
 //
 //  1. Raw append cost: chain hash per record (enabled), nothing (disabled),
 //     and the amortized Schnorr signature when checkpoints are on.
-//  2. Evidence primitives: one chain link against a bare one-shot SHA-256
-//     of the same 118 bytes (the gap is encoding and bookkeeping, gated in
-//     bench/baselines/journal_baseline.json), and one Schnorr sign/verify.
+//  2. Evidence primitives: one chain link and one Schnorr signature against
+//     a bare one-shot SHA-256 of the same 118 bytes (the link's gap is
+//     encoding and bookkeeping; both are gated in
+//     bench/baselines/journal_baseline.json), and one Schnorr verify.
 //  3. Dispatch-path cost: with the journal disabled the wrapper must stay
 //     within 2x of the telemetry-off fast path from bench_telemetry (one
 //     extra relaxed load and a branch); with it enabled the cost of the
@@ -70,7 +71,7 @@ void BM_JournalAppend_Checkpointed(benchmark::State& state) {
   Journal journal(/*checkpoint_interval=*/64);
   const uint8_t seed[] = {'b', 'e', 'n', 'c', 'h'};
   const SchnorrKeyPair key = DeriveKeyPair(seed);
-  journal.set_signer([key](const Digest& digest) { return SchnorrSign(key.priv, digest); });
+  journal.set_signer([key](const Digest& digest) { return SchnorrSign(key, digest); });
   AppendLoop(state, journal);
 }
 
@@ -106,7 +107,7 @@ void BM_SchnorrSign(benchmark::State& state) {
   const SchnorrKeyPair key = DeriveKeyPair(seed);
   Digest digest = JournalGenesis();
   for (auto _ : state) {
-    const SchnorrSignature sig = SchnorrSign(key.priv, digest);
+    const SchnorrSignature sig = SchnorrSign(key, digest);
     digest = sig.e;
   }
   benchmark::DoNotOptimize(digest);
@@ -116,7 +117,7 @@ void BM_SchnorrVerify(benchmark::State& state) {
   const uint8_t seed[] = {'b', 'e', 'n', 'c', 'h'};
   const SchnorrKeyPair key = DeriveKeyPair(seed);
   const Digest digest = JournalGenesis();
-  const SchnorrSignature sig = SchnorrSign(key.priv, digest);
+  const SchnorrSignature sig = SchnorrSign(key, digest);
   for (auto _ : state) {
     benchmark::DoNotOptimize(SchnorrVerify(key.pub, digest, sig));
   }

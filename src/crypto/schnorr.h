@@ -66,9 +66,10 @@ struct SchnorrKeyPair {
 SchnorrKeyPair DeriveKeyPair(std::span<const uint8_t> seed);
 
 // Deterministic signing (nonce derived via HMAC from key and message, in the
-// spirit of RFC 6979).
-SchnorrSignature SchnorrSign(const SchnorrPrivateKey& priv, std::span<const uint8_t> message);
-SchnorrSignature SchnorrSign(const SchnorrPrivateKey& priv, const Digest& message_digest);
+// spirit of RFC 6979). The challenge hashes the stored `key.pub` instead of
+// recomputing g^x, so the pair must be one DeriveKeyPair produced: a pair
+// whose halves disagree yields a signature that verifies under neither key.
+SchnorrSignature SchnorrSign(const SchnorrKeyPair& key, const Digest& message_digest);
 
 bool SchnorrVerify(const SchnorrPublicKey& pub, std::span<const uint8_t> message,
                    const SchnorrSignature& sig);
@@ -116,6 +117,9 @@ Digest DhSharedSecret(const SchnorrPrivateKey& mine, const SchnorrPublicKey& the
 uint64_t MulMod(uint64_t a, uint64_t b, uint64_t m);
 // base^exp mod m: MultiExpMod over one base.
 uint64_t PowMod(uint64_t base, uint64_t exp, uint64_t m);
+// g^exp mod p for the group generator, any 64-bit exp: one walk of a
+// fixed-base table (8 multiplications) instead of a square-and-multiply pass.
+uint64_t PowG(uint64_t exp);
 // prod_i bases[i]^{exps[i]} mod m with one shared square-and-multiply pass:
 // the squarings are paid once for the whole product instead of once per
 // base, which is what makes batch verification cheaper than verifying each

@@ -57,7 +57,7 @@ Result<TpmQuote> Tpm::Quote(uint64_t nonce, uint32_t pcr_mask) const {
     }
   }
   quote.quote_digest = QuoteDigest(nonce, pcr_mask, quote.pcr_values);
-  quote.signature = SchnorrSign(key_.priv, quote.quote_digest);
+  quote.signature = SchnorrSign(key_, quote.quote_digest);
   if (cycles_ != nullptr) {
     cycles_->Charge(CostModel::Default().tpm_quote);
   }

@@ -2,6 +2,11 @@
 
 #include "src/monitor/attestation.h"
 
+#include <algorithm>
+#include <cstring>
+#include <string_view>
+#include <type_traits>
+
 #include "src/monitor/audit.h"
 
 namespace tyche {
@@ -11,14 +16,27 @@ namespace {
 constexpr uint64_t kReportMagic = 0x5459434841545431ULL;    // "TYCHATT1"
 constexpr uint64_t kIdentityMagic = 0x545943484d4f4e31ULL;  // "TYCHMON1"
 
-void PutU64(std::vector<uint8_t>* out, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(value >> (8 * i)));
+// Wire sizes: the report's fixed fields (magic, domain, nonce, sealed,
+// measurement, claim count, report digest, s, e, r) and one claim's six
+// u64s; the identity's fixed fields and one PCR value.
+constexpr size_t kReportFixedBytes = 4 * 8 + 32 + 8 + 32 + 8 + 32 + 8;
+constexpr size_t kClaimWireBytes = 6 * 8;
+constexpr size_t kIdentityFixedBytes = 3 * 8 + 2 * 32 + 3 * 8 + 32 + 8 + 32;
+
+// Little-endian scalar store, returning the next write position. The wire
+// encoders and the report digest's byte stream share it.
+template <typename T>
+uint8_t* Put(uint8_t* out, T value) {
+  static_assert(std::is_integral_v<T>);
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    out[i] = static_cast<uint8_t>(value >> (8 * i));
   }
+  return out + sizeof(T);
 }
 
-void PutDigest(std::vector<uint8_t>* out, const Digest& digest) {
-  out->insert(out->end(), digest.bytes.begin(), digest.bytes.end());
+uint8_t* PutDigest(uint8_t* out, const Digest& digest) {
+  std::memcpy(out, digest.bytes.data(), digest.bytes.size());
+  return out + digest.bytes.size();
 }
 
 class WireReader {
@@ -48,6 +66,14 @@ class WireReader {
     return digest;
   }
 
+  // Bytes after the last field: no digest or signature covers them.
+  Status ExpectEnd() const {
+    if (pos_ != bytes_.size()) {
+      return Error(ErrorCode::kInvalidArgument, "trailing bytes after the last field");
+    }
+    return OkStatus();
+  }
+
  private:
   std::span<const uint8_t> bytes_;
   size_t pos_ = 0;
@@ -56,25 +82,17 @@ class WireReader {
 }  // namespace
 
 std::vector<uint8_t> SerializeAttestation(const DomainAttestation& report) {
-  std::vector<uint8_t> out;
-  PutU64(&out, kReportMagic);
-  PutU64(&out, report.domain);
-  PutU64(&out, report.nonce);
-  PutU64(&out, report.sealed ? 1 : 0);
-  PutDigest(&out, report.measurement);
-  PutU64(&out, report.resources.size());
+  std::vector<uint8_t> out(kReportFixedBytes + report.resources.size() * kClaimWireBytes);
+  uint8_t* at = Put(out.data(), kReportMagic);
+  at = Put(Put(Put(at, uint64_t{report.domain}), report.nonce), uint64_t{report.sealed});
+  at = Put(PutDigest(at, report.measurement), uint64_t{report.resources.size()});
   for (const ResourceClaim& claim : report.resources) {
-    PutU64(&out, static_cast<uint64_t>(claim.kind));
-    PutU64(&out, claim.range.base);
-    PutU64(&out, claim.range.size);
-    PutU64(&out, claim.unit);
-    PutU64(&out, claim.perms.mask);
-    PutU64(&out, claim.ref_count);
+    at = Put(Put(at, static_cast<uint64_t>(claim.kind)), claim.range.base);
+    at = Put(Put(at, claim.range.size), claim.unit);
+    at = Put(Put(at, uint64_t{claim.perms.mask}), uint64_t{claim.ref_count});
   }
-  PutDigest(&out, report.report_digest);
-  PutU64(&out, report.signature.s);
-  PutDigest(&out, report.signature.e);
-  PutU64(&out, report.signature.r);
+  at = Put(PutDigest(at, report.report_digest), report.signature.s);
+  Put(PutDigest(at, report.signature.e), report.signature.r);
   return out;
 }
 
@@ -116,25 +134,23 @@ Result<DomainAttestation> DeserializeAttestation(std::span<const uint8_t> bytes)
   TYCHE_ASSIGN_OR_RETURN(report.signature.e, reader.ReadDigest());
   // Commitment for batch verification, appended to the report wire format.
   TYCHE_ASSIGN_OR_RETURN(report.signature.r, reader.U64());
+  TYCHE_RETURN_IF_ERROR(reader.ExpectEnd());
   return report;
 }
 
 std::vector<uint8_t> SerializeMonitorIdentity(const MonitorIdentity& identity) {
-  std::vector<uint8_t> out;
-  PutU64(&out, kIdentityMagic);
-  PutU64(&out, identity.tpm_key.y);
-  PutU64(&out, identity.monitor_key.y);
-  PutDigest(&out, identity.firmware_measurement);
-  PutDigest(&out, identity.monitor_measurement);
-  PutU64(&out, identity.boot_quote.nonce);
-  PutU64(&out, identity.boot_quote.pcr_mask);
-  PutU64(&out, identity.boot_quote.pcr_values.size());
-  for (const Digest& value : identity.boot_quote.pcr_values) {
-    PutDigest(&out, value);
+  const TpmQuote& quote = identity.boot_quote;
+  std::vector<uint8_t> out(kIdentityFixedBytes + quote.pcr_values.size() * 32);
+  uint8_t* at = Put(Put(Put(out.data(), kIdentityMagic), identity.tpm_key.y),
+                    identity.monitor_key.y);
+  at = PutDigest(PutDigest(at, identity.firmware_measurement), identity.monitor_measurement);
+  at = Put(Put(Put(at, quote.nonce), uint64_t{quote.pcr_mask}),
+           uint64_t{quote.pcr_values.size()});
+  for (const Digest& value : quote.pcr_values) {
+    at = PutDigest(at, value);
   }
-  PutDigest(&out, identity.boot_quote.quote_digest);
-  PutU64(&out, identity.boot_quote.signature.s);
-  PutDigest(&out, identity.boot_quote.signature.e);
+  at = Put(PutDigest(at, quote.quote_digest), quote.signature.s);
+  PutDigest(at, quote.signature.e);
   return out;
 }
 
@@ -163,26 +179,34 @@ Result<MonitorIdentity> DeserializeMonitorIdentity(std::span<const uint8_t> byte
   TYCHE_ASSIGN_OR_RETURN(identity.boot_quote.quote_digest, reader.ReadDigest());
   TYCHE_ASSIGN_OR_RETURN(identity.boot_quote.signature.s, reader.U64());
   TYCHE_ASSIGN_OR_RETURN(identity.boot_quote.signature.e, reader.ReadDigest());
+  TYCHE_RETURN_IF_ERROR(reader.ExpectEnd());
   return identity;
 }
 
 Digest DomainAttestation::ComputeDigest() const {
-  Sha256 ctx;
-  ctx.Update(std::string_view("tyche-domain-attestation-v1"));
-  ctx.UpdateValue(domain);
-  ctx.UpdateValue(nonce);
-  ctx.UpdateValue(static_cast<uint8_t>(sealed ? 1 : 0));
-  ctx.Update(std::span<const uint8_t>(measurement.bytes.data(), measurement.bytes.size()));
-  ctx.UpdateValue(static_cast<uint64_t>(resources.size()));
-  for (const ResourceClaim& claim : resources) {
-    ctx.UpdateValue(static_cast<uint8_t>(claim.kind));
-    ctx.UpdateValue(claim.range.base);
-    ctx.UpdateValue(claim.range.size);
-    ctx.UpdateValue(claim.unit);
-    ctx.UpdateValue(claim.perms.mask);
-    ctx.UpdateValue(claim.ref_count);
+  // One contiguous encoding of the digested fields, hashed once: a tag, the
+  // header, then each claim's kind, base, size, unit, perms and ref count.
+  constexpr std::string_view kTag = "tyche-domain-attestation-v1";
+  constexpr size_t kHeaderBytes = kTag.size() + 4 + 8 + 1 + 32 + 8;
+  constexpr size_t kClaimBytes = 1 + 8 + 8 + 8 + 1 + 4;
+  constexpr size_t kInlineClaims = 32;
+  uint8_t inline_buf[kHeaderBytes + kInlineClaims * kClaimBytes];
+  std::vector<uint8_t> heap_buf;
+  uint8_t* buf = inline_buf;
+  const size_t size = kHeaderBytes + resources.size() * kClaimBytes;
+  if (resources.size() > kInlineClaims) {
+    heap_buf.resize(size);
+    buf = heap_buf.data();
   }
-  return ctx.Finalize();
+  uint8_t* at = std::copy(kTag.begin(), kTag.end(), buf);
+  at = Put(Put(Put(at, domain), nonce), static_cast<uint8_t>(sealed ? 1 : 0));
+  at = Put(PutDigest(at, measurement), uint64_t{resources.size()});
+  for (const ResourceClaim& claim : resources) {
+    at = Put(Put(at, static_cast<uint8_t>(claim.kind)), claim.range.base);
+    at = Put(Put(Put(at, claim.range.size), claim.unit), claim.perms.mask);
+    at = Put(at, claim.ref_count);
+  }
+  return Sha256::Hash(std::span<const uint8_t>(buf, size));
 }
 
 Digest HashPublicKey(const SchnorrPublicKey& key) {

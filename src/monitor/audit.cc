@@ -328,14 +328,6 @@ std::string AuditJournal::Summary() const {
   return out.str();
 }
 
-std::string AuditJournal::SpanTreeJson() const {
-  return ExportSpanTreeJson(journal_.Records(), [](uint8_t op) {
-    return std::string(op < static_cast<uint8_t>(ApiOp::kOpCount)
-                           ? ApiOpName(static_cast<ApiOp>(op))
-                           : "?");
-  });
-}
-
 std::vector<uint8_t> AuditJournal::Export() {
   journal_.Checkpoint();
   return journal_.Serialize();

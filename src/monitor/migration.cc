@@ -337,7 +337,7 @@ Result<std::vector<uint8_t>> MigrationInternal::BuildPayload(Monitor* source,
   *head_prefix = Prefix64(source->audit_.journal().head());
 
   const SchnorrSignature sig =
-      SchnorrSign(source->key_.priv, BindingDigest(*payload_digest, domain));
+      SchnorrSign(source->key_, BindingDigest(*payload_digest, domain));
   SectionWriter mw;
   mw.Append<uint32_t>(domain);
   mw.Append<uint64_t>(*head_prefix);

@@ -102,7 +102,7 @@ Monitor::Monitor(Machine* machine, AddrRange monitor_range, FrameAllocator metad
   // the same identity as domain attestations.
   audit_.journal().set_tick_source([this] { return machine_->cycles().cycles(); });
   audit_.journal().set_signer(
-      [this](const Digest& digest) { return SchnorrSign(key_.priv, digest); });
+      [this](const Digest& digest) { return SchnorrSign(key_, digest); });
 
   // Sealing root: bound to the monitor's (measurement-derived) identity key,
   // so blobs only open under the same monitor image.
@@ -1044,7 +1044,7 @@ Result<DomainAttestation> Monitor::BuildAttestation(DomainId target, uint64_t no
     }
   }
   report.report_digest = report.ComputeDigest();
-  report.signature = SchnorrSign(key_.priv, report.report_digest);
+  report.signature = SchnorrSign(key_, report.report_digest);
   machine_->cycles().Charge(CostModel::Default().sign);
   return report;
 }

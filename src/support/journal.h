@@ -34,7 +34,6 @@
 #include <functional>
 #include <mutex>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "src/crypto/schnorr.h"
@@ -312,12 +311,6 @@ class Journal {
   uint64_t base_seq_ = 0;  // seq of records_[0]; nonzero after compaction
   std::array<uint64_t, static_cast<size_t>(JournalEvent::kEventCount)> event_counts_{};
 };
-
-// Flamegraph-style causal view: records grouped by span id in first-seen
-// order, each span labelled with its root operation (the kDispatch record's
-// op when present). `op_name` maps the ApiOp byte to a printable name.
-std::string ExportSpanTreeJson(const std::vector<JournalRecord>& records,
-                               const std::function<std::string(uint8_t)>& op_name);
 
 }  // namespace tyche
 

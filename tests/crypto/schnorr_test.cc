@@ -153,6 +153,21 @@ TEST(ModArithTest, MultiExpModMatchesPowModProducts) {
   }
 }
 
+TEST(ModArithTest, PowGMatchesPowModOfGenerator) {
+  const SchnorrParams& p = SchnorrParams::Default();
+  std::vector<uint64_t> exps = {0, 1, 255, 256, p.q - 1};
+  for (int i = 0; i < 8; ++i) {
+    exps.push_back(uint64_t{0xff} << (8 * i));  // every table row at its last entry
+  }
+  uint64_t state = 11;
+  for (int i = 0; i < 10000; ++i) {
+    exps.push_back(NextRandom(&state));
+  }
+  for (const uint64_t exp : exps) {
+    ASSERT_EQ(PowG(exp), PowMod(p.g, exp, p.p)) << "g^" << exp;
+  }
+}
+
 TEST(SchnorrTest, DeriveIsDeterministic) {
   const SchnorrKeyPair a = DeriveKeyPair(Bytes("seed-a"));
   const SchnorrKeyPair b = DeriveKeyPair(Bytes("seed-a"));
@@ -165,36 +180,36 @@ TEST(SchnorrTest, DeriveIsDeterministic) {
 TEST(SchnorrTest, SignVerifyRoundTrip) {
   const SchnorrKeyPair key = DeriveKeyPair(Bytes("tpm-endorsement"));
   const std::string message = "attestation report body";
-  const SchnorrSignature sig = SchnorrSign(key.priv, Bytes(message));
+  const SchnorrSignature sig = SchnorrSign(key, Sha256::Hash(Bytes(message)));
   EXPECT_TRUE(SchnorrVerify(key.pub, Bytes(message), sig));
 }
 
 TEST(SchnorrTest, RejectsTamperedMessage) {
   const SchnorrKeyPair key = DeriveKeyPair(Bytes("k"));
-  const SchnorrSignature sig = SchnorrSign(key.priv, Bytes("original"));
+  const SchnorrSignature sig = SchnorrSign(key, Sha256::Hash(Bytes("original")));
   EXPECT_FALSE(SchnorrVerify(key.pub, Bytes("tampered"), sig));
 }
 
 TEST(SchnorrTest, RejectsWrongKey) {
   const SchnorrKeyPair key = DeriveKeyPair(Bytes("k1"));
   const SchnorrKeyPair other = DeriveKeyPair(Bytes("k2"));
-  const SchnorrSignature sig = SchnorrSign(key.priv, Bytes("msg"));
+  const SchnorrSignature sig = SchnorrSign(key, Sha256::Hash(Bytes("msg")));
   EXPECT_FALSE(SchnorrVerify(other.pub, Bytes("msg"), sig));
 }
 
 TEST(SchnorrTest, RejectsTamperedSignature) {
   const SchnorrKeyPair key = DeriveKeyPair(Bytes("k"));
-  SchnorrSignature sig = SchnorrSign(key.priv, Bytes("msg"));
+  SchnorrSignature sig = SchnorrSign(key, Sha256::Hash(Bytes("msg")));
   sig.s ^= 1;
   EXPECT_FALSE(SchnorrVerify(key.pub, Bytes("msg"), sig));
-  SchnorrSignature sig2 = SchnorrSign(key.priv, Bytes("msg"));
+  SchnorrSignature sig2 = SchnorrSign(key, Sha256::Hash(Bytes("msg")));
   sig2.e.bytes[0] ^= 0x80;
   EXPECT_FALSE(SchnorrVerify(key.pub, Bytes("msg"), sig2));
 }
 
 TEST(SchnorrTest, RejectsMalformedKeyOrScalar) {
   const SchnorrKeyPair key = DeriveKeyPair(Bytes("k"));
-  const SchnorrSignature sig = SchnorrSign(key.priv, Bytes("msg"));
+  const SchnorrSignature sig = SchnorrSign(key, Sha256::Hash(Bytes("msg")));
   EXPECT_FALSE(SchnorrVerify(SchnorrPublicKey{0}, Bytes("msg"), sig));
   SchnorrSignature oversize = sig;
   oversize.s = SchnorrParams::Default().q;  // out of range
@@ -203,7 +218,8 @@ TEST(SchnorrTest, RejectsMalformedKeyOrScalar) {
 
 TEST(SchnorrTest, DeterministicSignature) {
   const SchnorrKeyPair key = DeriveKeyPair(Bytes("k"));
-  EXPECT_EQ(SchnorrSign(key.priv, Bytes("m")), SchnorrSign(key.priv, Bytes("m")));
+  const Digest digest = Sha256::Hash(Bytes("m"));
+  EXPECT_EQ(SchnorrSign(key, digest), SchnorrSign(key, digest));
 }
 
 TEST(SchnorrTest, SignaturesMatchRecordedValues) {
@@ -230,7 +246,7 @@ TEST(SchnorrTest, SignaturesMatchRecordedValues) {
   };
   for (const Kat& kat : kats) {
     const SchnorrKeyPair key = DeriveKeyPair(Bytes(kat.seed));
-    const SchnorrSignature sig = SchnorrSign(key.priv, Bytes(kat.message));
+    const SchnorrSignature sig = SchnorrSign(key, Sha256::Hash(Bytes(kat.message)));
     EXPECT_EQ(sig.s, kat.s) << kat.seed;
     EXPECT_EQ(sig.e.ToHex(), kat.e) << kat.seed;
     EXPECT_EQ(sig.r, kat.r) << kat.seed;
@@ -241,10 +257,21 @@ TEST(SchnorrTest, SignaturesMatchRecordedValues) {
 TEST(SchnorrTest, DigestOverloadMatchesBytes) {
   const SchnorrKeyPair key = DeriveKeyPair(Bytes("k"));
   const Digest digest = Sha256::Hash(Bytes("payload"));
-  const SchnorrSignature a = SchnorrSign(key.priv, Bytes("payload"));
-  const SchnorrSignature b = SchnorrSign(key.priv, digest);
-  EXPECT_EQ(a, b);
-  EXPECT_TRUE(SchnorrVerify(key.pub, digest, a));
+  const SchnorrSignature sig = SchnorrSign(key, digest);
+  EXPECT_TRUE(SchnorrVerify(key.pub, digest, sig));
+  EXPECT_TRUE(SchnorrVerify(key.pub, Bytes("payload"), sig));
+}
+
+TEST(SchnorrTest, MismatchedPairVerifiesUnderNeitherKey) {
+  // Signing trusts the pair's stored public key; halves from two different
+  // keys produce a challenge bound to one key and a response from the other.
+  const SchnorrKeyPair a = DeriveKeyPair(Bytes("pair-a"));
+  const SchnorrKeyPair b = DeriveKeyPair(Bytes("pair-b"));
+  const SchnorrKeyPair mixed{a.priv, b.pub};
+  const Digest digest = Sha256::Hash(Bytes("msg"));
+  const SchnorrSignature sig = SchnorrSign(mixed, digest);
+  EXPECT_FALSE(SchnorrVerify(a.pub, digest, sig));
+  EXPECT_FALSE(SchnorrVerify(b.pub, digest, sig));
 }
 
 std::vector<SchnorrBatchItem> MakeBatch(size_t n, const std::string& key_seed) {
@@ -252,7 +279,7 @@ std::vector<SchnorrBatchItem> MakeBatch(size_t n, const std::string& key_seed) {
   std::vector<SchnorrBatchItem> items;
   for (size_t i = 0; i < n; ++i) {
     const Digest digest = Sha256::Hash(Bytes("quote-" + std::to_string(i)));
-    items.push_back(SchnorrBatchItem{key.pub, digest, SchnorrSign(key.priv, digest)});
+    items.push_back(SchnorrBatchItem{key.pub, digest, SchnorrSign(key, digest)});
   }
   return items;
 }
@@ -358,7 +385,7 @@ TEST(SchnorrBatchTest, LegacySignatureWithoutCommitmentFallsBack) {
 TEST(SchnorrBatchTest, SignatureCarriesCommitment) {
   // SchnorrSign stores r = g^k; single verify reconstructs the same value.
   const SchnorrKeyPair key = DeriveKeyPair(Bytes("k"));
-  const SchnorrSignature sig = SchnorrSign(key.priv, Bytes("msg"));
+  const SchnorrSignature sig = SchnorrSign(key, Sha256::Hash(Bytes("msg")));
   const SchnorrParams& p = SchnorrParams::Default();
   EXPECT_NE(sig.r, 0u);
   EXPECT_LT(sig.r, p.p);

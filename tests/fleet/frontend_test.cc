@@ -482,6 +482,33 @@ TEST(VerifySerializedReport, RejectsTamperAndStaleNonce) {
   EXPECT_FALSE(VerifySerializedReport(wire, key, 77, &wrong).ok());
 }
 
+// Bytes after the last field are covered by no digest or signature, so a
+// report or identity carrying them does not parse.
+TEST(VerifySerializedReport, RejectsTrailingBytes) {
+  auto fleet = MakeFleet(/*nodes=*/1);
+  ASSERT_NE(fleet, nullptr);
+  MonitorNode* node = fleet->node(0);
+  const ServiceRecord svc = fleet->service(0);
+  const auto handle = FindUnitCap(*node->monitor(), node->os_domain(),
+                                  ResourceKind::kDomain, svc.domain);
+  ASSERT_TRUE(handle.ok());
+  const auto report = node->monitor()->AttestDomain(0, *handle, /*nonce=*/77);
+  ASSERT_TRUE(report.ok());
+  std::vector<uint8_t> wire = SerializeAttestation(*report);
+  const SchnorrPublicKey key = node->monitor()->public_key();
+  ASSERT_TRUE(VerifySerializedReport(wire, key, 77, &svc.measurement).ok());
+  wire.push_back(0);
+  EXPECT_EQ(VerifySerializedReport(wire, key, 77, &svc.measurement).status().code(),
+            ErrorCode::kAttestationMismatch);
+
+  const auto identity = node->monitor()->Identity(/*nonce=*/5);
+  ASSERT_TRUE(identity.ok());
+  std::vector<uint8_t> identity_wire = SerializeMonitorIdentity(*identity);
+  ASSERT_TRUE(DeserializeMonitorIdentity(identity_wire).ok());
+  identity_wire.push_back(0);
+  EXPECT_FALSE(DeserializeMonitorIdentity(identity_wire).ok());
+}
+
 // Hedged retry: when the primary's response is blackholed, the hedged
 // duplicate (sent after hedge_delay_ns) wins within the same attempt.
 TEST(FrontEnd, HedgedDuplicateWinsWhenResponseLost) {

@@ -1,7 +1,7 @@
 // Copyright 2026 The Tyche Reproduction Authors.
 // Unit tests for the hash-chained audit journal: chain construction and
 // verification, tamper/drop/reorder/truncation detection, checkpoint
-// signatures, wire round-trips, concurrency, and the span-tree export.
+// signatures, wire round-trips and concurrency.
 
 #include "src/support/journal.h"
 
@@ -23,7 +23,7 @@ SchnorrKeyPair TestKey() {
 // is configured in place rather than returned from a factory).
 void SignWithTestKey(Journal& journal) {
   journal.set_signer(
-      [](const Digest& digest) { return SchnorrSign(TestKey().priv, digest); });
+      [](const Digest& digest) { return SchnorrSign(TestKey(), digest); });
 }
 
 JournalRecord Record(JournalEvent event, uint64_t span, uint64_t cap) {
@@ -430,8 +430,8 @@ TEST(JournalTest, TruncatedJournalWithoutAnchorIsRejected) {
   const SchnorrKeyPair other = DeriveKeyPair(other_seed);
   checkpoints[0].head.bytes[7] ^= 1;  // restore the head
   checkpoints[0].signature = SchnorrSign(
-      other.priv, JournalCheckpointDigest(checkpoints[0].seq, checkpoints[0].head,
-                                          checkpoints[0].snapshot));
+      other, JournalCheckpointDigest(checkpoints[0].seq, checkpoints[0].head,
+                                     checkpoints[0].snapshot));
   status = Journal::VerifyChain(records, checkpoints, TestKey().pub);
   EXPECT_EQ(status.code(), ErrorCode::kJournalSignatureInvalid);
 }
@@ -472,29 +472,6 @@ TEST(JournalTest, RestoreResumesTheChain) {
   EXPECT_TRUE(Journal::VerifyChain(resumed.Records(), resumed.Checkpoints(),
                                    TestKey().pub)
                   .ok());
-}
-
-TEST(JournalTest, SpanTreeGroupsRecordsByCausalRoot) {
-  std::vector<JournalRecord> records;
-  // Span 11: a dispatch (the root label) plus two cascade records; span 12
-  // interleaves to prove grouping is by span id, not adjacency.
-  JournalRecord dispatch = Record(JournalEvent::kDispatch, 11, 0);
-  dispatch.op = 4;
-  records.push_back(dispatch);
-  records.push_back(Record(JournalEvent::kCascade, 12, 30));
-  records.push_back(Record(JournalEvent::kCascade, 11, 31));
-  records.push_back(Record(JournalEvent::kCascade, 11, 32));
-  const std::string json = ExportSpanTreeJson(
-      records, [](uint8_t op) { return "op" + std::to_string(op); });
-  EXPECT_NE(json.find("\"span\":11"), std::string::npos);
-  EXPECT_NE(json.find("\"span\":12"), std::string::npos);
-  EXPECT_NE(json.find("\"root\":\"op4\""), std::string::npos);
-  // Span 11 has three records, grouped despite the interleaving.
-  const size_t span11 = json.find("\"span\":11");
-  const size_t span12 = json.find("\"span\":12");
-  ASSERT_NE(span11, std::string::npos);
-  ASSERT_NE(span12, std::string::npos);
-  EXPECT_LT(span11, span12);  // first-seen order preserved
 }
 
 }  // namespace
