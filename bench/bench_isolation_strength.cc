@@ -13,6 +13,7 @@
 #include "src/baseline/sgx_model.h"
 #include "src/os/testbed.h"
 #include "src/tyche/enclave.h"
+#include "src/tyche/verifier.h"
 
 namespace tyche {
 namespace {

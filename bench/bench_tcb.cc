@@ -6,13 +6,19 @@
 // lines of code per module (what a verifier must trust), the external API
 // surface, and the per-domain metadata footprint.
 //
-// Not a timing benchmark: prints a table. Exits non-zero when the TCB total
-// exceeds kTcbBudget (or the source tree cannot be found), so the tcb_budget
-// ctest fails on any growth that a reviewed diff has not budgeted for.
+// Not a timing benchmark: prints a table. The TCB is tyche_monitor's link
+// closure with the hardware model excluded: the sources of every library it
+// links, from the manifest bench/CMakeLists.txt generates, plus every header
+// those reach through #include "src/..." (src/hw/ excluded). Exits non-zero
+// when the TCB total exceeds kTcbBudget, or when the manifest is missing,
+// empty or names a file that does not exist, so the tcb_budget ctest fails on
+// any growth that a reviewed diff has not budgeted for.
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -27,90 +33,132 @@ namespace {
 // TCB code lines this tree is allowed. Lower it when a change shrinks the
 // TCB; raising it is a deliberate, reviewed decision. The paper's bar is
 // 10 000 (§3.5).
-constexpr uint64_t kTcbBudget = 9977;
+constexpr uint64_t kTcbBudget = 9180;
 
-struct ModuleCount {
-  std::string name;
-  uint64_t files = 0;
+constexpr std::string_view kExcludedPrefix = "src/hw/";
+
+struct FileCount {
   uint64_t lines = 0;
   uint64_t code_lines = 0;  // excluding blanks and pure comments
+  std::vector<std::string> includes;  // "src/..." paths it includes
 };
 
-ModuleCount CountModule(const std::filesystem::path& dir, const std::string& name) {
-  ModuleCount count;
-  count.name = name;
-  if (!std::filesystem::exists(dir)) {
-    return count;
-  }
-  for (const auto& entry : std::filesystem::recursive_directory_iterator(dir)) {
-    const std::string ext = entry.path().extension().string();
-    if (ext != ".cc" && ext != ".h") {
-      continue;
+FileCount CountFile(const std::filesystem::path& path) {
+  FileCount count;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    ++count.lines;
+    const size_t first = line.find_first_not_of(" \t");
+    if (first == std::string::npos) {
+      continue;  // blank
     }
-    ++count.files;
-    std::ifstream in(entry.path());
-    std::string line;
-    while (std::getline(in, line)) {
-      ++count.lines;
-      const size_t first = line.find_first_not_of(" \t");
-      if (first == std::string::npos) {
-        continue;  // blank
+    if (line.compare(first, 2, "//") == 0) {
+      continue;  // comment
+    }
+    ++count.code_lines;
+    constexpr std::string_view kInclude = "#include \"src/";
+    if (line.compare(first, kInclude.size(), kInclude) == 0) {
+      const size_t begin = line.find('"', first) + 1;
+      const size_t close = line.find('"', begin);
+      if (close != std::string::npos) {
+        count.includes.push_back(line.substr(begin, close - begin));
       }
-      if (line.compare(first, 2, "//") == 0) {
-        continue;  // comment
-      }
-      ++count.code_lines;
     }
   }
   return count;
 }
 
-std::filesystem::path FindSourceRoot() {
-  // Walk up from the CWD until a directory containing src/monitor appears.
-  std::filesystem::path current = std::filesystem::current_path();
-  for (int depth = 0; depth < 6; ++depth) {
-    if (std::filesystem::exists(current / "src" / "monitor")) {
-      return current;
-    }
-    current = current.parent_path();
-  }
-  return {};
+struct LibraryCount {
+  uint64_t files = 0;
+  uint64_t lines = 0;
+  uint64_t code_lines = 0;
+};
+
+// The directory and file name without extension: a header joins the library
+// that compiles its same-stem source.
+std::string Stem(const std::string& path) {
+  return path.substr(0, path.rfind('.'));
+}
+std::string Directory(const std::string& path) {
+  return path.substr(0, path.rfind('/') + 1);
 }
 
 int Run() {
-  std::printf("=== C7: TCB accounting ===\n\n");
-  const std::filesystem::path root = FindSourceRoot();
-  if (root.empty()) {
-    std::printf("source tree not found from CWD; cannot check the TCB budget\n");
+  std::printf("=== C7: TCB accounting (tyche_monitor link closure, hw excluded) ===\n\n");
+  const std::filesystem::path root = TYCHE_SOURCE_ROOT;
+  std::ifstream manifest(TYCHE_TCB_MANIFEST);
+  if (!manifest) {
+    std::printf("FAIL: TCB manifest %s missing; re-run cmake\n", TYCHE_TCB_MANIFEST);
     return 1;
   }
-  uint64_t tcb_code = 0;
-  // The TRUSTED computing base is what enforces + attests isolation:
-  // capability engine, monitor, backends, crypto. The hardware model and
-  // the OS are explicitly NOT in the TCB.
-  const std::vector<std::pair<std::string, std::string>> modules = {
-      {"src/capability", "capability engine   [TCB]"},
-      {"src/monitor", "isolation monitor   [TCB]"},
-      {"src/crypto", "crypto (hash/sign)  [TCB]"},
-      {"src/support", "support lib         [TCB]"},
-      {"src/tyche", "libtyche            [untrusted]"},
-      {"src/os", "LinOS               [untrusted]"},
-      {"src/hw", "hardware model      [substrate]"},
-      {"src/baseline", "baselines           [harness]"},
-  };
-  std::printf("%-34s %6s %8s %10s\n", "module", "files", "lines", "code-lines");
-  for (const auto& [dir, label] : modules) {
-    const ModuleCount count = CountModule(root / dir, label);
-    std::printf("%-34s %6llu %8llu %10llu\n", label.c_str(),
-                static_cast<unsigned long long>(count.files),
-                static_cast<unsigned long long>(count.lines),
-                static_cast<unsigned long long>(count.code_lines));
-    if (label.find("[TCB]") != std::string::npos) {
-      tcb_code += count.code_lines;
-    }
+  // Library of each manifest source, in manifest order.
+  std::vector<std::pair<std::string, std::string>> sources;
+  std::string library;
+  std::string path;
+  while (manifest >> library >> path) {
+    sources.emplace_back(library, path);
   }
-  std::printf("\nTCB total (code lines):            %llu   (paper target: < 10,000)\n",
-              static_cast<unsigned long long>(tcb_code));
+  if (sources.empty()) {
+    std::printf("FAIL: TCB manifest %s is empty\n", TYCHE_TCB_MANIFEST);
+    return 1;
+  }
+  std::map<std::string, std::string> library_of_stem;
+  std::map<std::string, std::string> library_of_dir;
+  for (const auto& [lib, source] : sources) {
+    library_of_stem.emplace(Stem(source), lib);
+    library_of_dir.emplace(Directory(source), lib);
+  }
+
+  // Sources first, then every header they reach, breadth first.
+  std::vector<std::string> pending;
+  for (const auto& [lib, source] : sources) {
+    pending.push_back(source);
+  }
+  std::set<std::string> seen(pending.begin(), pending.end());
+  std::map<std::string, LibraryCount> libraries;
+  std::vector<std::string> order;  // libraries in first-seen order
+  uint64_t tcb_code = 0;
+  for (size_t i = 0; i < pending.size(); ++i) {
+    const std::string file = pending[i];
+    if (!std::filesystem::is_regular_file(root / file)) {
+      std::printf("FAIL: TCB file %s does not exist\n", file.c_str());
+      return 1;
+    }
+    const FileCount count = CountFile(root / file);
+    for (const std::string& include : count.includes) {
+      if (include.compare(0, kExcludedPrefix.size(), kExcludedPrefix) != 0 &&
+          seen.insert(include).second) {
+        pending.push_back(include);
+      }
+    }
+    const auto by_stem = library_of_stem.find(Stem(file));
+    const auto by_dir = library_of_dir.find(Directory(file));
+    const std::string lib = by_stem != library_of_stem.end() ? by_stem->second
+                            : by_dir != library_of_dir.end() ? by_dir->second
+                                                             : Directory(file);
+    LibraryCount& entry = libraries[lib];
+    if (entry.files == 0) {
+      order.push_back(lib);
+    }
+    ++entry.files;
+    entry.lines += count.lines;
+    entry.code_lines += count.code_lines;
+    tcb_code += count.code_lines;
+  }
+
+  std::printf("%-20s %6s %8s %10s\n", "library", "files", "lines", "code-lines");
+  for (const std::string& lib : order) {
+    const LibraryCount& entry = libraries[lib];
+    std::printf("%-20s %6llu %8llu %10llu\n", lib.c_str(),
+                static_cast<unsigned long long>(entry.files),
+                static_cast<unsigned long long>(entry.lines),
+                static_cast<unsigned long long>(entry.code_lines));
+  }
+  std::printf("\nTCB total (code lines):            %llu in %llu files"
+              "   (paper target: < 10,000)\n",
+              static_cast<unsigned long long>(tcb_code),
+              static_cast<unsigned long long>(pending.size()));
   std::printf("TCB budget (kTcbBudget):           %llu\n",
               static_cast<unsigned long long>(kTcbBudget));
   std::printf("Linux kernel for comparison:       > 20,000,000\n");

@@ -10,14 +10,15 @@
 #include <fstream>
 #include <memory>
 
-#include "src/capability/graph_export.h"
 #include "src/monitor/attestation.h"
 #include "src/monitor/boot.h"
 #include "src/monitor/dispatch.h"
 #include "src/os/kernel.h"
 #include "src/support/profiler.h"
-#include "src/support/trace_export.h"
+#include "src/tyche/graph_export.h"
 #include "src/tyche/loader.h"
+#include "src/tyche/trace_export.h"
+#include "src/tyche/verifier.h"
 
 namespace tyche {
 
@@ -127,7 +128,7 @@ inline void DumpObservability(Monitor& monitor) {
   const std::vector<uint8_t> wire = monitor.ExportJournal();
   const std::string graph_json = ExportCapabilityGraphJson(monitor.engine());
   const Status verdict =
-      RemoteVerifier::VerifyJournal(wire, monitor.public_key(), &graph_json);
+      VerifyJournal(wire, {}, monitor.public_key(), &graph_json);
   std::printf("offline journal verification (%zu bytes): %s\n", wire.size(),
               verdict.ok() ? "chain + checkpoint signatures + graph replay OK"
                            : verdict.ToString().c_str());

@@ -7,8 +7,6 @@
 #include <string_view>
 #include <type_traits>
 
-#include "src/monitor/audit.h"
-
 namespace tyche {
 
 namespace {
@@ -214,123 +212,6 @@ Digest HashPublicKey(const SchnorrPublicKey& key) {
   ctx.Update(std::string_view("tyche-pubkey-v1"));
   ctx.UpdateValue(key.y);
   return ctx.Finalize();
-}
-
-namespace {
-
-Digest ExtendDigest(const Digest& pcr, const Digest& value) {
-  Sha256 ctx;
-  ctx.Update(std::span<const uint8_t>(pcr.bytes.data(), pcr.bytes.size()));
-  ctx.Update(std::span<const uint8_t>(value.bytes.data(), value.bytes.size()));
-  return ctx.Finalize();
-}
-
-}  // namespace
-
-Digest ExpectedPcr0(const Digest& firmware_measurement) {
-  return ExtendDigest(Digest{}, firmware_measurement);
-}
-
-Digest ExpectedPcr1(const Digest& monitor_measurement, const SchnorrPublicKey& monitor_key) {
-  const Digest after_image = ExtendDigest(Digest{}, monitor_measurement);
-  return ExtendDigest(after_image, HashPublicKey(monitor_key));
-}
-
-Status RemoteVerifier::VerifyMonitor(const MonitorIdentity& identity,
-                                     uint64_t expected_nonce) const {
-  if (!(identity.tpm_key == tpm_key_)) {
-    return Error(ErrorCode::kAttestationMismatch, "untrusted TPM key");
-  }
-  if (identity.firmware_measurement != golden_firmware_) {
-    return Error(ErrorCode::kAttestationMismatch, "firmware measurement mismatch");
-  }
-  if (identity.monitor_measurement != golden_monitor_) {
-    return Error(ErrorCode::kAttestationMismatch, "monitor measurement mismatch");
-  }
-  const TpmQuote& quote = identity.boot_quote;
-  if (quote.nonce != expected_nonce) {
-    return Error(ErrorCode::kAttestationMismatch, "stale quote nonce");
-  }
-  const uint32_t expected_mask = (1u << Tpm::kPcrFirmware) | (1u << Tpm::kPcrMonitor);
-  if (quote.pcr_mask != expected_mask || quote.pcr_values.size() != 2) {
-    return Error(ErrorCode::kAttestationMismatch, "quote does not cover boot PCRs");
-  }
-  if (quote.pcr_values[0] != ExpectedPcr0(golden_firmware_)) {
-    return Error(ErrorCode::kAttestationMismatch, "PCR0 does not match golden firmware");
-  }
-  if (quote.pcr_values[1] != ExpectedPcr1(golden_monitor_, identity.monitor_key)) {
-    return Error(ErrorCode::kAttestationMismatch,
-                 "PCR1 does not bind golden monitor to claimed key");
-  }
-  if (!Tpm::VerifyQuote(quote, tpm_key_)) {
-    return Error(ErrorCode::kSignatureInvalid, "TPM quote signature invalid");
-  }
-  return OkStatus();
-}
-
-Status RemoteVerifier::VerifyDomain(const DomainAttestation& report,
-                                    const SchnorrPublicKey& monitor_key,
-                                    uint64_t expected_nonce,
-                                    const Digest* expected_measurement) const {
-  if (report.nonce != expected_nonce) {
-    return Error(ErrorCode::kAttestationMismatch, "stale report nonce");
-  }
-  if (report.ComputeDigest() != report.report_digest) {
-    return Error(ErrorCode::kAttestationMismatch, "report digest inconsistent");
-  }
-  if (!SchnorrVerify(monitor_key, report.report_digest, report.signature)) {
-    return Error(ErrorCode::kSignatureInvalid, "report signature invalid");
-  }
-  if (!report.sealed) {
-    return Error(ErrorCode::kAttestationMismatch, "domain not sealed");
-  }
-  if (expected_measurement != nullptr && report.measurement != *expected_measurement) {
-    return Error(ErrorCode::kAttestationMismatch, "measurement does not match golden value");
-  }
-  return OkStatus();
-}
-
-Status RemoteVerifier::VerifyJournal(std::span<const uint8_t> journal_bytes,
-                                     const SchnorrPublicKey& monitor_key,
-                                     const std::string* expected_graph_json) {
-  TYCHE_ASSIGN_OR_RETURN(const ParsedJournal parsed, Journal::Deserialize(journal_bytes));
-  TYCHE_RETURN_IF_ERROR(
-      Journal::VerifyChain(parsed.records, parsed.checkpoints, monitor_key));
-  if (!parsed.records.empty() && parsed.records.front().seq != 0) {
-    // A compacted journal starts mid-history: the chain above is anchored to
-    // a signed checkpoint, but a genesis replay is impossible without the
-    // anchoring snapshot (VerifyJournalWithSnapshot in recovery.h).
-    if (expected_graph_json != nullptr) {
-      return Error(ErrorCode::kFailedPrecondition,
-                   "journal: truncated journal needs its snapshot to replay "
-                   "(use --snapshot)");
-    }
-    return OkStatus();
-  }
-  TYCHE_ASSIGN_OR_RETURN(const JournalReplay replay, ReplayJournal(parsed.records));
-  if (expected_graph_json != nullptr && replay.graph_json != *expected_graph_json) {
-    return Error(ErrorCode::kJournalReplayDivergence,
-                 "journal: replayed capability graph does not match the snapshot");
-  }
-  return OkStatus();
-}
-
-bool RemoteVerifier::AllResourcesExclusive(const DomainAttestation& report) {
-  for (const ResourceClaim& claim : report.resources) {
-    if (claim.ref_count != 1) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool RemoteVerifier::MaxRefCount(const DomainAttestation& report, uint32_t limit) {
-  for (const ResourceClaim& claim : report.resources) {
-    if (claim.kind == ResourceKind::kMemory && claim.ref_count > limit) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace tyche

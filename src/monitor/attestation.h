@@ -8,12 +8,15 @@
 //   enumerate physical resources, their reference counts, and the
 //   measurement of selected memory regions, which "makes sharing and
 //   communication paths between domains explicit".
+// This is the monitor's side: the report formats, their wire codecs and the
+// digest the monitor signs. The verifier's side of both tiers runs
+// off-machine and lives in src/tyche/verifier.h, outside the monitor's TCB.
 
 #ifndef SRC_MONITOR_ATTESTATION_H_
 #define SRC_MONITOR_ATTESTATION_H_
 
 #include <cstdint>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "src/capability/types.h"
@@ -68,60 +71,8 @@ Result<DomainAttestation> DeserializeAttestation(std::span<const uint8_t> bytes)
 std::vector<uint8_t> SerializeMonitorIdentity(const MonitorIdentity& identity);
 Result<MonitorIdentity> DeserializeMonitorIdentity(std::span<const uint8_t> bytes);
 
-// Recomputes the expected PCR values for a boot chain. PCR0 is extended
-// with the firmware measurement; PCR1 with the monitor measurement, then
-// with the hash of the monitor's public signing key (binding the key to the
-// measured code).
-Digest ExpectedPcr0(const Digest& firmware_measurement);
-Digest ExpectedPcr1(const Digest& monitor_measurement, const SchnorrPublicKey& monitor_key);
-
 // Hash of a public key (for PCR binding).
 Digest HashPublicKey(const SchnorrPublicKey& key);
-
-// The remote verifier (the paper's "customer"). Holds golden values and
-// checks the full chain.
-class RemoteVerifier {
- public:
-  RemoteVerifier(SchnorrPublicKey trusted_tpm_key, Digest golden_firmware,
-                 Digest golden_monitor)
-      : tpm_key_(trusted_tpm_key),
-        golden_firmware_(golden_firmware),
-        golden_monitor_(golden_monitor) {}
-
-  // Tier 1: checks the TPM quote covers PCR0+PCR1 with the expected values
-  // for the golden measurements and the claimed monitor key, under the
-  // trusted TPM key, with the expected nonce.
-  Status VerifyMonitor(const MonitorIdentity& identity, uint64_t expected_nonce) const;
-
-  // Tier 2: checks a domain report: signature by the (already verified)
-  // monitor key, nonce freshness, digest consistency, and -- optionally --
-  // an expected measurement (golden code identity).
-  Status VerifyDomain(const DomainAttestation& report, const SchnorrPublicKey& monitor_key,
-                      uint64_t expected_nonce, const Digest* expected_measurement) const;
-
-  // History: verifies a serialized audit journal end-to-end -- wire format,
-  // hash chain, checkpoint signatures under the (verified) monitor key --
-  // then replays it through a shadow capability engine. When
-  // `expected_graph_json` is non-null, the replayed graph (including
-  // refcounts) must match that graph_export snapshot byte-for-byte. Detects
-  // any single-record tamper, drop, reorder, or tail truncation.
-  static Status VerifyJournal(std::span<const uint8_t> journal_bytes,
-                              const SchnorrPublicKey& monitor_key,
-                              const std::string* expected_graph_json);
-
-  // Controlled-sharing policy checks over a verified report (§3.4: e.g.
-  // "exclusive access to a resource (reference count of 1) coupled with an
-  // obfuscating revocation policy guarantees integrity and
-  // confidentiality").
-  static bool AllResourcesExclusive(const DomainAttestation& report);
-  // True if every memory resource has ref_count <= limit.
-  static bool MaxRefCount(const DomainAttestation& report, uint32_t limit);
-
- private:
-  SchnorrPublicKey tpm_key_;
-  Digest golden_firmware_;
-  Digest golden_monitor_;
-};
 
 }  // namespace tyche
 

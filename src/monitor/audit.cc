@@ -5,7 +5,6 @@
 #include <deque>
 #include <sstream>
 
-#include "src/capability/graph_export.h"
 #include "src/monitor/monitor.h"
 
 namespace tyche {
@@ -497,13 +496,7 @@ Result<JournalReplay> ReplayJournalInto(CapabilityEngine* shadow,
     return Error(ErrorCode::kJournalReplayDivergence,
                  "journal replay: trailing cascade records missing");
   }
-  replay.graph_json = ExportCapabilityGraphJson(*shadow);
   return replay;
-}
-
-Result<JournalReplay> ReplayJournal(const std::vector<JournalRecord>& records) {
-  CapabilityEngine shadow;
-  return ReplayJournalInto(&shadow, records);
 }
 
 }  // namespace tyche

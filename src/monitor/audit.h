@@ -1,9 +1,11 @@
 // Copyright 2026 The Tyche Reproduction Authors.
 // The monitor-side face of the audit journal (§3.4 extended to history):
-// typed record builders for every capability mutation, human/JSON summaries,
-// and the shadow-replay verifier. The journal itself (hash chain, signed
-// checkpoints, wire format) lives in src/support/journal.h; this layer binds
-// it to the monitor's vocabulary -- ApiOps, capability ids, revoke outcomes.
+// typed record builders for every capability mutation, a text summary, and
+// the shadow replay that recovery, migration and the offline verifier
+// (VerifyJournal, src/tyche/verifier.h) share. The journal itself (hash
+// chain, signed checkpoints, wire format) lives in src/support/journal.h;
+// this layer binds it to the monitor's vocabulary -- ApiOps, capability ids,
+// revoke outcomes.
 //
 // Replay is the strongest check the journal affords: because the capability
 // engine allocates ids deterministically (validation happens before any id
@@ -107,7 +109,6 @@ class AuditJournal {
 struct JournalReplay {
   uint64_t applied = 0;  // engine mutations re-applied
   uint64_t skipped = 0;  // context records (dispatch, effects)
-  std::string graph_json;  // full-lineage export of the shadow engine
 };
 
 // Tolerances a recovery replay needs that a full-history audit must NOT
@@ -133,9 +134,6 @@ struct ReplayOptions {
 Result<JournalReplay> ReplayJournalInto(CapabilityEngine* shadow,
                                         std::span<const JournalRecord> records,
                                         const ReplayOptions& options = {});
-
-// Strict full-history replay through a fresh shadow engine.
-Result<JournalReplay> ReplayJournal(const std::vector<JournalRecord>& records);
 
 // The measurement a kSealDomain record carries (packed across its
 // cap/parent/base/size fields). Recovery uses it to rebuild attested

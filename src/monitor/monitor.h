@@ -261,7 +261,7 @@ class Monitor {
   // (quiesces via api_mu_).
   std::string ExportMetrics() const;
   // Checkpoints and serializes the audit journal (wire format for
-  // RemoteVerifier::VerifyJournal / tools/journal_verify).
+  // VerifyJournal in src/tyche/verifier.h / tools/journal_verify).
   std::vector<uint8_t> ExportJournal() { return audit_.Export(); }
 
   // --- Causal spans ---

@@ -1,8 +1,7 @@
 // Copyright 2026 The Tyche Reproduction Authors.
 // Recovery subsystem: snapshot encode/decode, Monitor::Recover /
-// Monitor::ResyncAll / Monitor::CaptureSnapshot, and the offline
-// snapshot-anchored verifier. Kept out of monitor.cc so the crash path and
-// the hot path do not share a translation unit.
+// Monitor::ResyncAll / Monitor::CaptureSnapshot. Kept out of monitor.cc so
+// the crash path and the hot path do not share a translation unit.
 
 #include "src/monitor/recovery.h"
 
@@ -531,51 +530,11 @@ Status Monitor::Recover(std::span<const uint8_t> snapshot_bytes,
   return OkStatus();
 }
 
-Status VerifyJournalWithSnapshot(std::span<const uint8_t> journal_bytes,
-                                 std::span<const uint8_t> snapshot_bytes,
-                                 const SchnorrPublicKey& key,
-                                 const std::string& expected_graph_json) {
-  TYCHE_ASSIGN_OR_RETURN(const ParsedJournal parsed, Journal::Deserialize(journal_bytes));
-  TYCHE_RETURN_IF_ERROR(Journal::VerifyChain(parsed.records, parsed.checkpoints, key));
-
-  const Digest digest = SnapshotDigest(snapshot_bytes);
-  const JournalCheckpoint* bound = nullptr;
-  for (const JournalCheckpoint& checkpoint : parsed.checkpoints) {
-    if (checkpoint.snapshot == digest) {
-      bound = &checkpoint;
-    }
-  }
-  if (bound == nullptr) {
-    return Error(ErrorCode::kJournalSignatureInvalid,
-                 "snapshot digest is not bound to any signed checkpoint");
-  }
-
+Status RestoreSnapshotEngine(std::span<const uint8_t> snapshot_bytes,
+                             CapabilityEngine* engine) {
   MonitorImage image;
   TYCHE_RETURN_IF_ERROR(DecodeMonitorImage(snapshot_bytes, &image));
-  CapabilityEngine shadow;
-  TYCHE_RETURN_IF_ERROR(shadow.Restore(image.engine));
-
-  const uint64_t parsed_base = parsed.records.empty() ? 0 : parsed.records.front().seq;
-  const uint64_t suffix_start_seq = bound->seq + 1;
-  if (suffix_start_seq < parsed_base) {
-    return Error(ErrorCode::kJournalChainBroken,
-                 "journal does not reach back to the snapshot checkpoint");
-  }
-  const size_t suffix_begin =
-      std::min(static_cast<size_t>(suffix_start_seq - parsed_base), parsed.records.size());
-
-  ReplayOptions options;
-  options.skip_leading_orphans = true;  // checkpoints can land mid-span
-  TYCHE_ASSIGN_OR_RETURN(
-      const JournalReplay replay,
-      ReplayJournalInto(&shadow,
-                        std::span<const JournalRecord>(parsed.records).subspan(suffix_begin),
-                        options));
-  if (!expected_graph_json.empty() && replay.graph_json != expected_graph_json) {
-    return Error(ErrorCode::kJournalReplayDivergence,
-                 "suffix replay over the snapshot diverges from the attested graph");
-  }
-  return OkStatus();
+  return engine->Restore(image.engine);
 }
 
 Result<BootOutcome> MeasuredRecovery(Machine* machine, const BootParams& params,

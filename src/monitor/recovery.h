@@ -26,7 +26,6 @@
 #define SRC_MONITOR_RECOVERY_H_
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "src/monitor/boot.h"
@@ -66,18 +65,10 @@ class SnapshotStore {
 // crash sweep's equivalence oracle.
 Digest EngineDigest(const CapabilityEngine& engine);
 
-// Offline snapshot-anchored verification (tools/journal_verify --snapshot):
-// parses and self-checks the snapshot, requires its digest to be bound into
-// a signed checkpoint, verifies the (possibly truncated) chain, replays the
-// suffix on top of the snapshot's engine image, and — when non-empty —
-// compares the resulting graph against `expected_graph_json`. Error codes
-// distinguish chain breaks (kJournalChainBroken), bad signatures
-// (kJournalSignatureInvalid), and replay divergence
-// (kJournalReplayDivergence).
-Status VerifyJournalWithSnapshot(std::span<const uint8_t> journal_bytes,
-                                 std::span<const uint8_t> snapshot_bytes,
-                                 const SchnorrPublicKey& key,
-                                 const std::string& expected_graph_json);
+// Decodes a snapshot as Recover() does and restores the capability engine it
+// carries into `engine`: the base a snapshot-anchored offline replay starts
+// from (VerifyJournal in src/tyche/verifier.h).
+Status RestoreSnapshotEngine(std::span<const uint8_t> snapshot_bytes, CapabilityEngine* engine);
 
 // Crash-recovery boot: measured-boot steps 1–4 (measure firmware + monitor,
 // derive the measurement-bound attestation key) followed by

@@ -13,30 +13,6 @@ uint64_t DedupKey(uint16_t op, uint64_t error) {
   return (static_cast<uint64_t>(op) << 48) ^ (error + 1);
 }
 
-void AppendJsonString(std::ostringstream& out, const std::string& text) {
-  out << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out << ' ';
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
 }  // namespace
 
 FlightRecorder::FlightRecorder(const TraceRing* ring, const MetricsRegistry* registry,
@@ -135,21 +111,19 @@ std::string FlightRecorder::DumpJson(
     if (i > 0) {
       out << ",";
     }
-    out << "{\"id\":" << record.id << ",\"reason\":";
-    AppendJsonString(out, record.reason);
-    out << ",\"op\":";
-    AppendJsonString(out, op_name ? op_name(record.op) : std::to_string(record.op));
-    out << ",\"span\":" << record.span << ",\"error\":" << record.error << ",\"detail\":";
-    AppendJsonString(out, record.detail);
-    out << ",\"trace\":[";
+    out << "{\"id\":" << record.id << ",\"reason\":\"" << EscapeJsonString(record.reason)
+        << "\",\"op\":\""
+        << EscapeJsonString(op_name ? op_name(record.op) : std::to_string(record.op))
+        << "\",\"span\":" << record.span << ",\"error\":" << record.error
+        << ",\"detail\":\"" << EscapeJsonString(record.detail) << "\",\"trace\":[";
     for (size_t j = 0; j < record.trace.size(); ++j) {
       const TraceEntry& entry = record.trace[j];
       if (j > 0) {
         out << ",";
       }
-      out << "{\"seq\":" << entry.seq << ",\"op\":";
-      AppendJsonString(out, op_name ? op_name(entry.op) : std::to_string(entry.op));
-      out << ",\"core\":" << entry.core << ",\"domain\":" << entry.domain
+      out << "{\"seq\":" << entry.seq << ",\"op\":\""
+          << EscapeJsonString(op_name ? op_name(entry.op) : std::to_string(entry.op))
+          << "\",\"core\":" << entry.core << ",\"domain\":" << entry.domain
           << ",\"span\":" << entry.span << ",\"error\":" << entry.error
           << ",\"duration_ns\":" << entry.duration_ns << "}";
     }
@@ -158,8 +132,8 @@ std::string FlightRecorder::DumpJson(
       if (j > 0) {
         out << ",";
       }
-      AppendJsonString(out, record.metrics_delta[j].first);
-      out << ":" << record.metrics_delta[j].second;
+      out << '"' << EscapeJsonString(record.metrics_delta[j].first) << "\":"
+          << record.metrics_delta[j].second;
     }
     out << "}}";
   }

@@ -3,6 +3,7 @@
 #include "src/support/metrics.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
 
 namespace tyche {
@@ -33,6 +34,39 @@ std::string PromEscapeHelp(const std::string& text) {
         break;
       default:
         out += c;
+    }
+  }
+  return out;
+}
+
+std::string EscapeJsonString(const std::string& text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    switch (c) {
+      case '\\':
+        out += "\\\\";
+        break;
+      case '"':
+        out += "\\\"";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
     }
   }
   return out;

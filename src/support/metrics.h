@@ -198,6 +198,11 @@ using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 std::string PromEscapeHelp(const std::string& text);
 std::string PromEscapeLabelValue(const std::string& text);
 
+// Escapes a string for use inside a JSON string literal: quotes, backslash,
+// and every control character (\n, \r, \t, otherwise \uXXXX), so no byte is
+// lost. The one JSON escaper of every exporter.
+std::string EscapeJsonString(const std::string& text);
+
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

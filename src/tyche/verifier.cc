@@ -2,12 +2,70 @@
 
 #include "src/tyche/verifier.h"
 
+#include <algorithm>
+
 #include "src/monitor/audit.h"
+#include "src/monitor/recovery.h"
 #include "src/support/journal.h"
+#include "src/tyche/graph_export.h"
 
 namespace tyche {
 
 namespace {
+
+Digest ExtendDigest(const Digest& pcr, const Digest& value) {
+  Sha256 ctx;
+  ctx.Update(std::span<const uint8_t>(pcr.bytes.data(), pcr.bytes.size()));
+  ctx.Update(std::span<const uint8_t>(value.bytes.data(), value.bytes.size()));
+  return ctx.Finalize();
+}
+
+uint64_t LinkPrefix64(const Digest& digest) {
+  uint64_t value = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    value |= static_cast<uint64_t>(digest.bytes[i]) << (8 * i);
+  }
+  return value;
+}
+
+// Tier-2 checks before the signature, in the order every path runs them:
+// nonce freshness, then digest consistency.
+Status CheckBeforeSignature(const DomainAttestation& report, uint64_t expected_nonce) {
+  if (report.nonce != expected_nonce) {
+    return Error(ErrorCode::kAttestationMismatch, "stale report nonce");
+  }
+  if (report.ComputeDigest() != report.report_digest) {
+    return Error(ErrorCode::kAttestationMismatch, "report digest inconsistent");
+  }
+  return OkStatus();
+}
+
+// The wire paths' pre-signature check: a hardened parse, then the checks
+// above. A parse failure on attestation bytes is an integrity event, not a
+// format quibble: it surfaces as the typed mismatch the fleet's retry and
+// breaker logic key on.
+Result<DomainAttestation> ParseBeforeSignature(std::span<const uint8_t> bytes,
+                                               uint64_t expected_nonce) {
+  auto report = DeserializeAttestation(bytes);
+  if (!report.ok()) {
+    return Error(ErrorCode::kAttestationMismatch,
+                 "attestation failed to deserialize: " + report.status().message());
+  }
+  TYCHE_RETURN_IF_ERROR(CheckBeforeSignature(*report, expected_nonce));
+  return report;
+}
+
+// Tier-2 checks after the signature: sealing, then the golden measurement.
+Status CheckAfterSignature(const DomainAttestation& report,
+                           const Digest* expected_measurement) {
+  if (!report.sealed) {
+    return Error(ErrorCode::kAttestationMismatch, "domain not sealed");
+  }
+  if (expected_measurement != nullptr && report.measurement != *expected_measurement) {
+    return Error(ErrorCode::kAttestationMismatch, "measurement does not match golden value");
+  }
+  return OkStatus();
+}
 
 // Finds the channel covering `range`, if any.
 const DeploymentChannel* ChannelFor(const DeploymentPolicy& policy, const AddrRange& range) {
@@ -29,6 +87,58 @@ bool ChannelNamesDomain(const DeploymentChannel& channel, uint32_t domain) {
 }
 
 }  // namespace
+
+Digest ExpectedPcr0(const Digest& firmware_measurement) {
+  return ExtendDigest(Digest{}, firmware_measurement);
+}
+
+Digest ExpectedPcr1(const Digest& monitor_measurement, const SchnorrPublicKey& monitor_key) {
+  const Digest after_image = ExtendDigest(Digest{}, monitor_measurement);
+  return ExtendDigest(after_image, HashPublicKey(monitor_key));
+}
+
+Status RemoteVerifier::VerifyMonitor(const MonitorIdentity& identity,
+                                     uint64_t expected_nonce) const {
+  if (!(identity.tpm_key == tpm_key_)) {
+    return Error(ErrorCode::kAttestationMismatch, "untrusted TPM key");
+  }
+  if (identity.firmware_measurement != golden_firmware_) {
+    return Error(ErrorCode::kAttestationMismatch, "firmware measurement mismatch");
+  }
+  if (identity.monitor_measurement != golden_monitor_) {
+    return Error(ErrorCode::kAttestationMismatch, "monitor measurement mismatch");
+  }
+  const TpmQuote& quote = identity.boot_quote;
+  if (quote.nonce != expected_nonce) {
+    return Error(ErrorCode::kAttestationMismatch, "stale quote nonce");
+  }
+  const uint32_t expected_mask = (1u << Tpm::kPcrFirmware) | (1u << Tpm::kPcrMonitor);
+  if (quote.pcr_mask != expected_mask || quote.pcr_values.size() != 2) {
+    return Error(ErrorCode::kAttestationMismatch, "quote does not cover boot PCRs");
+  }
+  if (quote.pcr_values[0] != ExpectedPcr0(golden_firmware_)) {
+    return Error(ErrorCode::kAttestationMismatch, "PCR0 does not match golden firmware");
+  }
+  if (quote.pcr_values[1] != ExpectedPcr1(golden_monitor_, identity.monitor_key)) {
+    return Error(ErrorCode::kAttestationMismatch,
+                 "PCR1 does not bind golden monitor to claimed key");
+  }
+  if (!Tpm::VerifyQuote(quote, tpm_key_)) {
+    return Error(ErrorCode::kSignatureInvalid, "TPM quote signature invalid");
+  }
+  return OkStatus();
+}
+
+Status RemoteVerifier::VerifyDomain(const DomainAttestation& report,
+                                    const SchnorrPublicKey& monitor_key,
+                                    uint64_t expected_nonce,
+                                    const Digest* expected_measurement) {
+  TYCHE_RETURN_IF_ERROR(CheckBeforeSignature(report, expected_nonce));
+  if (!SchnorrVerify(monitor_key, report.report_digest, report.signature)) {
+    return Error(ErrorCode::kSignatureInvalid, "report signature invalid");
+  }
+  return CheckAfterSignature(report, expected_measurement);
+}
 
 Status VerifyDeployment(std::span<const DomainAttestation> reports,
                         const DeploymentPolicy& policy) {
@@ -97,6 +207,7 @@ Status VerifyDeployment(std::span<const DomainAttestation> reports,
 }
 
 Status CustomerVerifier::VerifyMonitor(const MonitorIdentity& identity, uint64_t nonce) {
+  monitor_key_.reset();
   TYCHE_RETURN_IF_ERROR(verifier_.VerifyMonitor(identity, nonce));
   monitor_key_ = identity.monitor_key;
   return OkStatus();
@@ -112,7 +223,7 @@ Status CustomerVerifier::VerifyDomainAgainstImage(const DomainAttestation& repor
   }
   TYCHE_ASSIGN_OR_RETURN(const Digest golden,
                          ComputeExpectedMeasurement(image, base, size, cores));
-  return verifier_.VerifyDomain(report, *monitor_key_, nonce, &golden);
+  return RemoteVerifier::VerifyDomain(report, *monitor_key_, nonce, &golden);
 }
 
 Status CustomerVerifier::CheckSharingPolicy(const DomainAttestation& report,
@@ -138,63 +249,35 @@ Status CustomerVerifier::CheckSharingPolicy(const DomainAttestation& report,
   return OkStatus();
 }
 
-namespace {
-
-uint64_t LinkPrefix64(const Digest& digest) {
-  uint64_t value = 0;
-  for (size_t i = 0; i < 8; ++i) {
-    value |= static_cast<uint64_t>(digest.bytes[i]) << (8 * i);
-  }
-  return value;
-}
-
-}  // namespace
-
 Result<DomainAttestation> VerifySerializedReport(
     std::span<const uint8_t> bytes, const SchnorrPublicKey& monitor_key,
     uint64_t expected_nonce, const Digest* expected_measurement) {
-  auto report = DeserializeAttestation(bytes);
+  auto report = ParseBeforeSignature(bytes, expected_nonce);
   if (!report.ok()) {
-    // Parse failure on attestation bytes is an integrity event, not a
-    // format quibble: surface it as the typed mismatch the caller's retry
-    // and breaker logic key on.
-    return Error(ErrorCode::kAttestationMismatch,
-                 "attestation failed to deserialize: " + report.status().message());
+    return report;
   }
-  // VerifyDomain only consults its parameters; the verifier's golden/TPM
-  // state is tier-1 material and unused here.
-  const RemoteVerifier verifier(SchnorrPublicKey{}, Digest{}, Digest{});
-  TYCHE_RETURN_IF_ERROR(verifier.VerifyDomain(*report, monitor_key,
-                                              expected_nonce, expected_measurement));
-  return *report;
+  if (!SchnorrVerify(monitor_key, report->report_digest, report->signature)) {
+    return Error(ErrorCode::kSignatureInvalid, "report signature invalid");
+  }
+  TYCHE_RETURN_IF_ERROR(CheckAfterSignature(*report, expected_measurement));
+  return report;
 }
 
 std::vector<BatchReportOutcome> VerifySerializedReportBatch(
     std::span<const BatchReportInput> inputs, const SchnorrPublicKey& monitor_key) {
   std::vector<BatchReportOutcome> outcomes(inputs.size());
 
-  // Phase 1: per-report structural checks in the same order as
-  // VerifySerializedReport (parse, nonce, digest) so per-item statuses are
-  // identical to the unbatched path. Reports that survive contribute their
-  // signature to the shared batch.
+  // Phase 1: the single path's pre-signature check per report, so per-item
+  // statuses are identical to the unbatched path. Reports that survive
+  // contribute their signature to the shared batch.
   std::vector<SchnorrBatchItem> items;
   std::vector<size_t> item_owner;  // batch index -> input index
   items.reserve(inputs.size());
   item_owner.reserve(inputs.size());
   for (size_t i = 0; i < inputs.size(); ++i) {
-    auto report = DeserializeAttestation(inputs[i].bytes);
+    auto report = ParseBeforeSignature(inputs[i].bytes, inputs[i].expected_nonce);
     if (!report.ok()) {
-      outcomes[i].status =
-          Error(ErrorCode::kAttestationMismatch,
-                "attestation failed to deserialize: " + report.status().message());
-      continue;
-    }
-    if (report->nonce != inputs[i].expected_nonce) {
-      outcomes[i].status = Error(ErrorCode::kAttestationMismatch, "stale report nonce");
-      continue;
-    }
-    if (report->ComputeDigest() != report->report_digest) {
-      outcomes[i].status = Error(ErrorCode::kAttestationMismatch, "report digest inconsistent");
+      outcomes[i].status = report.status();
       continue;
     }
     items.push_back(SchnorrBatchItem{monitor_key, report->report_digest, report->signature});
@@ -210,29 +293,72 @@ std::vector<BatchReportOutcome> VerifySerializedReportBatch(
     sig_ok[bad] = false;
   }
 
-  // Phase 3: post-signature checks (sealed, golden measurement), still in
-  // single-verify order.
+  // Phase 3: the single path's post-signature check.
   for (size_t b = 0; b < items.size(); ++b) {
     const size_t i = item_owner[b];
-    if (!sig_ok[b]) {
-      outcomes[i].status = Error(ErrorCode::kSignatureInvalid, "report signature invalid");
-      outcomes[i].report.reset();
-      continue;
-    }
-    const DomainAttestation& report = *outcomes[i].report;
-    if (!report.sealed) {
-      outcomes[i].status = Error(ErrorCode::kAttestationMismatch, "domain not sealed");
-      outcomes[i].report.reset();
-      continue;
-    }
-    if (inputs[i].expected_measurement != nullptr &&
-        report.measurement != *inputs[i].expected_measurement) {
-      outcomes[i].status =
-          Error(ErrorCode::kAttestationMismatch, "measurement does not match golden value");
+    outcomes[i].status =
+        sig_ok[b] ? CheckAfterSignature(*outcomes[i].report, inputs[i].expected_measurement)
+                  : Error(ErrorCode::kSignatureInvalid, "report signature invalid");
+    if (!outcomes[i].status.ok()) {
       outcomes[i].report.reset();
     }
   }
   return outcomes;
+}
+
+Status VerifyJournal(std::span<const uint8_t> journal_bytes,
+                     std::span<const uint8_t> snapshot_bytes,
+                     const SchnorrPublicKey& monitor_key,
+                     const std::string* expected_graph_json) {
+  TYCHE_ASSIGN_OR_RETURN(const ParsedJournal parsed, Journal::Deserialize(journal_bytes));
+  TYCHE_RETURN_IF_ERROR(
+      Journal::VerifyChain(parsed.records, parsed.checkpoints, monitor_key));
+  const bool genesis = snapshot_bytes.empty();
+  std::span<const JournalRecord> replayed = parsed.records;
+  CapabilityEngine shadow;
+  ReplayOptions options;
+  if (genesis && !replayed.empty() && replayed.front().seq != 0) {
+    // A compacted journal starts mid-history: the chain above is anchored to
+    // a signed checkpoint, but a genesis replay is impossible without the
+    // anchoring snapshot.
+    if (expected_graph_json != nullptr) {
+      return Error(ErrorCode::kFailedPrecondition,
+                   "journal: truncated journal needs its snapshot to replay "
+                   "(use --snapshot)");
+    }
+    return OkStatus();
+  }
+  if (!genesis) {
+    const Digest digest = SnapshotDigest(snapshot_bytes);
+    const JournalCheckpoint* bound = nullptr;
+    for (const JournalCheckpoint& checkpoint : parsed.checkpoints) {
+      if (checkpoint.snapshot == digest) {
+        bound = &checkpoint;
+      }
+    }
+    if (bound == nullptr) {
+      return Error(ErrorCode::kJournalSignatureInvalid,
+                   "snapshot digest is not bound to any signed checkpoint");
+    }
+    TYCHE_RETURN_IF_ERROR(RestoreSnapshotEngine(snapshot_bytes, &shadow));
+    const uint64_t base = replayed.empty() ? 0 : replayed.front().seq;
+    const uint64_t suffix_start_seq = bound->seq + 1;
+    if (suffix_start_seq < base) {
+      return Error(ErrorCode::kJournalChainBroken,
+                   "journal does not reach back to the snapshot checkpoint");
+    }
+    replayed = replayed.subspan(
+        std::min(static_cast<size_t>(suffix_start_seq - base), replayed.size()));
+    options.skip_leading_orphans = true;  // checkpoints can land mid-span
+  }
+  TYCHE_RETURN_IF_ERROR(ReplayJournalInto(&shadow, replayed, options).status());
+  if (expected_graph_json != nullptr &&
+      ExportCapabilityGraphJson(shadow) != *expected_graph_json) {
+    return Error(ErrorCode::kJournalReplayDivergence,
+                 genesis ? "journal: replayed capability graph does not match the snapshot"
+                         : "suffix replay over the snapshot diverges from the attested graph");
+  }
+  return OkStatus();
 }
 
 Status VerifyJournalSplice(std::span<const uint8_t> source_journal,

@@ -11,11 +11,12 @@
 #include <string>
 #include <vector>
 
-#include "src/capability/graph_export.h"
 #include "src/monitor/attestation.h"
 #include "src/monitor/audit.h"
 #include "src/monitor/dispatch.h"
 #include "src/support/prng.h"
+#include "src/tyche/graph_export.h"
+#include "src/tyche/verifier.h"
 #include "tests/testing/booted_machine.h"
 
 namespace tyche {
@@ -96,7 +97,7 @@ TEST_F(AuditJournalTest, ReplayReproducesGraphAndSpansTieTheCascade) {
 
   const std::string graph_json = ExportCapabilityGraphJson(monitor_->engine());
   const std::vector<uint8_t> wire = monitor_->ExportJournal();
-  EXPECT_TRUE(RemoteVerifier::VerifyJournal(wire, monitor_->public_key(), &graph_json).ok());
+  EXPECT_TRUE(VerifyJournal(wire, {}, monitor_->public_key(), &graph_json).ok());
 
   // The cascade is causally tied to its root: the kRevoke record and one
   // kCascade record per deactivated capability share a single span id.
@@ -127,9 +128,10 @@ TEST_F(AuditJournalTest, ReplayReproducesGraphAndSpansTieTheCascade) {
   // the context records (dispatches and hardware effects).
   const auto parsed = Journal::Deserialize(wire);
   ASSERT_TRUE(parsed.ok());
-  const auto replay = ReplayJournal(parsed->records);
+  CapabilityEngine shadow;
+  const auto replay = ReplayJournalInto(&shadow, parsed->records);
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-  EXPECT_EQ(replay->graph_json, graph_json);
+  EXPECT_EQ(ExportCapabilityGraphJson(shadow), graph_json);
   EXPECT_GT(replay->applied, 0u);
   EXPECT_GT(replay->skipped, 0u);
 }
@@ -138,7 +140,7 @@ TEST_F(AuditJournalTest, EveryRandomizedTamperIsCaught) {
   RunCircularWorkload();
   const std::vector<uint8_t> wire = monitor_->ExportJournal();
   const SchnorrPublicKey key = monitor_->public_key();
-  ASSERT_TRUE(RemoteVerifier::VerifyJournal(wire, key, nullptr).ok());
+  ASSERT_TRUE(VerifyJournal(wire, {}, key, nullptr).ok());
   const auto parsed = Journal::Deserialize(wire);
   ASSERT_TRUE(parsed.ok());
   ASSERT_GE(parsed->records.size(), 10u);
@@ -146,7 +148,7 @@ TEST_F(AuditJournalTest, EveryRandomizedTamperIsCaught) {
   // A tamper "counts as caught" if either deserialization or verification
   // rejects it; acceptance of any mutated journal is a test failure.
   const auto caught = [&](const std::vector<uint8_t>& bytes) {
-    return !RemoteVerifier::VerifyJournal(bytes, key, nullptr).ok();
+    return !VerifyJournal(bytes, {}, key, nullptr).ok();
   };
 
   Prng prng(0x7a3c);

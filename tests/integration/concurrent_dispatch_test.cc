@@ -18,12 +18,13 @@
 #include <vector>
 
 #include "src/capability/engine.h"
-#include "src/capability/graph_export.h"
-#include "src/monitor/audit.h"
 #include "src/monitor/attestation.h"
+#include "src/monitor/audit.h"
 #include "src/monitor/dispatch.h"
 #include "src/monitor/recovery.h"
 #include "src/support/faults.h"
+#include "src/tyche/graph_export.h"
+#include "src/tyche/verifier.h"
 #include "tests/testing/booted_machine.h"
 
 namespace tyche {
@@ -117,7 +118,7 @@ TEST_F(ConcurrentDispatchTest, StressedMonitorStillReplaysAndVerifies) {
   // does: a verifying chain whose replay reproduces the live engine.
   const std::string graph_json = ExportCapabilityGraphJson(monitor_->engine());
   const std::vector<uint8_t> wire = monitor_->ExportJournal();
-  ASSERT_TRUE(RemoteVerifier::VerifyJournal(wire, monitor_->public_key(), &graph_json).ok());
+  ASSERT_TRUE(VerifyJournal(wire, {}, monitor_->public_key(), &graph_json).ok());
   const std::vector<JournalRecord> records = monitor_->audit().journal().Records();
   CapabilityEngine shadow;
   const auto replay = ReplayJournalInto(&shadow, std::span<const JournalRecord>(records));
@@ -182,7 +183,7 @@ TEST_F(ConcurrentDispatchTest, DestroyDomainPartialPurgeJournalsCommittedPrefix)
 
   const std::string graph_json = ExportCapabilityGraphJson(monitor_->engine());
   const std::vector<uint8_t> wire = monitor_->ExportJournal();
-  EXPECT_TRUE(RemoteVerifier::VerifyJournal(wire, monitor_->public_key(), &graph_json).ok());
+  EXPECT_TRUE(VerifyJournal(wire, {}, monitor_->public_key(), &graph_json).ok());
 }
 
 TEST_F(ConcurrentDispatchTest, ConcurrencyAndSnapshotsAreMutuallyExclusive) {

@@ -26,12 +26,13 @@
 #include <string>
 #include <vector>
 
-#include "src/capability/graph_export.h"
 #include "src/monitor/attestation.h"
 #include "src/monitor/audit.h"
 #include "src/monitor/dispatch.h"
 #include "src/monitor/recovery.h"
 #include "src/support/faults.h"
+#include "src/tyche/graph_export.h"
+#include "src/tyche/verifier.h"
 #include "tests/testing/booted_machine.h"
 #include "tests/testing/sweep_driver.h"
 
@@ -206,9 +207,8 @@ void ExpectRecoveredMonitorIsSound(Monitor* monitor, const Digest& oracle,
   const std::vector<uint8_t> wire = monitor->ExportJournal();
   const Status verified =
       anchor_snapshot.empty()
-          ? RemoteVerifier::VerifyJournal(wire, monitor->public_key(), &graph_json)
-          : VerifyJournalWithSnapshot(wire, anchor_snapshot, monitor->public_key(),
-                                      graph_json);
+          ? VerifyJournal(wire, {}, monitor->public_key(), &graph_json)
+          : VerifyJournal(wire, anchor_snapshot, monitor->public_key(), &graph_json);
   EXPECT_TRUE(verified.ok()) << verified.ToString();
 }
 

@@ -5,11 +5,12 @@
 
 #include <gtest/gtest.h>
 
-#include "src/capability/graph_export.h"
 #include "src/monitor/attestation.h"
 #include "src/monitor/vtx_backend.h"
 #include "src/support/faults.h"
 #include "src/tyche/channel.h"
+#include "src/tyche/graph_export.h"
+#include "src/tyche/verifier.h"
 #include "tests/testing/booted_machine.h"
 
 namespace tyche {
@@ -66,8 +67,8 @@ class FailureInjectionTest : public BootedMachineTest {
 
   void VerifyJournalAgainstLiveGraph() {
     const std::string graph_json = ExportCapabilityGraphJson(monitor_->engine());
-    const Status verified = RemoteVerifier::VerifyJournal(
-        monitor_->ExportJournal(), monitor_->public_key(), &graph_json);
+    const Status verified =
+        VerifyJournal(monitor_->ExportJournal(), {}, monitor_->public_key(), &graph_json);
     EXPECT_TRUE(verified.ok()) << verified.ToString();
   }
 };

@@ -20,11 +20,12 @@
 #include <string>
 #include <vector>
 
-#include "src/capability/graph_export.h"
 #include "src/monitor/attestation.h"
 #include "src/monitor/audit.h"
 #include "src/monitor/dispatch.h"
 #include "src/support/faults.h"
+#include "src/tyche/graph_export.h"
+#include "src/tyche/verifier.h"
 #include "tests/testing/booted_machine.h"
 #include "tests/testing/sweep_driver.h"
 
@@ -158,7 +159,7 @@ void VerifyConsistency(Testbed& bed) {
   const std::string graph_json = ExportCapabilityGraphJson(bed.monitor_->engine());
   const std::vector<uint8_t> wire = bed.monitor_->ExportJournal();
   const Status verified =
-      RemoteVerifier::VerifyJournal(wire, bed.monitor_->public_key(), &graph_json);
+      VerifyJournal(wire, {}, bed.monitor_->public_key(), &graph_json);
   EXPECT_TRUE(verified.ok()) << verified.ToString();
 }
 

@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include "src/capability/graph_export.h"
 #include "src/monitor/dispatch.h"
 #include "src/support/log.h"
+#include "src/tyche/graph_export.h"
 #include "tests/testing/booted_machine.h"
 
 namespace tyche {
@@ -123,12 +123,9 @@ TEST_F(TelemetryObservabilityTest, CapabilityGraphExportCarriesRefcounts) {
   EXPECT_NE(json.find("\"ref_count\":2"), std::string::npos);
   EXPECT_NE(json.find("\"origin\":\"share\""), std::string::npos);
 
-  // Revoking the share reclaims the node: it leaves both exports, and the
+  // Revoking the share reclaims the node: it leaves the export, and the
   // lineage history lives in the journal instead.
   ASSERT_EQ(Call(0, ApiOp::kRevoke, shared.ret0).error, 0u);
-  const std::string active_only =
-      ExportCapabilityGraphJson(monitor_->engine(), {.include_inactive = false});
-  EXPECT_EQ(active_only.find("\"origin\":\"share\""), std::string::npos);
   const std::string full = ExportCapabilityGraphJson(monitor_->engine());
   EXPECT_EQ(full.find("\"origin\":\"share\""), std::string::npos);
   EXPECT_EQ(full.find("\"state\":\"revoked\""), std::string::npos);

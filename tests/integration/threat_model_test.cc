@@ -7,6 +7,7 @@
 
 #include "src/baseline/monopoly.h"
 #include "src/baseline/sgx_model.h"
+#include "src/tyche/verifier.h"
 #include "tests/testing/booted_machine.h"
 
 namespace tyche {

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/monitor/boot.h"
 #include "src/monitor/monitor.h"
+#include "src/tyche/verifier.h"
 
 namespace tyche {
 namespace {
@@ -209,8 +212,13 @@ TEST_F(AttestationTest, Tier2RefCountsExposeSharing) {
   const uint64_t base = 16 * kMiB;
   const CapId handle = MakeSealedEnclave(base);
   auto report = *monitor_->AttestDomain(0, handle, 5);
-  EXPECT_TRUE(RemoteVerifier::MaxRefCount(report, 1));  // memory is exclusive
-  EXPECT_FALSE(RemoteVerifier::AllResourcesExclusive(report));  // core is shared
+  // Memory is exclusive, so the default (all-exclusive) policy passes; the
+  // core stays shared with the OS, which a memory policy does not judge.
+  EXPECT_TRUE(CustomerVerifier::CheckSharingPolicy(report, SharingPolicy{}).ok());
+  EXPECT_TRUE(std::any_of(report.resources.begin(), report.resources.end(),
+                          [](const ResourceClaim& claim) {
+                            return claim.kind == ResourceKind::kCpuCore && claim.ref_count > 1;
+                          }));
 
   // Now build a domain whose memory is shared with the OS: the report must
   // show ref_count 2, and the customer's exclusivity policy must reject it.
@@ -228,7 +236,8 @@ TEST_F(AttestationTest, Tier2RefCountsExposeSharing) {
   ASSERT_TRUE(monitor_->SetEntryPoint(0, created->handle, 32 * kMiB).ok());
   ASSERT_TRUE(monitor_->Seal(0, created->handle).ok());
   const auto leaky = *monitor_->AttestDomain(0, created->handle, 6);
-  EXPECT_FALSE(RemoteVerifier::MaxRefCount(leaky, 1));
+  EXPECT_EQ(CustomerVerifier::CheckSharingPolicy(leaky, SharingPolicy{}).code(),
+            ErrorCode::kPolicyViolation);
 }
 
 TEST_F(AttestationTest, ExpectedPcrHelpersMatchTpm) {

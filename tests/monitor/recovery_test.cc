@@ -13,11 +13,12 @@
 #include <memory>
 #include <vector>
 
-#include "src/capability/graph_export.h"
 #include "src/monitor/attestation.h"
 #include "src/monitor/audit.h"
 #include "src/monitor/dispatch.h"
 #include "src/support/faults.h"
+#include "src/tyche/graph_export.h"
+#include "src/tyche/verifier.h"
 #include "tests/testing/booted_machine.h"
 
 namespace tyche {
@@ -211,8 +212,8 @@ TEST(RecoveryTest, SnapshotPlusSuffixRebuildsTheExactEngine) {
   // extend the restored chain under the same key.
   EXPECT_TRUE(bed->monitor->CreateDomain(0, "post-crash").ok());
   const std::string graph_json = ExportCapabilityGraphJson(bed->monitor->engine());
-  const Status verified = RemoteVerifier::VerifyJournal(
-      bed->monitor->ExportJournal(), bed->monitor->public_key(), &graph_json);
+  const Status verified = VerifyJournal(bed->monitor->ExportJournal(), {},
+                                        bed->monitor->public_key(), &graph_json);
   EXPECT_TRUE(verified.ok()) << verified.ToString();
 }
 
@@ -470,28 +471,28 @@ TEST(RecoveryTest, OfflineVerifierAcceptsSnapshotAnchoredJournal) {
   const std::vector<uint8_t> wire = bed->monitor->ExportJournal();
   const std::string graph_json = ExportCapabilityGraphJson(bed->monitor->engine());
 
-  const Status ok = VerifyJournalWithSnapshot(wire, snapshot->bytes, key, graph_json);
+  const Status ok = VerifyJournal(wire, snapshot->bytes, key, &graph_json);
   EXPECT_TRUE(ok.ok()) << ok.ToString();
 
   // Wrong expected graph: the replay diverges from the claimed state.
   std::string wrong_graph = graph_json;
   ASSERT_FALSE(wrong_graph.empty());
   wrong_graph.back() = wrong_graph.back() == '}' ? ']' : '}';
-  const Status divergent = VerifyJournalWithSnapshot(wire, snapshot->bytes, key, wrong_graph);
+  const Status divergent = VerifyJournal(wire, snapshot->bytes, key, &wrong_graph);
   ASSERT_FALSE(divergent.ok());
   EXPECT_EQ(divergent.code(), ErrorCode::kJournalReplayDivergence);
 
   // A snapshot no signed checkpoint binds is refused outright.
   std::vector<uint8_t> unbound = snapshot->bytes;
   unbound[8] ^= 0x40;
-  const Status rejected = VerifyJournalWithSnapshot(wire, unbound, key, graph_json);
+  const Status rejected = VerifyJournal(wire, unbound, key, &graph_json);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.code(), ErrorCode::kJournalSignatureInvalid);
 
   // A flipped record byte breaks the hash chain.
   std::vector<uint8_t> broken = wire;
   broken[broken.size() / 2] ^= 0x01;
-  const Status chain = VerifyJournalWithSnapshot(broken, snapshot->bytes, key, graph_json);
+  const Status chain = VerifyJournal(broken, snapshot->bytes, key, &graph_json);
   EXPECT_FALSE(chain.ok());
 }
 

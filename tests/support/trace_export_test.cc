@@ -2,7 +2,7 @@
 // Chrome trace_event exporter: schema round-trip through the bundled
 // parser, span nesting of journal records, and parser rejection cases.
 
-#include "src/support/trace_export.h"
+#include "src/tyche/trace_export.h"
 
 #include <gtest/gtest.h>
 
@@ -135,6 +135,26 @@ TEST(TraceExportTest, NamesWithQuotesSurviveTheRoundTrip) {
   EXPECT_TRUE(found);
 }
 
+// Control characters leave the exporter as \r or \uXXXX (the shared JSON
+// escaper loses no byte) and the parser decodes them back.
+TEST(TraceExportTest, ControlCharactersSurviveTheRoundTrip) {
+  const std::vector<TraceEntry> trace = {MakeEntry(0, 3, 0, 1, 500)};
+  const std::string name = std::string("a\x01") + "b\rc\td";
+  const auto named = [&](uint16_t) { return name; };
+  const std::string json = ExportChromeTrace(trace, {}, named, EventName);
+  EXPECT_NE(json.find("a\\u0001b\\rc\\td"), std::string::npos);
+  const auto parsed = ParseChromeTrace(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  bool found = false;
+  for (const ParsedTraceEvent& event : *parsed) {
+    if (event.phase == "X") {
+      EXPECT_EQ(event.name, name);
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found);
+}
+
 TEST(TraceParserTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(ParseChromeTrace("").ok());
   EXPECT_FALSE(ParseChromeTrace("[]").ok());  // array form not produced by exporter
@@ -146,6 +166,13 @@ TEST(TraceParserTest, RejectsMalformedDocuments) {
                    .ok());
   EXPECT_FALSE(ParseChromeTrace("{\"traceEvents\":[{\"name\":\"x\",\"ph\":\"i\","
                                 "\"ts\":0,\"tid\":0}]}")
+                   .ok());
+  // \u escapes: only the control range the exporter writes, four hex digits.
+  EXPECT_FALSE(ParseChromeTrace("{\"traceEvents\":[{\"name\":\"\\u00e9\",\"ph\":\"i\","
+                                "\"ts\":0,\"pid\":2,\"tid\":0}]}")
+                   .ok());
+  EXPECT_FALSE(ParseChromeTrace("{\"traceEvents\":[{\"name\":\"\\u00z1\",\"ph\":\"i\","
+                                "\"ts\":0,\"pid\":2,\"tid\":0}]}")
                    .ok());
   // Valid minimal instant event parses.
   EXPECT_TRUE(ParseChromeTrace("{\"traceEvents\":[{\"name\":\"x\",\"ph\":\"i\","

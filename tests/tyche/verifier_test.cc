@@ -176,5 +176,106 @@ TEST_F(VerifierTest, Tier2BeforeTier1Refused) {
   EXPECT_FALSE(customer.monitor_verified());
 }
 
+// A failed re-verification must withdraw trust: tier 2 stops running against
+// a machine whose latest tier-1 check failed.
+TEST_F(VerifierTest, FailedReverificationDropsMonitorTrust) {
+  CustomerVerifier customer(machine_->tpm().attestation_key(), golden_firmware_,
+                            golden_monitor_);
+  const auto identity = monitor_->Identity(/*nonce=*/11);
+  ASSERT_TRUE(identity.ok());
+  ASSERT_TRUE(customer.VerifyMonitor(*identity, 11).ok());
+  ASSERT_TRUE(customer.monitor_verified());
+
+  // The same quote replayed against a fresh challenge is stale.
+  EXPECT_EQ(customer.VerifyMonitor(*identity, 12).code(), ErrorCode::kAttestationMismatch);
+  EXPECT_FALSE(customer.monitor_verified());
+  DomainAttestation report;
+  EXPECT_EQ(customer.VerifyDomainAgainstImage(report, TycheImage("x"), 0, kPageSize, {}, 0)
+                .code(),
+            ErrorCode::kFailedPrecondition);
+}
+
+// The single and the batched tier-2 paths give every report the same verdict
+// (code and message), checked alone and mixed into one batch.
+TEST_F(VerifierTest, SingleAndBatchedTier2VerdictsAgree) {
+  constexpr uint64_t kNonce = 7;
+  const TycheImage image = TycheImage::MakeDemo("t2", kPageSize, 0);
+  LoadOptions load;
+  load.base = Scratch(4 * kMiB, 0).base;
+  load.size = kMiB;
+  load.cores = {1};
+  load.core_caps = {OsCoreCap(1)};
+  const auto sealed = LoadImage(monitor_.get(), 0, image, load);
+  ASSERT_TRUE(sealed.ok()) << sealed.status().ToString();
+  load.base += 2 * kMiB;
+  load.seal = false;
+  const auto unsealed = LoadImage(monitor_.get(), 0, image, load);
+  ASSERT_TRUE(unsealed.ok()) << unsealed.status().ToString();
+  const auto report = monitor_->AttestDomain(0, sealed->handle, kNonce);
+  const auto unsealed_report = monitor_->AttestDomain(0, unsealed->handle, kNonce);
+  ASSERT_TRUE(report.ok() && unsealed_report.ok());
+  ASSERT_FALSE(report->resources.empty());
+
+  const Digest golden = report->measurement;
+  Digest wrong = golden;
+  wrong.bytes[0] ^= 0x01;
+  const std::vector<uint8_t> valid = SerializeAttestation(*report);
+  std::vector<uint8_t> truncated = valid;
+  truncated.pop_back();
+  DomainAttestation edited = *report;
+  ++edited.resources[0].ref_count;
+  DomainAttestation forged = *report;
+  forged.signature.s ^= 1;
+
+  struct Row {
+    const char* name;
+    std::vector<uint8_t> bytes;
+    uint64_t nonce;
+    const Digest* measurement;
+    const char* message;  // what the single path says, as a prefix
+  };
+  const std::vector<Row> rows = {
+      {"valid", valid, kNonce, &golden, ""},
+      {"truncated", truncated, kNonce, &golden, "attestation failed to deserialize"},
+      {"stale nonce", valid, kNonce + 1, &golden, "stale report nonce"},
+      {"edited claim", SerializeAttestation(edited), kNonce, &golden,
+       "report digest inconsistent"},
+      {"forged signature", SerializeAttestation(forged), kNonce, &golden,
+       "report signature invalid"},
+      {"unsealed", SerializeAttestation(*unsealed_report), kNonce, nullptr,
+       "domain not sealed"},
+      {"wrong golden", valid, kNonce, &wrong,
+       "measurement does not match golden value"},
+  };
+  const SchnorrPublicKey& key = monitor_->public_key();
+  std::vector<BatchReportInput> mixed;
+  for (const Row& row : rows) {
+    mixed.push_back(BatchReportInput{row.bytes, row.nonce, row.measurement});
+  }
+  const std::vector<BatchReportOutcome> mixed_outcomes =
+      VerifySerializedReportBatch(mixed, key);
+  ASSERT_EQ(mixed_outcomes.size(), rows.size());
+
+  for (size_t i = 0; i < rows.size(); ++i) {
+    SCOPED_TRACE(rows[i].name);
+    const auto single = VerifySerializedReport(rows[i].bytes, key, rows[i].nonce,
+                                               rows[i].measurement);
+    const std::vector<BatchReportOutcome> alone =
+        VerifySerializedReportBatch(std::span<const BatchReportInput>(&mixed[i], 1), key);
+    ASSERT_EQ(alone.size(), 1u);
+    EXPECT_EQ(single.ok(), i == 0);
+    EXPECT_EQ(single.status().message().rfind(rows[i].message, 0), 0u)
+        << single.status().ToString();
+    for (const BatchReportOutcome* batched : {&alone[0], &mixed_outcomes[i]}) {
+      EXPECT_EQ(batched->status.code(), single.status().code());
+      EXPECT_EQ(batched->status.message(), single.status().message());
+      ASSERT_EQ(batched->report.has_value(), single.ok());
+      if (single.ok()) {
+        EXPECT_EQ(SerializeAttestation(*batched->report), SerializeAttestation(*single));
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tyche

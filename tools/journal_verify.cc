@@ -1,10 +1,13 @@
 // Copyright 2026 The Tyche Reproduction Authors.
 // Offline audit-journal verifier.
 //
-// With no arguments: self-test mode. Boots a simulated deployment, runs a
-// sharing / revocation workload, exports the journal, verifies it (chain,
-// checkpoint signatures, shadow replay against the graph snapshot), and then
-// demonstrates tamper detection by flipping one byte.
+// With no arguments: self-test mode. Boots a simulated deployment that binds
+// snapshots into its checkpoints, runs a sharing / revocation workload,
+// exports the journal and verifies it both ways: from genesis (chain,
+// checkpoint signatures, shadow replay against the graph snapshot) and
+// anchored on a mid-workload snapshot (suffix replay on top of it). It then
+// demonstrates tamper detection: a flipped journal byte, an unbound snapshot
+// (exit code 4) and a flipped graph byte (exit code 5) are all rejected.
 //
 // With arguments:
 //   `journal_verify [--snapshot snap.bin] <journal.bin> <monitor_pubkey_y> [graph.json]`
@@ -41,14 +44,14 @@
 #include <string>
 #include <vector>
 
-#include "src/capability/graph_export.h"
-#include "src/monitor/attestation.h"
 #include "src/monitor/audit.h"
 #include "src/monitor/boot.h"
 #include "src/monitor/dispatch.h"
 #include "src/monitor/migration.h"
 #include "src/monitor/recovery.h"
 #include "src/os/testbed.h"
+#include "src/support/metrics.h"
+#include "src/tyche/graph_export.h"
 #include "src/tyche/loader.h"
 #include "src/tyche/verifier.h"
 
@@ -91,29 +94,17 @@ int VerifySplice(const char* source_path, const char* dest_path, const char* sou
                  const char* dest_key_str, bool json);
 
 // The machine-readable verdict, one JSON object on stdout. `error` is a
-// human-oriented status string (already free of quotes-sensitive content:
-// Status::ToString emits code names and plain messages).
+// human-oriented status string.
 void PrintJsonVerdict(int exit_code, size_t records, size_t checkpoints,
                       bool snapshot_anchored, bool graph_replay,
                       const std::string& error) {
-  std::string escaped;
-  for (const char c : error) {
-    if (c == '"' || c == '\\') {
-      escaped += '\\';
-    }
-    if (static_cast<unsigned char>(c) < 0x20) {
-      escaped += ' ';
-      continue;
-    }
-    escaped += c;
-  }
   std::printf(
       "{\"verified\":%s,\"exit_code\":%d,\"reason\":\"%s\",\"records\":%zu,"
       "\"checkpoints\":%zu,\"snapshot_anchored\":%s,\"graph_replay\":%s,"
       "\"error\":\"%s\"}\n",
       exit_code == 0 ? "true" : "false", exit_code, ReasonFor(exit_code), records,
       checkpoints, snapshot_anchored ? "true" : "false",
-      graph_replay ? "true" : "false", escaped.c_str());
+      graph_replay ? "true" : "false", EscapeJsonString(error).c_str());
 }
 
 bool ReadFile(const char* path, std::vector<uint8_t>* out) {
@@ -154,17 +145,13 @@ int VerifyFile(const char* journal_path, const char* pubkey_str, const char* gra
     expected = &graph;
   }
 
-  Status status = OkStatus();
-  if (snapshot_path != nullptr) {
-    std::vector<uint8_t> snapshot;
-    if (!ReadFile(snapshot_path, &snapshot)) {
-      std::fprintf(stderr, "cannot open %s\n", snapshot_path);
-      return 2;
-    }
-    status = VerifyJournalWithSnapshot(bytes, snapshot, key, expected ? *expected : "");
-  } else {
-    status = RemoteVerifier::VerifyJournal(bytes, key, expected);
+  // An empty snapshot means genesis replay, so an empty file is refused.
+  std::vector<uint8_t> snapshot;
+  if (snapshot_path != nullptr && (!ReadFile(snapshot_path, &snapshot) || snapshot.empty())) {
+    std::fprintf(stderr, "cannot read a snapshot from %s\n", snapshot_path);
+    return 2;
   }
+  const Status status = VerifyJournal(bytes, snapshot, key, expected);
   // Deserialize for the verdict's chain-length numbers; on failure the
   // journal may still parse (tamper detection happens at verify, not parse).
   size_t records = 0;
@@ -243,6 +230,11 @@ int SelfTest(size_t* records, size_t* checkpoints) {
     return 2;
   }
   Monitor& monitor = testbed->monitor();
+  SnapshotStore store;
+  if (!monitor.EnableSnapshots(&store).ok()) {
+    std::fprintf(stderr, "cannot bind snapshots\n");
+    return 2;
+  }
 
   // Workload: create two enclave-ish domains, share memory both ways via the
   // dispatch ABI (so every record carries a span), then revoke -> cascade.
@@ -278,6 +270,14 @@ int SelfTest(size_t* records, size_t* checkpoints) {
                  static_cast<unsigned long long>(shared.error));
     return 2;
   }
+  // Sign a checkpoint here: it binds the snapshot the suffix leg anchors on.
+  monitor.audit().journal().Checkpoint();
+  const auto anchor = store.Latest();
+  if (!anchor.ok()) {
+    std::fprintf(stderr, "no snapshot bound at the checkpoint\n");
+    return 2;
+  }
+
   // Share the same range onward to B as well, then revoke the root share:
   // the cascade deactivates both children under one span.
   const ApiResult shared_b = call(ApiOp::kShareMemory, os_mem, handle_b,
@@ -299,7 +299,7 @@ int SelfTest(size_t* records, size_t* checkpoints) {
   std::printf("exported %zu bytes (%zu records, %zu checkpoints)\n", wire.size(),
               *records, *checkpoints);
 
-  Status verdict = RemoteVerifier::VerifyJournal(wire, monitor.public_key(), &graph_json);
+  Status verdict = VerifyJournal(wire, {}, monitor.public_key(), &graph_json);
   if (!verdict.ok()) {
     std::printf("FAIL: pristine journal rejected: %s\n", verdict.ToString().c_str());
     return 1;
@@ -309,12 +309,40 @@ int SelfTest(size_t* records, size_t* checkpoints) {
   // Tamper: flip one byte in the middle of the record region.
   std::vector<uint8_t> tampered = wire;
   tampered[tampered.size() / 2] ^= 0x01;
-  verdict = RemoteVerifier::VerifyJournal(tampered, monitor.public_key(), nullptr);
+  verdict = VerifyJournal(tampered, {}, monitor.public_key(), nullptr);
   if (verdict.ok()) {
     std::printf("FAIL: tampered journal accepted\n");
     return 1;
   }
   std::printf("single-bit tamper detected: %s\n", verdict.ToString().c_str());
+
+  // Snapshot leg: the suffix after the anchoring checkpoint replays on top of
+  // its snapshot to the same graph; an unbound snapshot and a flipped graph
+  // byte are refused with the exit codes journal_verify --snapshot reports.
+  std::printf("snapshot self-test: verify the suffix over snapshot seq %llu, tamper\n",
+              static_cast<unsigned long long>(anchor->seq));
+  verdict = VerifyJournal(wire, anchor->bytes, monitor.public_key(), &graph_json);
+  if (!verdict.ok()) {
+    std::printf("FAIL: snapshot-anchored journal rejected: %s\n", verdict.ToString().c_str());
+    return 1;
+  }
+  std::vector<uint8_t> unbound = anchor->bytes;
+  unbound[8] ^= 0x40;
+  verdict = VerifyJournal(wire, unbound, monitor.public_key(), &graph_json);
+  if (ExitCodeFor(verdict) != 4) {
+    std::printf("FAIL: unbound snapshot not refused with exit code 4: %s\n",
+                verdict.ToString().c_str());
+    return 1;
+  }
+  std::string wrong_graph = graph_json;
+  wrong_graph[wrong_graph.size() / 2] ^= 0x01;
+  verdict = VerifyJournal(wire, anchor->bytes, monitor.public_key(), &wrong_graph);
+  if (ExitCodeFor(verdict) != 5) {
+    std::printf("FAIL: flipped graph byte not refused with exit code 5: %s\n",
+                verdict.ToString().c_str());
+    return 1;
+  }
+  std::printf("snapshot-anchored suffix verifies; unbound snapshot and graph tamper refused\n");
 
   // Splice leg: two measured-boot monitors, one migrated domain, and the
   // offline custody-chain verdict — plus a tampered-handoff rejection.

@@ -37,7 +37,7 @@
 #include "src/monitor/dispatch.h"
 #include "src/os/testbed.h"
 #include "src/support/profiler.h"
-#include "src/support/trace_export.h"
+#include "src/tyche/trace_export.h"
 
 namespace tyche {
 namespace {
