@@ -4,7 +4,6 @@
 #ifndef SRC_CAPABILITY_CAPABILITY_H_
 #define SRC_CAPABILITY_CAPABILITY_H_
 
-#include <string>
 #include <vector>
 
 #include "src/capability/types.h"
@@ -51,8 +50,6 @@ struct Capability {
   std::vector<CapId> children;
 
   bool active() const { return state == CapState::kActive; }
-
-  std::string ToString() const;
 };
 
 }  // namespace tyche

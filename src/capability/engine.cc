@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <mutex>
 #include <shared_mutex>
-#include <sstream>
 #include <tuple>
 
 #include "src/support/faults.h"
@@ -30,41 +29,19 @@ std::vector<AddrRange> RemainderPieces(const AddrRange& whole, const AddrRange& 
 
 }  // namespace
 
-std::string Capability::ToString() const {
-  std::ostringstream out;
-  out << "cap#" << id << " owner=" << owner << " " << ResourceKindName(kind);
-  if (kind == ResourceKind::kMemory) {
-    out << " [0x" << std::hex << range.base << ",0x" << range.end() << std::dec << ") "
-        << perms.ToString();
-  } else {
-    out << " unit=" << unit;
-  }
-  switch (state) {
-    case CapState::kActive:
-      out << " active";
-      break;
-    case CapState::kRevoked:
-      out << " revoked";
-      break;
-    case CapState::kDonated:
-      out << " donated";
-      break;
-  }
-  return out.str();
+CapabilityEngine::CapabilityEngine(CapabilityEngine&& other) noexcept {
+  *this = std::move(other);
 }
-
-CapabilityEngine::CapabilityEngine(CapabilityEngine&& other) noexcept
-    : caps_(std::move(other.caps_)),
-      next_id_(other.next_id_),
-      owned_(std::move(other.owned_)),
-      domains_(std::move(other.domains_)) {}
 
 CapabilityEngine& CapabilityEngine::operator=(CapabilityEngine&& other) noexcept {
   if (this != &other) {
     caps_ = std::move(other.caps_);
     next_id_ = other.next_id_;
     owned_ = std::move(other.owned_);
+    units_ = std::move(other.units_);
     domains_ = std::move(other.domains_);
+    ++epoch_;
+    ++other.epoch_;
   }
   return *this;
 }
@@ -98,13 +75,16 @@ bool CapabilityEngine::IsRegisteredLocked(CapDomainId domain) const {
   return domains_.contains(domain);
 }
 
-Capability& CapabilityEngine::NewCap(CapDomainId owner, ResourceKind kind) {
+Capability& CapabilityEngine::NewCap(CapDomainId owner, ResourceKind kind, AddrRange range,
+                                     uint64_t unit) {
   const CapId id = next_id_++;
   Capability& cap = caps_[id];
   cap.id = id;
   cap.owner = owner;
   cap.kind = kind;
-  owned_[owner].push_back(id);
+  cap.range = range;
+  cap.unit = unit;
+  IndexActive(cap);
   // Silent-corruption injection: drop the index entry the cap just earned.
   // The operation still succeeds -- exactly the failure mode (derived state
   // drifting from the lineage map) the invariant watchdog exists to catch.
@@ -117,14 +97,24 @@ Capability& CapabilityEngine::NewCap(CapDomainId owner, ResourceKind kind) {
 }
 
 void CapabilityEngine::IndexActive(const Capability& cap) {
-  std::vector<CapId>& ids = owned_[cap.owner];
-  ids.insert(std::lower_bound(ids.begin(), ids.end(), cap.id), cap.id);
+  const auto insert = [&cap](std::vector<CapId>& ids) {
+    ids.insert(std::lower_bound(ids.begin(), ids.end(), cap.id), cap.id);
+  };
+  insert(owned_[cap.owner]);
+  if (cap.kind != ResourceKind::kMemory) {
+    insert(units_[{cap.kind, cap.unit}]);
+  }
+  ++epoch_;
 }
 
 void CapabilityEngine::UnindexActive(const Capability& cap) {
   if (const auto owned_it = owned_.find(cap.owner); owned_it != owned_.end()) {
     std::erase(owned_it->second, cap.id);
   }
+  if (const auto unit_it = units_.find({cap.kind, cap.unit}); unit_it != units_.end()) {
+    std::erase(unit_it->second, cap.id);
+  }
+  ++epoch_;
 }
 
 template <typename Fn>
@@ -178,8 +168,7 @@ Result<CapId> CapabilityEngine::MintMemory(CapDomainId owner, AddrRange range, P
   if (range.empty() || !IsPageAligned(range.base) || !IsPageAligned(range.size)) {
     return Error(ErrorCode::kInvalidArgument, "memory capability must be page-aligned");
   }
-  Capability& cap = NewCap(owner, ResourceKind::kMemory);
-  cap.range = range;
+  Capability& cap = NewCap(owner, ResourceKind::kMemory, range, 0);
   cap.perms = perms;
   cap.rights = rights;
   cap.origin = CapOrigin::kMint;
@@ -196,8 +185,7 @@ Result<CapId> CapabilityEngine::MintUnit(CapDomainId owner, ResourceKind kind, u
   if (kind == ResourceKind::kMemory) {
     return Error(ErrorCode::kInvalidArgument, "use MintMemory for memory");
   }
-  Capability& cap = NewCap(owner, kind);
-  cap.unit = unit;
+  Capability& cap = NewCap(owner, kind, AddrRange{}, unit);
   cap.rights = rights;
   cap.origin = CapOrigin::kMint;
   return cap.id;
@@ -276,8 +264,7 @@ Result<CapId> CapabilityEngine::ShareMemory(CapDomainId requester, CapId src_cap
   TYCHE_ASSIGN_OR_RETURN(Capability * src, CheckDelegation("share", requester, src_cap, dst,
                                                            /*grant=*/false, &sub, perms,
                                                            rights));
-  Capability& child = NewCap(dst, ResourceKind::kMemory);
-  child.range = sub;
+  Capability& child = NewCap(dst, ResourceKind::kMemory, sub, 0);
   child.perms = perms;
   child.rights = rights;
   child.revocation = policy;
@@ -302,8 +289,7 @@ Result<GrantOutcome> CapabilityEngine::GrantMemory(CapDomainId requester, CapId 
                                                            /*grant=*/true, &sub, perms,
                                                            rights));
   GrantOutcome outcome;
-  Capability& granted = NewCap(dst, ResourceKind::kMemory);
-  granted.range = sub;
+  Capability& granted = NewCap(dst, ResourceKind::kMemory, sub, 0);
   granted.perms = perms;
   granted.rights = rights;
   granted.revocation = policy;
@@ -313,8 +299,7 @@ Result<GrantOutcome> CapabilityEngine::GrantMemory(CapDomainId requester, CapId 
   src->children.push_back(granted.id);
 
   for (const AddrRange& piece : RemainderPieces(src->range, sub)) {
-    Capability& rem = NewCap(requester, ResourceKind::kMemory);
-    rem.range = piece;
+    Capability& rem = NewCap(requester, ResourceKind::kMemory, piece, 0);
     rem.perms = src->perms;
     rem.rights = src->rights;
     rem.revocation = src->revocation;
@@ -342,8 +327,7 @@ Result<CapId> CapabilityEngine::ShareUnit(CapDomainId requester, CapId src_cap,
   TYCHE_ASSIGN_OR_RETURN(Capability * src, CheckDelegation("share", requester, src_cap, dst,
                                                            /*grant=*/false, nullptr, Perms{},
                                                            rights));
-  Capability& child = NewCap(dst, src->kind);
-  child.unit = src->unit;
+  Capability& child = NewCap(dst, src->kind, AddrRange{}, src->unit);
   child.rights = rights;
   child.revocation = policy;
   child.origin = CapOrigin::kShare;
@@ -366,8 +350,7 @@ Result<GrantOutcome> CapabilityEngine::GrantUnit(CapDomainId requester, CapId sr
                                                            /*grant=*/true, nullptr, Perms{},
                                                            rights));
   GrantOutcome outcome;
-  Capability& granted = NewCap(dst, src->kind);
-  granted.unit = src->unit;
+  Capability& granted = NewCap(dst, src->kind, AddrRange{}, src->unit);
   granted.rights = rights;
   granted.revocation = policy;
   granted.origin = CapOrigin::kGrant;
@@ -490,9 +473,7 @@ Result<RevokeOutcome> CapabilityEngine::RevokeLocked(CapDomainId requester, CapI
       IndexActive(parent_cap);
       outcome.restored = parent;
     } else {
-      Capability& restore = NewCap(grantor, kind);
-      restore.range = range;
-      restore.unit = unit;
+      Capability& restore = NewCap(grantor, kind, range, unit);
       restore.perms = perms;
       restore.rights = parent_cap.rights;
       restore.revocation = parent_cap.revocation;
@@ -588,6 +569,7 @@ Result<RevokeOutcome> CapabilityEngine::PurgeDomain(
         RevokeSubtree(id, &visited, &outcome.effects, &outcome.revoked_caps);
     accumulate(outcome);
   }
+  units_.erase({ResourceKind::kDomain, domain});
   return total;
 }
 
@@ -609,22 +591,23 @@ Perms CapabilityEngine::EffectivePerms(CapDomainId domain, uint64_t addr) const 
   return Perms(mask);
 }
 
-bool CapabilityEngine::HasUnit(CapDomainId domain, ResourceKind kind, uint64_t unit) const {
+CapId CapabilityEngine::FindUnit(CapDomainId domain, ResourceKind kind, uint64_t unit) const {
   std::shared_lock lock(mu_);
-  bool found = false;
-  ForEachOwnedLocked(domain, [&](const Capability& cap) {
-    found = found || (cap.kind == kind && cap.unit == unit);
-  });
-  return found;
+  if (const auto bucket = units_.find({kind, unit}); bucket != units_.end()) {
+    for (auto id = bucket->second.rbegin(); id != bucket->second.rend(); ++id) {
+      if (caps_.at(*id).owner == domain) {
+        return *id;
+      }
+    }
+  }
+  return kInvalidCap;
 }
 
 uint32_t CapabilityEngine::MemoryRefCount(AddrRange range) const {
   std::shared_lock lock(mu_);
   std::set<CapDomainId> holders;
-  for (const auto& [id, cap] : caps_) {
-    if (cap.active() && cap.kind == ResourceKind::kMemory && cap.range.Overlaps(range)) {
-      holders.insert(cap.owner);
-    }
+  for (const RegionView& region : ViewCutLocked(range)) {
+    holders.insert(region.domains.begin(), region.domains.end());
   }
   return static_cast<uint32_t>(holders.size());
 }
@@ -632,9 +615,9 @@ uint32_t CapabilityEngine::MemoryRefCount(AddrRange range) const {
 uint32_t CapabilityEngine::UnitRefCount(ResourceKind kind, uint64_t unit) const {
   std::shared_lock lock(mu_);
   std::set<CapDomainId> holders;
-  for (const auto& [id, cap] : caps_) {
-    if (cap.active() && cap.kind == kind && cap.unit == unit) {
-      holders.insert(cap.owner);
+  if (const auto bucket = units_.find({kind, unit}); bucket != units_.end()) {
+    for (const CapId id : bucket->second) {
+      holders.insert(caps_.at(id).owner);
     }
   }
   return static_cast<uint32_t>(holders.size());
@@ -649,7 +632,7 @@ bool CapabilityEngine::ExclusivelyOwned(CapDomainId domain, AddrRange range) con
   // regions are sorted and only cover held bytes, so a gap between them is
   // a byte nobody holds.
   uint64_t covered_until = range.base;
-  for (const RegionView& view : MemoryViewLocked(range)) {
+  for (const RegionView& view : ViewCutLocked(range)) {
     if (view.domains.size() != 1 || view.domains[0] != domain ||
         view.range.base > covered_until) {
       return false;
@@ -699,24 +682,52 @@ std::vector<CapabilityEngine::MappedRegion> CapabilityEngine::DomainMemoryMap(
 
 std::vector<RegionView> CapabilityEngine::MemoryView(AddrRange within) const {
   std::shared_lock lock(mu_);
-  return MemoryViewLocked(within);
+  if (within.empty()) {
+    return ViewLocked();
+  }
+  std::vector<RegionView> views;
+  for (const RegionView& region : ViewCutLocked(within)) {
+    const uint64_t base = std::max(region.range.base, within.base);
+    views.push_back(RegionView{
+        AddrRange{base, std::min(region.range.end(), within.end()) - base}, region.domains});
+  }
+  return views;
 }
 
-std::vector<RegionView> CapabilityEngine::MemoryViewLocked(AddrRange within) const {
-  // One sweep over the clipped cap ends (address, owner, +1 at a start or
-  // -1 at an end) in address order. Between two consecutive addresses the
-  // holders, the owners with a non-zero count, are constant.
+std::span<const RegionView> CapabilityEngine::ViewCutLocked(AddrRange range) const {
+  if (range.empty() || range.Wraps()) {
+    return {};
+  }
+  const std::vector<RegionView>& view = ViewLocked();
+  const auto first = std::partition_point(view.begin(), view.end(), [&](const RegionView& r) {
+    return r.range.end() <= range.base;
+  });
+  const auto last = std::partition_point(
+      first, view.end(), [&](const RegionView& r) { return r.range.base < range.end(); });
+  return {first, last};
+}
+
+const std::vector<RegionView>& CapabilityEngine::ViewLocked() const {
+  // No writer runs while the caller holds mu_ shared, so once a reader has
+  // rebuilt for this epoch no other reader writes view_ until the caller is
+  // done with the returned reference.
+  const std::lock_guard view_lock(view_mu_);
+  if (view_epoch_ == epoch_) {
+    return view_;
+  }
+  // One sweep over the cap ends (address, owner, +1 at a start or -1 at an
+  // end) in address order. Between two consecutive addresses the holders,
+  // the owners with a non-zero count, are constant.
   std::vector<std::tuple<uint64_t, CapDomainId, int>> ends;
   for (const auto& [id, cap] : caps_) {
-    const AddrRange clip = within.empty() ? cap.range : within;
-    if (cap.active() && cap.kind == ResourceKind::kMemory && cap.range.Overlaps(clip)) {
-      ends.emplace_back(std::max(cap.range.base, clip.base), cap.owner, 1);
-      ends.emplace_back(std::min(cap.range.end(), clip.end()), cap.owner, -1);
+    if (cap.active() && cap.kind == ResourceKind::kMemory && cap.range.Overlaps(cap.range)) {
+      ends.emplace_back(cap.range.base, cap.owner, 1);
+      ends.emplace_back(cap.range.end(), cap.owner, -1);
     }
   }
   std::sort(ends.begin(), ends.end());
   std::map<CapDomainId, int> counts;
-  std::vector<RegionView> views;
+  view_.clear();
   for (size_t i = 0; i < ends.size();) {
     const uint64_t addr = std::get<0>(ends[i]);
     for (; i < ends.size() && std::get<0>(ends[i]) == addr; ++i) {
@@ -728,19 +739,20 @@ std::vector<RegionView> CapabilityEngine::MemoryViewLocked(AddrRange within) con
     if (counts.empty()) {
       continue;  // a gap, or past the last end
     }
-    RegionView view{AddrRange{addr, std::get<0>(ends[i]) - addr}, {}};
+    RegionView region{AddrRange{addr, std::get<0>(ends[i]) - addr}, {}};
     for (const auto& [owner, count] : counts) {
-      view.domains.push_back(owner);
+      region.domains.push_back(owner);
     }
-    // Merge with the previous view when contiguous and identical.
-    if (!views.empty() && views.back().range.end() == addr &&
-        views.back().domains == view.domains) {
-      views.back().range.size += view.range.size;
+    // Merge with the previous region when contiguous and identical.
+    if (!view_.empty() && view_.back().range.end() == addr &&
+        view_.back().domains == region.domains) {
+      view_.back().range.size += region.range.size;
     } else {
-      views.push_back(std::move(view));
+      view_.push_back(std::move(region));
     }
   }
-  return views;
+  view_epoch_ = epoch_;
+  return view_;
 }
 
 uint64_t CapabilityEngine::total_caps() const {
@@ -750,17 +762,12 @@ uint64_t CapabilityEngine::total_caps() const {
 
 uint64_t CapabilityEngine::active_caps() const {
   std::shared_lock lock(mu_);
-  uint64_t count = 0;
-  for (const auto& [id, cap] : caps_) {
-    if (cap.active()) {
-      ++count;
-    }
-  }
-  return count;
+  return static_cast<uint64_t>(std::count_if(
+      caps_.begin(), caps_.end(), [](const auto& entry) { return entry.second.active(); }));
 }
 
-// The ForEach walks and DumpTree run the callback under the shared lock:
-// callbacks must not call back into the engine.
+// The ForEach walks run the callback under the shared lock: callbacks must
+// not call back into the engine.
 void CapabilityEngine::ForEachActive(const std::function<void(const Capability&)>& fn) const {
   std::shared_lock lock(mu_);
   for (const auto& [id, cap] : caps_) {
@@ -782,57 +789,41 @@ Status CapabilityEngine::CheckOwnedIndex() const {
   // The lineage map (the source of truth) must hold only live nodes:
   // revocation reclaims, and so does losing a donated node's last child.
   uint64_t active = 0;
+  uint64_t active_units = 0;
   for (const auto& [id, cap] : caps_) {
     if (cap.state == CapState::kRevoked ||
         (cap.state == CapState::kDonated && cap.children.empty())) {
       return Error(ErrorCode::kInternal, "lineage map holds a dead capability");
     }
     active += cap.active() ? 1 : 0;
+    active_units += cap.active() && cap.kind != ResourceKind::kMemory ? 1 : 0;
   }
-  // owned_ must be exactly the active set: every entry an active cap under
-  // its owner, each bucket strictly in id order (so no repeats), and as many
-  // entries as there are active caps.
-  uint64_t indexed = 0;
-  for (const auto& [owner, ids] : owned_) {
-    if (std::adjacent_find(ids.begin(), ids.end(), std::greater_equal<>()) != ids.end()) {
-      return Error(ErrorCode::kInternal, "owner index bucket out of id order");
-    }
-    for (const CapId id : ids) {
-      const auto it = caps_.find(id);
-      if (it == caps_.end() || it->second.owner != owner || !it->second.active()) {
-        return Error(ErrorCode::kInternal, "owner index names a cap it must not");
+  // Each index must be exactly its share of the active set: every entry an
+  // active cap under its own key, each bucket strictly in id order (so no
+  // repeats), and as many entries as there are such caps.
+  const auto check = [this](const auto& index, auto key_of, uint64_t expected,
+                            const std::string& what) -> Status {
+    uint64_t indexed = 0;
+    for (const auto& [key, ids] : index) {
+      if (std::adjacent_find(ids.begin(), ids.end(), std::greater_equal<>()) != ids.end()) {
+        return Error(ErrorCode::kInternal, what + " bucket out of id order");
       }
+      for (const CapId id : ids) {
+        const auto it = caps_.find(id);
+        if (it == caps_.end() || !it->second.active() || key_of(it->second) != key) {
+          return Error(ErrorCode::kInternal, what + " names a cap it must not");
+        }
+      }
+      indexed += ids.size();
     }
-    indexed += ids.size();
-  }
-  if (indexed != active) {
-    return Error(ErrorCode::kInternal, "owner index misses an active capability");
-  }
-  return OkStatus();
-}
-
-std::string CapabilityEngine::DumpTree() const {
-  std::shared_lock lock(mu_);
-  std::ostringstream out;
-  std::function<void(CapId, int)> recurse = [&](CapId id, int depth) {
-    const auto it = caps_.find(id);
-    if (it == caps_.end()) {
-      return;
-    }
-    for (int i = 0; i < depth; ++i) {
-      out << "  ";
-    }
-    out << it->second.ToString() << "\n";
-    for (const CapId child : it->second.children) {
-      recurse(child, depth + 1);
-    }
+    return indexed == expected
+               ? OkStatus()
+               : Error(ErrorCode::kInternal, what + " misses an active capability");
   };
-  for (const auto& [id, cap] : caps_) {
-    if (cap.parent == kInvalidCap) {
-      recurse(id, 0);
-    }
-  }
-  return out.str();
+  TYCHE_RETURN_IF_ERROR(
+      check(owned_, [](const Capability& cap) { return cap.owner; }, active, "owner index"));
+  return check(units_, [](const Capability& cap) { return std::pair(cap.kind, cap.unit); },
+               active_units, "unit index");
 }
 
 EngineImage CapabilityEngine::Capture() const {
@@ -895,12 +886,14 @@ Status CapabilityEngine::Restore(const EngineImage& image) {
   caps_ = std::move(caps);
   domains_ = std::move(domains);
   next_id_ = image.next_id;
-  // Rebuild the derived owner index (images never carry it). std::map
-  // iteration is id order, which is the order every bucket keeps.
+  // Rebuild the derived indexes (images never carry them) and invalidate
+  // the view. std::map iteration is id order, which every bucket keeps.
   owned_.clear();
+  units_.clear();
+  ++epoch_;
   for (const auto& [id, cap] : caps_) {
     if (cap.active()) {
-      owned_[cap.owner].push_back(id);
+      IndexActive(cap);
     }
   }
   return OkStatus();

@@ -35,9 +35,10 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <set>
 #include <shared_mutex>
-#include <string>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -206,11 +207,16 @@ class CapabilityEngine {
   // caps). Used by backends to recompute residual access after revocation.
   Perms EffectivePerms(CapDomainId domain, uint64_t addr) const;
 
-  // Does the domain hold an active unit capability?
-  bool HasUnit(CapDomainId domain, ResourceKind kind, uint64_t unit) const;
+  // The newest active unit capability `domain` holds on (kind, unit), or
+  // kInvalidCap. O(log caps + holders of the unit).
+  CapId FindUnit(CapDomainId domain, ResourceKind kind, uint64_t unit) const;
+  bool HasUnit(CapDomainId domain, ResourceKind kind, uint64_t unit) const {
+    return FindUnit(domain, kind, unit) != kInvalidCap;
+  }
 
   // Reference count: number of distinct domains with active access
-  // overlapping `range` (memory) / holding `unit`.
+  // overlapping `range` (memory) / holding `unit`. Both read derived state:
+  // the memoized view's cut (below) and the unit index.
   uint32_t MemoryRefCount(AddrRange range) const;
   uint32_t UnitRefCount(ResourceKind kind, uint64_t unit) const;
 
@@ -231,22 +237,24 @@ class CapabilityEngine {
 
   // Figure 4: the physical memory view as maximal constant-refcount regions,
   // sorted by base. A non-empty `within` clips the view to that range: the
-  // result equals the full view intersected with `within`, at a cost of
-  // O(caps + k log k) for the k cap ends inside it.
+  // result equals the full view intersected with `within`. The full view is
+  // memoized: the first read after a change to the active set rebuilds it in
+  // O(caps log caps); every other read costs O(log regions + k) for the k
+  // regions it returns.
   std::vector<RegionView> MemoryView(AddrRange within = AddrRange{}) const;
 
   // Lineage inspection (for audits and tests). Every node is active or
   // donated, so total_caps() - active_caps() is the donated count.
   uint64_t total_caps() const;
   uint64_t active_caps() const;
-  std::string DumpTree() const;
 
-  // Cross-checks the per-owner index (owned_) against the lineage map: the
-  // index must hold exactly the active caps, each under its owner in id
-  // order, and the map must hold no dead node (revoked, or donated with no
-  // child left). O(caps) under a shared lock; run by the invariant watchdog
-  // to catch silent index desync that no single query would notice (a
-  // missing entry just makes a cap invisible to owner-filtered queries).
+  // Cross-checks the derived indexes against the lineage map: owned_ must
+  // hold exactly the active caps, each under its owner in id order; units_
+  // exactly the active unit caps, each under its (kind, unit) in id order;
+  // and the map must hold no dead node (revoked, or donated with no child
+  // left). O(caps) under a shared lock; run by the invariant watchdog to
+  // catch silent index desync that no single query would notice (a missing
+  // entry just makes a cap invisible to owner-filtered or unit queries).
   Status CheckOwnedIndex() const;
 
   // Walks every active capability (hardware-consistency validator support).
@@ -274,14 +282,21 @@ class CapabilityEngine {
   bool IsRegisteredLocked(CapDomainId domain) const;
   Result<const Capability*> GetLocked(CapId cap) const;
   Result<RevokeOutcome> RevokeLocked(CapDomainId requester, CapId cap);
-  std::vector<RegionView> MemoryViewLocked(AddrRange within) const;
 
-  Capability& NewCap(CapDomainId owner, ResourceKind kind);
+  // The memoized full view, rebuilt by one sweep over the active memory caps
+  // when the epoch has moved since the last build.
+  const std::vector<RegionView>& ViewLocked() const;
+  // The regions of the full view that overlap `range`, unclipped.
+  std::span<const RegionView> ViewCutLocked(AddrRange range) const;
+
+  // Allocates an active cap and indexes it.
+  Capability& NewCap(CapDomainId owner, ResourceKind kind, AddrRange range, uint64_t unit);
   Result<Capability*> GetMutable(CapId cap);
   // The lookup error for an id not in caps_: revoked if it was ever allocated.
   Status MissingCap(CapId cap) const;
 
-  // Keep owned_ equal to the active set, each bucket in id order.
+  // Keep owned_ and units_ equal to the active set, each bucket in id
+  // order, and bump the epoch.
   void IndexActive(const Capability& cap);
   void UnindexActive(const Capability& cap);
   // Calls fn on each active cap `domain` owns, in id order.
@@ -331,6 +346,21 @@ class CapabilityEngine {
   // holds now, not to its history. Not part of EngineImage: it is derived
   // state.
   std::map<CapDomainId, std::vector<CapId>> owned_;
+
+  // Unit index: the ids of the ACTIVE non-memory caps on each (kind, unit),
+  // in id order. Maintained beside owned_, so unit lookups and unit
+  // reference counts read one bucket. A purge drops the bucket of the dead
+  // domain's handles, so buckets stay bounded by live units. Derived state.
+  std::map<std::pair<ResourceKind, uint64_t>, std::vector<CapId>> units_;
+
+  // Bumped by every change to the active set (and by Restore and moves).
+  // The memoized view is valid while view_epoch_ equals it. Readers hold
+  // mu_ shared, so the epoch cannot move under them; view_mu_ (a leaf lock
+  // under mu_) serializes the reader that rebuilds against the others.
+  uint64_t epoch_ = 1;
+  mutable std::mutex view_mu_;
+  mutable uint64_t view_epoch_ = 0;
+  mutable std::vector<RegionView> view_;
 
   struct DomainInfo {
     CapDomainId creator = kNoCreator;

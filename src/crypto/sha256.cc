@@ -235,6 +235,11 @@ void Sha256::ProcessBlock(const uint8_t* block) {
 }
 
 void Sha256::Update(std::span<const uint8_t> data) {
+  // An empty span may carry a null data(), and memcpy from null is undefined
+  // even for zero bytes.
+  if (data.empty()) {
+    return;
+  }
   total_bytes_ += data.size();
   size_t offset = 0;
 
@@ -305,7 +310,7 @@ Digest HmacSha256(std::span<const uint8_t> key, std::span<const uint8_t> message
   if (key.size() > 64) {
     const Digest hashed = Sha256::Hash(key);
     std::memcpy(key_block, hashed.bytes.data(), hashed.bytes.size());
-  } else {
+  } else if (!key.empty()) {
     std::memcpy(key_block, key.data(), key.size());
   }
 

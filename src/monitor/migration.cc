@@ -593,13 +593,7 @@ Result<MigrationInternal::StagedAdoption> MigrationInternal::StageOnDest(
       staged.mem_grants.push_back(
           {covering, std::move(outcome), cap.range, cap.perms, cap.rights, cap.policy});
     } else {
-      CapId covering = kInvalidCap;
-      for (const Capability* own : staged.engine.DomainCaps(0)) {
-        if (own->kind == cap.kind && own->unit == cap.unit) {
-          covering = own->id;
-          break;
-        }
-      }
+      const CapId covering = staged.engine.FindUnit(/*owner=*/0, cap.kind, cap.unit);
       if (covering == kInvalidCap) {
         return Error(ErrorCode::kFailedPrecondition,
                      "destination lacks the unit resource (core or device)");

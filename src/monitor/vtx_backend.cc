@@ -10,6 +10,21 @@
 
 namespace tyche {
 
+namespace {
+
+using DomainMap = std::vector<CapabilityEngine::MappedRegion>;
+
+// The permissions `map` gives `addr`. `region` is a cursor into the
+// address-ordered map: callers pass increasing addresses, and each call
+// resumes where the previous one stopped.
+Perms PermsAt(const DomainMap& map, DomainMap::const_iterator* region, uint64_t addr) {
+  *region = std::find_if(*region, map.end(),
+                         [addr](const auto& r) { return r.range.end() > addr; });
+  return *region != map.end() && (*region)->range.Contains(addr) ? (*region)->perms : Perms{};
+}
+
+}  // namespace
+
 VtxBackend::VtxBackend(Machine* machine, const CapabilityEngine* engine,
                        FrameAllocator* metadata)
     : machine_(machine), engine_(engine), metadata_(metadata) {}
@@ -79,16 +94,11 @@ Status VtxBackend::SyncMemory(DomainId domain, const AddrRange& range) {
     TYCHE_FAULT_POINT(faults::kVtxSyncMemory);
     // One pass: the effective map over the range, walked alongside the pages.
     const uint64_t begin = AlignDown(range.base, kPageSize);
-    const auto regions =
+    const DomainMap regions =
         engine_->DomainMemoryMap(domain, AddrRange{begin, range.end() - begin});
     auto region = regions.begin();
     for (uint64_t page = begin; page < range.end(); page += kPageSize) {
-      while (region != regions.end() && region->range.end() <= page) {
-        ++region;
-      }
-      const Perms effective = region != regions.end() && region->range.Contains(page)
-                                  ? region->perms
-                                  : Perms{};
+      const Perms effective = PermsAt(regions, &region, page);
       const auto current = ept->Lookup(page);
       if (effective.empty()) {
         if (current.ok()) {
@@ -238,15 +248,18 @@ void VtxBackend::FlushDomain(DomainId domain) {
 Result<bool> VtxBackend::ValidateAgainst(const CapabilityEngine& engine, DomainId domain) {
   TYCHE_ASSIGN_OR_RETURN(DomainContext * context, ContextOf(domain));
   bool consistent = true;
+  const DomainMap map = engine.DomainMemoryMap(domain);
 
   // 1. Every hardware mapping must be justified by an active capability
   //    with at least those permissions, and must be an identity mapping.
+  //    Mappings arrive in address order, so one cursor walks the map.
+  auto region = map.begin();
   context->ept->ForEachMapping([&](uint64_t gpa, uint64_t hpa, Perms perms) {
     if (gpa != hpa) {
       consistent = false;
       return;
     }
-    if (!engine.EffectivePerms(domain, gpa).Covers(perms)) {
+    if (!PermsAt(map, &region, gpa).Covers(perms)) {
       consistent = false;
     }
   });
@@ -255,13 +268,13 @@ Result<bool> VtxBackend::ValidateAgainst(const CapabilityEngine& engine, DomainI
   //    effective permissions — except inside a fail-safe denied hull, where
   //    missing mappings are the *intended* degraded state (rule 1 above
   //    still forbids any mapping the tree does not justify).
-  for (const auto& region : engine.DomainMemoryMap(domain)) {
-    for (uint64_t page = region.range.base; page < region.range.end(); page += kPageSize) {
+  for (const auto& mandated : map) {
+    for (uint64_t page = mandated.range.base; page < mandated.range.end(); page += kPageSize) {
       if (!context->degraded.empty() && context->degraded.Contains(page)) {
         continue;
       }
       const auto mapping = context->ept->Lookup(page);
-      if (!mapping.ok() || mapping->perms != region.perms) {
+      if (!mapping.ok() || mapping->perms != mandated.perms) {
         consistent = false;
         break;
       }

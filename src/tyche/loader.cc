@@ -34,8 +34,7 @@ Result<std::vector<LayoutRegion>> ComputeLoadLayout(const TycheImage& image, uin
   return regions;
 }
 
-// Both finders walk the domain's own active caps in id order and keep the
-// last (newest) match.
+// Both finders return the newest of the domain's matching active caps.
 Result<CapId> FindMemoryCap(const Monitor& monitor, DomainId domain, AddrRange range) {
   CapId found = kInvalidCap;
   for (const Capability* cap : monitor.engine().DomainCaps(domain)) {
@@ -51,12 +50,7 @@ Result<CapId> FindMemoryCap(const Monitor& monitor, DomainId domain, AddrRange r
 
 Result<CapId> FindUnitCap(const Monitor& monitor, DomainId domain, ResourceKind kind,
                           uint64_t unit) {
-  CapId found = kInvalidCap;
-  for (const Capability* cap : monitor.engine().DomainCaps(domain)) {
-    if (cap->kind == kind && cap->unit == unit) {
-      found = cap->id;
-    }
-  }
+  const CapId found = monitor.engine().FindUnit(domain, kind, unit);
   if (found == kInvalidCap) {
     return Error(ErrorCode::kNotFound, "no capability for unit");
   }

@@ -7,6 +7,7 @@
 
 #include "src/capability/engine.h"
 #include "src/support/faults.h"
+#include "tests/testing/cap_dump.h"
 
 namespace tyche {
 namespace {
@@ -317,12 +318,12 @@ TEST_F(EngineEdgeTest, PurgeDomainInsideCircularShareLeavesPeersSound) {
 TEST_F(EngineEdgeTest, CapToStringIsInformative) {
   const CapId mem = *engine_.MintMemory(0, AddrRange{0x1000, 0x1000}, Perms(Perms::kRW),
                                         CapRights(CapRights::kAll));
-  const std::string text = (*engine_.Get(mem))->ToString();
+  const std::string text = CapToString(**engine_.Get(mem));
   EXPECT_NE(text.find("memory"), std::string::npos);
   EXPECT_NE(text.find("rw-"), std::string::npos);
   EXPECT_NE(text.find("active"), std::string::npos);
   const CapId core = *engine_.MintUnit(0, ResourceKind::kCpuCore, 5, CapRights{});
-  EXPECT_NE((*engine_.Get(core))->ToString().find("unit=5"), std::string::npos);
+  EXPECT_NE(CapToString(**engine_.Get(core)).find("unit=5"), std::string::npos);
 }
 
 TEST_F(EngineEdgeTest, SealedDomainMayGrantToOwnChild) {
@@ -404,6 +405,95 @@ TEST_F(EngineEdgeTest, PurgeFailureOnFirstRootCommitsNothing) {
   EXPECT_TRUE(partial.empty());
   EXPECT_TRUE(engine_.IsRegistered(1));
   EXPECT_TRUE((*engine_.Get(a))->active());
+}
+
+// Domains 0-2 registered, then memory and units shared and granted among
+// them. `variant` shifts every range and unit, so two variants differ in
+// every answer below.
+CapabilityEngine PopulatedEngine(uint64_t variant) {
+  CapabilityEngine engine;
+  engine.RegisterDomain(0, CapabilityEngine::kNoCreator);
+  engine.RegisterDomain(1, 0);
+  engine.RegisterDomain(2, 0);
+  const uint64_t base = variant * 8 * kMiB;
+  const CapId mem = *engine.MintMemory(0, AddrRange{base, 4 * kMiB}, Perms(Perms::kRW),
+                                       CapRights(CapRights::kAll));
+  CapEffects effects;
+  EXPECT_TRUE(engine
+                  .ShareMemory(0, mem, 1, AddrRange{base + kMiB, kMiB}, Perms(Perms::kRead),
+                               CapRights(CapRights::kAll), RevocationPolicy{}, &effects)
+                  .ok());
+  EXPECT_TRUE(engine
+                  .GrantMemory(0, mem, 2, AddrRange{base + 2 * kMiB, kMiB},
+                               Perms(Perms::kRW), CapRights(CapRights::kAll),
+                               RevocationPolicy{})
+                  .ok());
+  const CapId core = *engine.MintUnit(0, ResourceKind::kCpuCore, variant,
+                                      CapRights(CapRights::kAll));
+  EXPECT_TRUE(engine.ShareUnit(0, core, 1, CapRights(CapRights::kAll), RevocationPolicy{},
+                               &effects)
+                  .ok());
+  EXPECT_TRUE(engine.MintUnit(0, ResourceKind::kDomain, 1 + variant,
+                              CapRights(CapRights::kAll))
+                  .ok());
+  return engine;
+}
+
+// Every read the derived state serves, flattened: the full and a clipped
+// view, ref counts, exclusivity and unit lookups over both variants' ranges
+// and units.
+std::vector<uint64_t> Answers(const CapabilityEngine& engine) {
+  std::vector<uint64_t> out;
+  for (const AddrRange within : {AddrRange{}, AddrRange{kMiB + kMiB / 2, 8 * kMiB}}) {
+    for (const RegionView& region : engine.MemoryView(within)) {
+      out.insert(out.end(), {region.range.base, region.range.size});
+      out.insert(out.end(), region.domains.begin(), region.domains.end());
+    }
+  }
+  for (uint64_t mib = 0; mib < 16; ++mib) {
+    out.push_back(engine.MemoryRefCount(AddrRange{mib * kMiB, kMiB}));
+    out.push_back(engine.ExclusivelyOwned(0, AddrRange{mib * kMiB, kMiB}));
+  }
+  for (uint64_t unit = 0; unit < 3; ++unit) {
+    for (const ResourceKind kind : {ResourceKind::kCpuCore, ResourceKind::kDomain}) {
+      out.push_back(engine.UnitRefCount(kind, unit));
+      for (CapDomainId d = 0; d < 3; ++d) {
+        out.push_back(engine.FindUnit(d, kind, unit));
+      }
+    }
+  }
+  return out;
+}
+
+TEST(EngineDerivedStateTest, RestoreAndMovesRebuildIndexesAndDropTheMemoizedView) {
+  CapabilityEngine other = PopulatedEngine(1);
+  const EngineImage image = other.Capture();
+  CapabilityEngine fresh = PopulatedEngine(0);
+  ASSERT_TRUE(fresh.Restore(image).ok());
+  const std::vector<uint64_t> expected = Answers(fresh);
+
+  // Each target has answered (and so memoized) its own state first.
+  CapabilityEngine restored = PopulatedEngine(0);
+  ASSERT_NE(Answers(restored), expected);
+  ASSERT_TRUE(restored.Restore(image).ok());
+  EXPECT_EQ(Answers(restored), expected);
+  EXPECT_TRUE(restored.CheckOwnedIndex().ok());
+  // An image with no capability at all indexes nothing, and must still drop
+  // the memo.
+  const CapabilityEngine empty;
+  ASSERT_TRUE(restored.Restore(empty.Capture()).ok());
+  EXPECT_EQ(Answers(restored), Answers(empty));
+
+  CapabilityEngine assigned = PopulatedEngine(0);
+  ASSERT_NE(Answers(assigned), expected);
+  ASSERT_EQ(Answers(other), expected);
+  assigned = std::move(other);
+  EXPECT_EQ(Answers(assigned), expected);
+  EXPECT_TRUE(assigned.CheckOwnedIndex().ok());
+
+  const CapabilityEngine constructed(std::move(assigned));
+  EXPECT_EQ(Answers(constructed), expected);
+  EXPECT_TRUE(constructed.CheckOwnedIndex().ok());
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "src/capability/engine.h"
 #include "src/support/prng.h"
+#include "tests/testing/cap_dump.h"
 
 namespace tyche {
 namespace {
@@ -251,7 +252,7 @@ TEST_P(EnginePropertyTest, RandomWorkloadAgreesWithShadowModel) {
       // A memory child is always contained in its parent's range.
       if (cap.kind == ResourceKind::kMemory &&
           (*parent)->kind == ResourceKind::kMemory) {
-        EXPECT_TRUE((*parent)->range.Contains(cap.range)) << cap.ToString();
+        EXPECT_TRUE((*parent)->range.Contains(cap.range)) << CapToString(cap);
       }
       // Parent must list this cap among its children.
       const auto& siblings = (*parent)->children;
@@ -291,6 +292,95 @@ TEST_P(EnginePropertyTest, RandomWorkloadAgreesWithShadowModel) {
   for (CapDomainId d = 0; d < kNumDomains; ++d) {
     EXPECT_TRUE(engine.EffectivePerms(d, 0).empty());
     EXPECT_TRUE(engine.DomainMemoryMap(d).empty());
+  }
+}
+
+// Unit caps: random shares, grants and revokes of cores and domain handles.
+// After every step the unit index answers (FindUnit, HasUnit, UnitRefCount)
+// must equal a brute-force scan of the shadow's active unit caps.
+TEST_P(EnginePropertyTest, RandomUnitWorkloadAgreesWithShadowModel) {
+  Prng prng(GetParam());
+  CapabilityEngine engine;
+  for (CapDomainId d = 0; d < kNumDomains; ++d) {
+    engine.RegisterDomain(d, d == 0 ? CapabilityEngine::kNoCreator : 0);
+  }
+  struct ShadowUnit {
+    CapDomainId owner;
+    ResourceKind kind;
+    uint64_t unit;
+  };
+  std::map<CapId, ShadowUnit> shadow;  // active caps only
+  std::map<CapId, std::vector<CapId>> children;
+  std::vector<std::pair<ResourceKind, uint64_t>> units;
+  for (uint64_t core = 0; core < 4; ++core) {
+    units.emplace_back(ResourceKind::kCpuCore, core);
+  }
+  for (CapDomainId d = 1; d < kNumDomains; ++d) {
+    units.emplace_back(ResourceKind::kDomain, d);
+  }
+  for (const auto& [kind, unit] : units) {
+    const CapId id = *engine.MintUnit(0, kind, unit, CapRights(CapRights::kAll));
+    shadow[id] = ShadowUnit{0, kind, unit};
+  }
+  auto shadow_revoke_subtree = [&](CapId id, auto&& self) -> void {
+    shadow.erase(id);
+    for (const CapId child : children[id]) {
+      self(child, self);
+    }
+  };
+
+  for (int step = 0; step < 300 && !shadow.empty(); ++step) {
+    auto it = shadow.begin();
+    std::advance(it, static_cast<long>(prng.Below(shadow.size())));
+    const CapId src = it->first;
+    const ShadowUnit src_shadow = it->second;
+    const CapDomainId dst = static_cast<CapDomainId>(prng.Below(kNumDomains));
+    const uint64_t op = prng.Below(3);
+    if (op == 0) {
+      const auto result = engine.ShareUnit(src_shadow.owner, src, dst,
+                                           CapRights(CapRights::kAll), RevocationPolicy{},
+                                           nullptr);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      shadow[*result] = ShadowUnit{dst, src_shadow.kind, src_shadow.unit};
+      children[src].push_back(*result);
+    } else if (op == 1) {
+      const auto result = engine.GrantUnit(src_shadow.owner, src, dst,
+                                           CapRights(CapRights::kAll), RevocationPolicy{});
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      shadow.erase(src);  // donated
+      shadow[result->granted] = ShadowUnit{dst, src_shadow.kind, src_shadow.unit};
+      children[src].push_back(result->granted);
+    } else {
+      const auto result = engine.Revoke(src_shadow.owner, src);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      shadow_revoke_subtree(src, shadow_revoke_subtree);
+      if (result->restored != kInvalidCap) {
+        const Capability* restored = *engine.Get(result->restored);
+        shadow[result->restored] =
+            ShadowUnit{restored->owner, restored->kind, restored->unit};
+        children[restored->parent].push_back(result->restored);
+      }
+    }
+
+    ASSERT_TRUE(engine.CheckOwnedIndex().ok()) << "step " << step;
+    for (const auto& [kind, unit] : units) {
+      std::set<CapDomainId> holders;
+      std::map<CapDomainId, CapId> newest;
+      for (const auto& [id, cap] : shadow) {
+        if (cap.kind == kind && cap.unit == unit) {
+          holders.insert(cap.owner);
+          newest[cap.owner] = id;  // id order: the last one wins
+        }
+      }
+      ASSERT_EQ(engine.UnitRefCount(kind, unit), holders.size())
+          << "step " << step << " unit " << unit;
+      for (CapDomainId d = 0; d < kNumDomains; ++d) {
+        const CapId expected = newest.contains(d) ? newest[d] : kInvalidCap;
+        ASSERT_EQ(engine.FindUnit(d, kind, unit), expected)
+            << "step " << step << " domain " << d << " unit " << unit;
+        ASSERT_EQ(engine.HasUnit(d, kind, unit), expected != kInvalidCap) << "step " << step;
+      }
+    }
   }
 }
 

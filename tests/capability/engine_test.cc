@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/testing/cap_dump.h"
+
 namespace tyche {
 namespace {
 
@@ -509,7 +511,7 @@ TEST_F(EngineTest, DumpTreeShowsLineage) {
                   .ShareMemory(kOs, root_, kApp, AddrRange{4 * kMiB, kMiB},
                                Perms(Perms::kRW), CapRights{}, RevocationPolicy{}, &effects)
                   .ok());
-  const std::string dump = engine_.DumpTree();
+  const std::string dump = DumpTree(engine_);
   EXPECT_NE(dump.find("cap#1"), std::string::npos);
   EXPECT_NE(dump.find("owner=1"), std::string::npos);
   EXPECT_NE(dump.find("active"), std::string::npos);

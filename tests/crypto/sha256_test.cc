@@ -114,6 +114,16 @@ TEST(Sha256Test, UpdateValueOrderSensitive) {
   EXPECT_NE(a.Finalize(), b.Finalize());
 }
 
+TEST(Sha256Test, EmptyUpdateBetweenTwoIsANoOp) {
+  // A default span has a null data(): the update must not touch it.
+  Sha256 ctx;
+  ctx.Update(std::string_view("ab"));
+  ctx.Update(std::span<const uint8_t>());
+  ctx.Update(std::string_view("c"));
+  EXPECT_EQ(ctx.Finalize().ToHex(),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
 TEST(DigestTest, ZeroAndComparison) {
   Digest zero;
   EXPECT_TRUE(zero.IsZero());
@@ -157,6 +167,18 @@ TEST(HmacTest, LongKeyIsHashedFirst) {
       std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(message.data()),
                                message.size()));
   EXPECT_EQ(mac.ToHex(), "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+TEST(HmacTest, EmptyKey) {
+  // An empty key is an all-zero key block (RFC 2104).
+  EXPECT_EQ(HmacSha256(std::span<const uint8_t>(), std::span<const uint8_t>()).ToHex(),
+            "b613679a0814d9ec772f95d778c35fc5ff1697c493715653c6c712144292c5ad");
+  const std::string message = "Hi There";
+  EXPECT_EQ(HmacSha256(std::span<const uint8_t>(),
+                       std::span<const uint8_t>(
+                           reinterpret_cast<const uint8_t*>(message.data()), message.size()))
+                .ToHex(),
+            "e48411262715c8370cd5e7bf8e82bef53bd53712d007f3429351843b77c7bb9b");
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "src/monitor/boot.h"
 #include "src/monitor/pmp_backend.h"
+#include "src/monitor/vtx_backend.h"
 
 namespace tyche {
 namespace {
@@ -356,6 +357,30 @@ TEST_F(MonitorTest, HardwareAlwaysConsistentWithCapabilities) {
   ASSERT_TRUE(*monitor_->AuditHardwareConsistency());
   ASSERT_TRUE(monitor_->DestroyDomain(0, handle).ok());
   EXPECT_TRUE(*monitor_->AuditHardwareConsistency());
+}
+
+TEST_F(MonitorTest, AuditCatchesExcessMappingsAnywhereInTheMap) {
+  // The child holds RWX at [16, 17) MiB and a read-only share at [32, 33) MiB.
+  const CapId handle = MakeChildDomain(16 * kMiB, kMiB, /*seal=*/false);
+  const DomainId child = static_cast<DomainId>((*monitor_->engine().Get(handle))->unit);
+  ASSERT_TRUE(monitor_->ShareMemory(0, OsMemoryCap(), handle, AddrRange{32 * kMiB, kMiB},
+                                    Perms(Perms::kRead), CapRights{}, RevocationPolicy{})
+                  .ok());
+  ASSERT_TRUE(*monitor_->AuditHardwareConsistency());
+  auto* vtx = dynamic_cast<VtxBackend*>(&monitor_->backend());
+  ASSERT_NE(vtx, nullptr);
+  auto* ept = const_cast<NestedPageTable*>(vtx->DomainEpt(child));
+
+  // A page in the middle of the read-only region made writable.
+  const uint64_t mid = 32 * kMiB + kMiB / 2;
+  ASSERT_TRUE(ept->ProtectPage(mid, Perms(Perms::kRW)).ok());
+  EXPECT_FALSE(*monitor_->AuditHardwareConsistency());
+  ASSERT_TRUE(ept->ProtectPage(mid, Perms(Perms::kRead)).ok());
+  ASSERT_TRUE(*monitor_->AuditHardwareConsistency());
+
+  // A page in the gap between the two regions, which no cap justifies.
+  ASSERT_TRUE(ept->MapPage(24 * kMiB, 24 * kMiB, Perms(Perms::kRead)).ok());
+  EXPECT_FALSE(*monitor_->AuditHardwareConsistency());
 }
 
 TEST_F(MonitorTest, ApiCallsAreCounted) {
