@@ -5,13 +5,17 @@
 //     measurement (both linear in size, different constants);
 //   - enclaves per host: SGX capped by the EPC, Tyche by total memory;
 //   - nesting: SGX depth 0, Tyche arbitrary;
-//   - address reuse: SGX forbids, Tyche allows (reported as a counter).
+//   - address reuse: SGX forbids, Tyche allows (reported as a counter);
+//   - customer check: verifying a launched enclave against its image costs
+//     the same whatever the measured segment's size (gated in
+//     bench/baselines/enclave_verify_baseline.json).
 
 #include <benchmark/benchmark.h>
 
 #include "src/baseline/sgx_model.h"
 #include "src/os/testbed.h"
 #include "src/tyche/enclave.h"
+#include "src/tyche/verifier.h"
 
 namespace tyche {
 namespace {
@@ -90,6 +94,57 @@ void BM_SgxEnclaveLifecycle(benchmark::State& state) {
                          static_cast<double>(ops));
 }
 BENCHMARK(BM_SgxEnclaveLifecycle)->Arg(1)->Arg(4)->Arg(16)->Iterations(20);
+
+// --- Customer check of one launched enclave, vs measured segment size ---
+
+// One enclave whose single measured segment is state.range(0) KiB (4 KiB of
+// content, zero-padded), launched and attested once; each iteration is the
+// customer's VerifyDomainAgainstImage on that report: the offline golden
+// measurement from the image plus the report's signature check. The monitor
+// measures the segment's memory at launch, outside the timed loop.
+void BM_CustomerVerifyImage(benchmark::State& state) {
+  auto testbed = Testbed::Create(TestbedOptions{});
+  const uint64_t segment_bytes = static_cast<uint64_t>(state.range(0)) * 1024;
+  TycheImage image("verify");
+  ImageSegment text;
+  text.name = "text";
+  text.size = segment_bytes;
+  text.perms = Perms(Perms::kRWX);
+  text.measured = true;
+  text.data.assign(kPageSize, 0x5a);
+  (void)image.AddSegment(std::move(text));
+  image.set_entry_offset(0);
+
+  LoadOptions load;
+  load.base = testbed->Scratch(kMiB);
+  load.size = segment_bytes;
+  load.cores = {1};
+  load.core_caps = {*testbed->OsCoreCap(1)};
+  auto enclave = Enclave::Create(&testbed->monitor(), 0, image, load);
+  if (!enclave.ok()) {
+    state.SkipWithError(enclave.status().ToString().c_str());
+    return;
+  }
+  constexpr uint64_t kNonce = 0x5eed;
+  const auto report = enclave->Attest(0, kNonce);
+  const auto identity = testbed->monitor().Identity(kNonce);
+  CustomerVerifier customer(testbed->machine().tpm().attestation_key(),
+                            testbed->golden_firmware(), testbed->golden_monitor());
+  if (!report.ok() || !identity.ok() || !customer.VerifyMonitor(*identity, kNonce).ok()) {
+    state.SkipWithError("attestation setup failed");
+    return;
+  }
+  for (auto _ : state) {
+    if (!customer.VerifyDomainAgainstImage(*report, image, load.base, load.size, load.cores,
+                                           kNonce)
+             .ok()) {
+      state.SkipWithError("customer check failed");
+      return;
+    }
+  }
+  state.counters["segment_KiB"] = static_cast<double>(state.range(0));
+}
+BENCHMARK(BM_CustomerVerifyImage)->Arg(16)->Arg(1024);
 
 // --- Enclaves per host until the platform says no ---
 

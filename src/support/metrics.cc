@@ -10,7 +10,7 @@ namespace tyche {
 
 namespace metrics_internal {
 
-thread_local size_t tls_stripe_plus1 = 0;
+constinit thread_local size_t tls_stripe_plus1 = 0;
 
 size_t AssignThisThreadStripe() {
   static std::atomic<size_t> next_stripe{0};

@@ -52,10 +52,12 @@ inline constexpr size_t kMetricStripes = 16;
 
 namespace metrics_internal {
 // This thread's stripe id + 1; 0 means "not assigned yet". Constant-
-// initialized on purpose: a zero-init thread_local has no per-access init
-// guard, so the hot-path read below is a bare TLS load. Assignment (the
-// round-robin fetch_add) happens once per thread, out of line.
-extern thread_local size_t tls_stripe_plus1;
+// initialized on purpose, and declared `constinit` so every including file
+// knows it: the hot-path read below is then a bare TLS load, with no call
+// through an init-function check and no reference for UBSan to null-check
+// (see profiler_internal::tls_scratch). Assignment (the round-robin
+// fetch_add) happens once per thread, out of line.
+extern constinit thread_local size_t tls_stripe_plus1;
 size_t AssignThisThreadStripe();  // returns stripe + 1 and caches it
 }  // namespace metrics_internal
 

@@ -11,7 +11,7 @@ namespace tyche {
 
 namespace profiler_internal {
 
-thread_local PhaseScratch tls_scratch{};
+constinit thread_local PhaseScratch tls_scratch{};
 
 }  // namespace profiler_internal
 
@@ -57,26 +57,26 @@ bool DispatchProfiler::BeginWindow(uint64_t start_ns) {
   if (!enabled()) {
     return false;
   }
-  auto& scratch = profiler_internal::tls_scratch;
-  if (scratch.active) {
+  using profiler_internal::tls_scratch;
+  if (tls_scratch.active) {
     return false;  // nested dispatch window: outer one keeps the thread
   }
-  scratch.active = true;
-  scratch.current = static_cast<uint8_t>(DispatchPhase::kOther);
-  scratch.last_ns = start_ns;
-  for (uint64_t& ns : scratch.ns) {
-    ns = 0;
+  tls_scratch.active = true;
+  tls_scratch.current = static_cast<uint8_t>(DispatchPhase::kOther);
+  tls_scratch.last_ns = start_ns;
+  for (size_t phase = 0; phase < kDispatchPhaseCount; ++phase) {
+    tls_scratch.ns[phase] = 0;
   }
   return true;
 }
 
 void DispatchProfiler::EndWindow(uint16_t op, uint64_t span, uint64_t end_ns) {
-  auto& scratch = profiler_internal::tls_scratch;
-  scratch.ns[scratch.current] += end_ns - scratch.last_ns;
-  scratch.active = false;
+  using profiler_internal::tls_scratch;
+  tls_scratch.ns[tls_scratch.current] += end_ns - tls_scratch.last_ns;
+  tls_scratch.active = false;
   for (size_t phase = 0; phase < kDispatchPhaseCount; ++phase) {
-    if (scratch.ns[phase] != 0) {
-      RecordSample(op, phase, scratch.ns[phase], span, end_ns);
+    if (tls_scratch.ns[phase] != 0) {
+      RecordSample(op, phase, tls_scratch.ns[phase], span, end_ns);
     }
   }
 }

@@ -80,9 +80,14 @@ inline uint64_t ProfilerNowNs() {
 
 namespace profiler_internal {
 
-// Per-thread phase window. Constant-initialized (all zero) so the hot-path
-// "is a window open" check is a bare TLS load with no init guard -- the
-// same trick metrics_internal::tls_stripe_plus1 uses.
+// Per-thread phase window. `constinit` on the declaration, not only on the
+// definition, is what lets every including file see that there is no
+// dynamic initializer: the hot-path "is a window open" check is then a bare
+// TLS load with no init-function call -- the same trick
+// metrics_internal::tls_stripe_plus1 uses. Code reads and writes the window
+// by name and never binds a reference to it: UBSan null-checks a reference,
+// and under PIE the check tests the flags of a TLS `add` that the linker may
+// rewrite into a flag-less `lea`, so it reported null on a valid address.
 struct PhaseScratch {
   bool active;       // a dispatch window is open on this thread
   uint8_t current;   // DispatchPhase currently accumulating
@@ -90,7 +95,7 @@ struct PhaseScratch {
   uint64_t ns[kDispatchPhaseCount];
 };
 
-extern thread_local PhaseScratch tls_scratch;
+extern constinit thread_local PhaseScratch tls_scratch;
 
 }  // namespace profiler_internal
 
@@ -103,20 +108,19 @@ extern thread_local PhaseScratch tls_scratch;
 class ScopedPhase {
  public:
   explicit ScopedPhase(DispatchPhase phase) {
-    auto& scratch = profiler_internal::tls_scratch;
-    if (!scratch.active) [[likely]] {
+    if (!profiler_internal::tls_scratch.active) [[likely]] {
       prev_ = kInactive;
       return;
     }
-    prev_ = scratch.current;
-    Switch(scratch, static_cast<uint8_t>(phase));
+    prev_ = profiler_internal::tls_scratch.current;
+    Switch(static_cast<uint8_t>(phase));
   }
 
   ~ScopedPhase() {
     if (prev_ == kInactive) [[likely]] {
       return;
     }
-    Switch(profiler_internal::tls_scratch, prev_);
+    Switch(prev_);
   }
 
   ScopedPhase(const ScopedPhase&) = delete;
@@ -125,11 +129,12 @@ class ScopedPhase {
  private:
   static constexpr uint8_t kInactive = 0xff;
 
-  static void Switch(profiler_internal::PhaseScratch& scratch, uint8_t next) {
+  static void Switch(uint8_t next) {
+    using profiler_internal::tls_scratch;
     const uint64_t now = ProfilerNowNs();
-    scratch.ns[scratch.current] += now - scratch.last_ns;
-    scratch.last_ns = now;
-    scratch.current = next;
+    tls_scratch.ns[tls_scratch.current] += now - tls_scratch.last_ns;
+    tls_scratch.last_ns = now;
+    tls_scratch.current = next;
   }
 
   uint8_t prev_;

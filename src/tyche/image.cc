@@ -52,6 +52,20 @@ class Reader {
   size_t pos_ = 0;
 };
 
+// Streams the zero padding from a fixed block, so a segment is hashed
+// without materializing `size` bytes.
+Digest PaddedContentDigest(const ImageSegment& segment) {
+  static constexpr uint8_t kZeros[512] = {};
+  Sha256 ctx;
+  ctx.Update(std::span<const uint8_t>(segment.data));
+  for (uint64_t left = segment.size - segment.data.size(); left > 0;) {
+    const uint64_t take = std::min<uint64_t>(left, sizeof(kZeros));
+    ctx.Update(std::span<const uint8_t>(kZeros, take));
+    left -= take;
+  }
+  return ctx.Finalize();
+}
+
 }  // namespace
 
 Status TycheImage::AddSegment(ImageSegment segment) {
@@ -67,6 +81,7 @@ Status TycheImage::AddSegment(ImageSegment segment) {
       return Error(ErrorCode::kAlreadyExists, "segment overlaps existing segment");
     }
   }
+  segment.content_digest_ = segment.measured ? PaddedContentDigest(segment) : Digest{};
   segments_.push_back(std::move(segment));
   // Keep segments sorted by offset: the loader and the offline measurement
   // rely on a canonical order.

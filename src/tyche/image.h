@@ -34,6 +34,16 @@ struct ImageSegment {
   bool shared = false;     // shared with the creator (true) or confidential
   bool measured = false;   // folded into the attestation measurement
   std::vector<uint8_t> data;  // initial content (zero-padded to size)
+
+  // SHA-256 of `data` zero-padded to `size`: what the monitor's
+  // ExtendMeasurement hashes once a measured segment is loaded. Computed by
+  // TycheImage::AddSegment for measured segments, so the offline measurement
+  // never re-hashes the image; zero for unmeasured ones.
+  const Digest& content_digest() const { return content_digest_; }
+
+ private:
+  friend class TycheImage;
+  Digest content_digest_;
 };
 
 class TycheImage {
@@ -46,6 +56,7 @@ class TycheImage {
   void set_entry_offset(uint64_t offset) { entry_offset_ = offset; }
 
   // Appends a segment; fails if it is unaligned or overlaps an existing one.
+  // A measured segment's content digest is computed here, once.
   Status AddSegment(ImageSegment segment);
 
   const std::vector<ImageSegment>& segments() const { return segments_; }

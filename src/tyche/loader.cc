@@ -162,17 +162,15 @@ Result<Digest> ComputeExpectedMeasurement(const TycheImage& image, uint64_t base
 
   Sha256 ctx;
   // Content measurements, exactly as the monitor's ExtendMeasurement folds
-  // them: (base, size, SHA256(content zero-padded to size)).
+  // them: (base, size, SHA256(content zero-padded to size)). The content
+  // hash is the digest AddSegment stored with the segment.
   for (const ImageSegment& segment : image.segments()) {
     if (!segment.measured) {
       continue;
     }
-    std::vector<uint8_t> content(segment.size, 0);
-    std::copy(segment.data.begin(), segment.data.end(), content.begin());
-    const Digest content_hash = Sha256::Hash(std::span<const uint8_t>(content));
     ctx.UpdateValue(base + segment.offset);
     ctx.UpdateValue(segment.size);
-    ctx.Update(std::span<const uint8_t>(content_hash.bytes.data(), 32));
+    ctx.Update(std::span<const uint8_t>(segment.content_digest().bytes));
   }
 
   // Configuration hash, exactly as Monitor::Seal folds it: entry point plus

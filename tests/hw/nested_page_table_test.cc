@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <tuple>
+#include <vector>
+
 namespace tyche {
 namespace {
 
@@ -115,6 +121,71 @@ TEST_F(NptTest, DestroyReleasesFrames) {
   // All table frames returned (the root was allocated pre-`before`).
   EXPECT_EQ(frames_.free_frames(), before + 1);
   EXPECT_FALSE(table_.Destroy().ok());
+}
+
+// Collects the frames of every table reachable from `table` (the root
+// included), reading entries one Read64 at a time so the check does not
+// share the View-based walk under test.
+void CollectTableFrames(const PhysMemory& memory, uint64_t table, int level,
+                        std::vector<uint64_t>* out) {
+  out->push_back(table);
+  if (level == 0) {
+    return;
+  }
+  for (uint64_t i = 0; i < 512; ++i) {
+    const uint64_t entry = *memory.Read64(table + 8 * i);
+    if ((entry & 1) != 0) {
+      CollectTableFrames(memory, entry & 0x0000fffffffff000ULL, level - 1, out);
+    }
+  }
+}
+
+TEST_F(NptTest, SpreadMappingsEnumerateAndDestroyCleanly) {
+  const uint64_t before_create = frames_.free_frames();
+  auto table = NestedPageTable::Create(&memory_, &frames_, &cycles_);
+  ASSERT_TRUE(table.ok());
+  // Mappings over several PT pages (2 MiB apart), several PD pages (1 GiB
+  // apart) and a second PDPT page (512 GiB apart), first and last slots of a
+  // PT included.
+  using Mapping = std::tuple<uint64_t, uint64_t, uint8_t>;
+  const std::set<Mapping> mapped = {
+      {0x0, 0x100000, Perms::kRead},
+      {0x1000, 0x101000, Perms::kRW},
+      {0x1ff000, 0x102000, Perms::kRWX},
+      {(2ull << 20) + 0x5000, 0x103000, Perms::kRX},
+      {(5ull << 20), 0x104000, Perms::kRW},
+      {(1ull << 30) + 0x3000, 0x105000, Perms::kRead},
+      {(3ull << 30) + (7ull << 20), 0x106000, Perms::kRW},
+      {(512ull << 30) + 0x2000, 0x107000, Perms::kRWX},
+      {(513ull << 30) + (9ull << 20) + 0x1000, 0x108000, Perms::kExec},
+  };
+  for (const auto& [gpa, hpa, perms] : mapped) {
+    ASSERT_TRUE(table->MapPage(gpa, hpa, Perms(perms)).ok());
+  }
+
+  std::vector<Mapping> seen;
+  table->ForEachMapping(
+      [&](uint64_t gpa, uint64_t hpa, Perms perms) { seen.emplace_back(gpa, hpa, perms.mask); });
+  EXPECT_EQ(seen.size(), mapped.size());
+  EXPECT_EQ(std::set<Mapping>(seen.begin(), seen.end()), mapped);
+
+  std::vector<uint64_t> table_frames;
+  CollectTableFrames(memory_, table->root(), 3, &table_frames);
+  // The root, 2 PDPTs (512 GiB slots 0 and 1), 5 PDs (GiB 0, 1, 3, 512 and
+  // 513) and 7 PTs (2 MiB slots 0, 1 and 2 of GiB 0, plus one each in GiB 1,
+  // 3, 512 and 513).
+  EXPECT_EQ(table_frames.size(), 15u);
+  EXPECT_EQ(table->table_frames(), 15u);
+  EXPECT_EQ(before_create - frames_.free_frames(), table->table_frames());
+
+  ASSERT_TRUE(table->Destroy().ok());
+  EXPECT_EQ(frames_.free_frames(), before_create);
+  for (const uint64_t frame : table_frames) {
+    const auto page = memory_.View(frame, kPageSize);
+    ASSERT_TRUE(page.ok());
+    EXPECT_TRUE(std::all_of(page->begin(), page->end(), [](uint8_t b) { return b == 0; }))
+        << "table frame 0x" << std::hex << frame << " not zeroed";
+  }
 }
 
 TEST_F(NptTest, WalkChargesCycles) {

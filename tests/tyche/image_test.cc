@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace tyche {
 namespace {
 
@@ -83,6 +85,28 @@ TEST(ImageTest, DeserializeRejectsGarbage) {
   std::vector<uint8_t> bytes = image.Serialize();
   bytes.resize(bytes.size() / 2);
   EXPECT_FALSE(TycheImage::Deserialize(bytes).ok());
+}
+
+TEST(ImageTest, ContentDigestIsPaddedHashOfMeasuredSegments) {
+  TycheImage image("t");
+  // Data lengths off the 64-byte block and the padding stream's chunk size.
+  for (const uint64_t data_len : {uint64_t{0}, uint64_t{1}, uint64_t{100}, uint64_t{4095}}) {
+    const uint64_t offset = (data_len + 1) * 4 * kPageSize;
+    ImageSegment segment = Seg("m", offset, 3 * kPageSize, Perms::kRW, false, true);
+    segment.data.assign(data_len, 0xa5);
+    ASSERT_TRUE(image.AddSegment(segment).ok());
+    std::vector<uint8_t> padded(3 * kPageSize, 0);
+    std::copy(segment.data.begin(), segment.data.end(), padded.begin());
+    const auto it = std::find_if(image.segments().begin(), image.segments().end(),
+                                 [&](const ImageSegment& s) { return s.offset == offset; });
+    ASSERT_NE(it, image.segments().end());
+    EXPECT_EQ(it->content_digest(), Sha256::Hash(std::span<const uint8_t>(padded)))
+        << "data_len " << data_len;
+  }
+  ImageSegment unmeasured = Seg("u", 0, kPageSize, Perms::kRW);
+  unmeasured.data.assign(10, 1);
+  ASSERT_TRUE(image.AddSegment(unmeasured).ok());
+  EXPECT_TRUE(image.segments().front().content_digest().IsZero());
 }
 
 TEST(ImageTest, MakeDemoShape) {
