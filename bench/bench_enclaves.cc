@@ -8,9 +8,14 @@
 //   - address reuse: SGX forbids, Tyche allows (reported as a counter);
 //   - customer check: verifying a launched enclave against its image costs
 //     the same whatever the measured segment's size (gated in
-//     bench/baselines/enclave_verify_baseline.json).
+//     bench/baselines/enclave_verify_baseline.json);
+//   - journal share: one launch and teardown writes at most 11 journal
+//     records, and costs at most a bounded factor more with the journal on
+//     than off (gated in bench/baselines/enclave_journal_baseline.json).
 
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "src/baseline/sgx_model.h"
 #include "src/os/testbed.h"
@@ -145,6 +150,73 @@ void BM_CustomerVerifyImage(benchmark::State& state) {
   state.counters["segment_KiB"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_CustomerVerifyImage)->Arg(16)->Arg(1024);
+
+// --- Journal share of one enclave launch ---
+
+// One 16 KiB enclave (one 8 KiB measured segment holding 4 KiB of content,
+// one core) launched and destroyed at one address, twice per iteration: once
+// with the audit journal on and once with it off (set_enabled), in
+// alternating order, each timed on its own. Alternating launch by launch
+// cancels the machine's drift, which a separate on and off run would not.
+// Counters: `journal_on_ns` and `journal_off_ns` per launch, `journal_share`
+// (on ÷ off) and `journal_records` (records one launch and teardown
+// writes); gated in bench/baselines/enclave_journal_baseline.json.
+void BM_EnclaveLaunchDestroy(benchmark::State& state) {
+  auto testbed = Testbed::Create(TestbedOptions{});
+  Monitor& monitor = testbed->monitor();
+  TycheImage image("launch");
+  ImageSegment text;
+  text.name = "text";
+  text.size = 8 * 1024;
+  text.perms = Perms(Perms::kRWX);
+  text.measured = true;
+  text.data.assign(4 * 1024, 0x3c);
+  (void)image.AddSegment(std::move(text));
+  image.set_entry_offset(0);
+  LoadOptions load;
+  load.base = testbed->Scratch(kMiB);
+  load.size = 16 * 1024;
+  load.cores = {1};
+  load.core_caps = {*testbed->OsCoreCap(1)};
+
+  // One launch and teardown with the journal on or off; returns its ns.
+  const auto launch = [&](bool journal_on) -> int64_t {
+    monitor.audit().set_enabled(journal_on);
+    const auto start = std::chrono::steady_clock::now();
+    auto enclave = Enclave::Create(&monitor, 0, image, load);
+    if (!enclave.ok() || !monitor.DestroyDomain(0, enclave->handle()).ok()) {
+      return -1;
+    }
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  const size_t records_before = monitor.audit().journal().size();
+  int64_t on_ns = 0;
+  int64_t off_ns = 0;
+  uint64_t launches = 0;
+  for (auto _ : state) {
+    const bool on_first = launches % 2 == 0;
+    const int64_t first = launch(on_first);
+    const int64_t second = launch(!on_first);
+    if (first < 0 || second < 0) {
+      state.SkipWithError("enclave launch or teardown failed");
+      return;
+    }
+    on_ns += on_first ? first : second;
+    off_ns += on_first ? second : first;
+    ++launches;
+  }
+  const auto per_launch = [launches](double total) {
+    return total / static_cast<double>(launches);
+  };
+  state.counters["journal_on_ns"] = per_launch(static_cast<double>(on_ns));
+  state.counters["journal_off_ns"] = per_launch(static_cast<double>(off_ns));
+  state.counters["journal_share"] = static_cast<double>(on_ns) / static_cast<double>(off_ns);
+  state.counters["journal_records"] =
+      per_launch(static_cast<double>(monitor.audit().journal().size() - records_before));
+}
+BENCHMARK(BM_EnclaveLaunchDestroy);
 
 // --- Enclaves per host until the platform says no ---
 

@@ -33,6 +33,15 @@ struct Digest {
 
   // Lowercase hex, 64 characters.
   std::string ToHex() const;
+
+  // The first 8 bytes, little-endian.
+  uint64_t Prefix64() const {
+    uint64_t value = 0;
+    for (size_t i = 0; i < 8; ++i) {
+      value |= static_cast<uint64_t>(bytes[i]) << (8 * i);
+    }
+    return value;
+  }
 };
 
 // Incremental SHA-256 context.

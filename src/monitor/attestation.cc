@@ -7,6 +7,8 @@
 #include <string_view>
 #include <type_traits>
 
+#include "src/crypto/encode.h"
+
 namespace tyche {
 
 namespace {
@@ -20,22 +22,6 @@ constexpr uint64_t kIdentityMagic = 0x545943484d4f4e31ULL;  // "TYCHMON1"
 constexpr size_t kReportFixedBytes = 4 * 8 + 32 + 8 + 32 + 8 + 32 + 8;
 constexpr size_t kClaimWireBytes = 6 * 8;
 constexpr size_t kIdentityFixedBytes = 3 * 8 + 2 * 32 + 3 * 8 + 32 + 8 + 32;
-
-// Little-endian scalar store, returning the next write position. The wire
-// encoders and the report digest's byte stream share it.
-template <typename T>
-uint8_t* Put(uint8_t* out, T value) {
-  static_assert(std::is_integral_v<T>);
-  for (size_t i = 0; i < sizeof(T); ++i) {
-    out[i] = static_cast<uint8_t>(value >> (8 * i));
-  }
-  return out + sizeof(T);
-}
-
-uint8_t* PutDigest(uint8_t* out, const Digest& digest) {
-  std::memcpy(out, digest.bytes.data(), digest.bytes.size());
-  return out + digest.bytes.size();
-}
 
 class WireReader {
  public:

@@ -29,6 +29,9 @@ namespace tyche {
 
 // Owned by the Monitor; all builders are no-ops while the journal is
 // disabled. Builders take the causal span id threaded from Dispatch().
+// Every record of an operation that causes effects (share, grant, revoke,
+// purge) carries EffectsDigest() of that operation's effect list in its
+// `result` field; replay recomputes it from the shadow engine's own effects.
 class AuditJournal {
  public:
   AuditJournal() = default;
@@ -54,22 +57,21 @@ class AuditJournal {
                 CapRights rights);
   void ShareMemory(uint64_t span, uint32_t requester, uint32_t dst, uint64_t src_cap,
                    uint64_t child, AddrRange sub, Perms perms, CapRights rights,
-                   RevocationPolicy policy);
+                   RevocationPolicy policy, const CapEffects& effects);
   void GrantMemory(uint64_t span, uint32_t requester, uint32_t dst, uint64_t src_cap,
-                   uint64_t granted, AddrRange sub, Perms perms, CapRights rights,
-                   RevocationPolicy policy, uint64_t remainder_count);
+                   const GrantOutcome& outcome, AddrRange sub, Perms perms,
+                   CapRights rights, RevocationPolicy policy);
   void ShareUnit(uint64_t span, uint32_t requester, uint32_t dst, uint64_t src_cap,
                  uint64_t child, ResourceKind kind, uint64_t unit, CapRights rights,
-                 RevocationPolicy policy);
+                 RevocationPolicy policy, const CapEffects& effects);
   void GrantUnit(uint64_t span, uint32_t requester, uint32_t dst, uint64_t src_cap,
-                 uint64_t granted, ResourceKind kind, uint64_t unit, CapRights rights,
-                 RevocationPolicy policy);
+                 const GrantOutcome& outcome, ResourceKind kind, uint64_t unit,
+                 CapRights rights, RevocationPolicy policy);
   // Emits kRevoke plus one kCascade per deactivated capability plus kRestore
   // when the revocation returned ownership: N+1 records, one span.
   void Revoke(uint64_t span, uint32_t requester, uint64_t cap, const RevokeOutcome& outcome,
               const CapabilityEngine& engine);
   void PurgeDomain(uint64_t span, uint32_t domain, const RevokeOutcome& outcome);
-  void Effect(uint64_t span, const CapEffect& effect);
   // An operation failed mid-flight: its compensating mutations (if any) were
   // journaled as ordinary records, and this marks the whole span as aborted
   // with the operation's error code. Context-only for replay.
@@ -99,16 +101,17 @@ class AuditJournal {
   std::vector<uint8_t> Export();
 
  private:
-  // Builds (does not append) one kCascade record per revoked cap.
-  void Cascades(std::vector<JournalRecord>* out, uint64_t span, uint64_t root_cap,
-                const RevokeOutcome& outcome);
+  // Appends a root record (kRevoke / kPurgeDomain, already filled in) with
+  // its kCascade records and an optional kRestore as one atomic group.
+  void AppendCascadeGroup(const JournalRecord& root, uint64_t root_cap,
+                          const RevokeOutcome& outcome, const JournalRecord* restore);
 
   Journal journal_;
 };
 
 struct JournalReplay {
   uint64_t applied = 0;  // engine mutations re-applied
-  uint64_t skipped = 0;  // context records (dispatch, effects)
+  uint64_t skipped = 0;  // context records (dispatch, abort, recovery, migration)
 };
 
 // Tolerances a recovery replay needs that a full-history audit must NOT
@@ -129,8 +132,10 @@ struct ReplayOptions {
 // the records build on — fresh for a full-history replay, snapshot-restored
 // for a suffix replay), asserting every journaled capability id (shares,
 // grants, cascades, restores, remainder counts) matches what the engine
-// produced. Fails with kJournalReplayDivergence and the diverging sequence
-// number on any mismatch.
+// produced, and every effect digest matches the effects the shadow engine
+// computed for the same operation. A record carrying the retired kEffect
+// event is refused. Fails with kJournalReplayDivergence and the diverging
+// sequence number on any mismatch.
 Result<JournalReplay> ReplayJournalInto(CapabilityEngine* shadow,
                                         std::span<const JournalRecord> records,
                                         const ReplayOptions& options = {});
@@ -139,6 +144,15 @@ Result<JournalReplay> ReplayJournalInto(CapabilityEngine* shadow,
 // cap/parent/base/size fields). Recovery uses it to rebuild attested
 // identities from the journal alone.
 Digest PackedSealDigest(const JournalRecord& record);
+
+// The first 8 bytes (little-endian) of SHA-256 over a domain tag and the
+// effects' canonical encoding, in list order: per effect its kind (u8),
+// domain (u32), resource (u8), range base and size (u64 each), unit (u64)
+// and perms (u8), little-endian. An empty list digests to 0 without hashing.
+uint64_t EffectsDigest(std::span<const CapEffect> effects);
+
+// The effect digest a share, grant, revoke or purge record carries.
+uint64_t PackedEffectsDigest(const JournalRecord& record);
 
 }  // namespace tyche
 

@@ -507,7 +507,9 @@ Result<DomainId> Monitor::InstallInitialDomain(const std::string& name) {
   audit_.RegisterDomain(span, id, kJournalNoDomain);
   TYCHE_RETURN_IF_ERROR(backend_->CreateDomainContext(id, domain.asid));
 
-  // Endow the initial domain with everything outside the monitor.
+  // Endow the initial domain with everything outside the monitor. The boot
+  // effects are a pure function of the mint records (each minted range
+  // mapped RWX, each minted device attached), so no record carries them.
   const AddrRange rest{monitor_range_.end(),
                        machine_->memory().size() - monitor_range_.end()};
   CapEffects effects;
@@ -533,7 +535,7 @@ Result<DomainId> Monitor::InstallInitialDomain(const std::string& name) {
     effects.Add(CapEffect{CapEffect::Kind::kAttachUnit, id, ResourceKind::kPciDevice,
                           AddrRange{}, device->bdf().value, Perms{}});
   }
-  TYCHE_RETURN_IF_ERROR(ApplyEffects(effects, span));
+  TYCHE_RETURN_IF_ERROR(ApplyEffects(effects));
 
   // Put the initial domain on every core.
   for (CoreId core = 0; core < machine_->num_cores(); ++core) {
@@ -544,7 +546,7 @@ Result<DomainId> Monitor::InstallInitialDomain(const std::string& name) {
   return id;
 }
 
-Status Monitor::ApplyEffects(const CapEffects& effects, uint64_t span) {
+Status Monitor::ApplyEffects(const CapEffects& effects) {
   // Best-effort over the WHOLE list: revocation cleanups are guaranteed
   // (§3.2), so one failing projection (e.g. a PMP layout that stopped
   // fitting -- which fail-safes to deny-all) must not prevent the remaining
@@ -561,7 +563,6 @@ Status Monitor::ApplyEffects(const CapEffects& effects, uint64_t span) {
     if (kind_index < MonitorStats::kEffectKinds) {
       Count(counters_.effects_by_kind[kind_index]);
     }
-    audit_.Effect(span, effect);
     switch (effect.kind) {
       case CapEffect::Kind::kMapMemory:
       case CapEffect::Kind::kUnmapMemory:
@@ -640,7 +641,7 @@ Status Monitor::RollbackTransfer(ApiOp op, uint64_t span, DomainId requester,
   } else {
     audit_.Revoke(span, owner, created, *comp, engine_);
     Count(counters_.revocations_cascaded, comp->revoked_count);
-    const Status reverted = ApplyEffects(comp->effects, span);
+    const Status reverted = ApplyEffects(comp->effects);
     if (!reverted.ok()) {
       // The compensation itself could not be fully projected: the failing
       // backend has already fail-safed to deny, so hardware still enforces
@@ -860,7 +861,7 @@ Status Monitor::DestroyDomain(CoreId core, CapId domain_handle) {
     for (const auto& [root, committed] : partial) {
       audit_.Revoke(span, target, root, committed, engine_);
       Count(counters_.revocations_cascaded, committed.revoked_count);
-      const Status projected = ApplyEffects(committed.effects, span);
+      const Status projected = ApplyEffects(committed.effects);
       if (!projected.ok()) {
         TYCHE_LOG(kWarn) << "destroy: partial-purge effects degraded to fail-safe: "
                          << projected.ToString();
@@ -878,7 +879,7 @@ Status Monitor::DestroyDomain(CoreId core, CapId domain_handle) {
   // state of all. Push through every cleanup step (failed projections have
   // already fail-safed to deny), mark the domain dead, and report the first
   // failure as a terminal-but-contained error.
-  Status first = ApplyEffects(outcome.effects, span);
+  Status first = ApplyEffects(outcome.effects);
   const Status context = backend_->DestroyDomainContext(target);
   if (!context.ok() && first.ok()) {
     first = context;
@@ -904,8 +905,8 @@ Result<CapId> Monitor::ShareMemory(CoreId core, CapId src_cap, CapId dst_domain_
   TYCHE_ASSIGN_OR_RETURN(
       const CapId child,
       engine_.ShareMemory(caller, src_cap, dst, sub, perms, rights, policy, &effects));
-  audit_.ShareMemory(span, caller, dst, src_cap, child, sub, perms, rights, policy);
-  const Status applied = ApplyEffects(effects, span);
+  audit_.ShareMemory(span, caller, dst, src_cap, child, sub, perms, rights, policy, effects);
+  const Status applied = ApplyEffects(effects);
   if (!applied.ok()) {
     // Compensate: the hardware could not accommodate the new mapping (e.g.
     // PMP exhaustion); roll the capability back so tree and hardware agree.
@@ -925,9 +926,8 @@ Result<GrantResult> Monitor::GrantMemory(CoreId core, CapId src_cap, CapId dst_d
   const uint64_t span = SpanForCore(core);
   TYCHE_ASSIGN_OR_RETURN(GrantOutcome outcome, engine_.GrantMemory(caller, src_cap, dst, sub,
                                                                    perms, rights, policy));
-  audit_.GrantMemory(span, caller, dst, src_cap, outcome.granted, sub, perms, rights, policy,
-                     outcome.remainders.size());
-  const Status applied = ApplyEffects(outcome.effects, span);
+  audit_.GrantMemory(span, caller, dst, src_cap, outcome, sub, perms, rights, policy);
+  const Status applied = ApplyEffects(outcome.effects);
   if (!applied.ok()) {
     // Revoking the granted capability returns it to the grantor (the
     // engine's grant-revocation rule: the parent itself when the grant took
@@ -952,9 +952,9 @@ Result<CapId> Monitor::ShareUnit(CoreId core, CapId src_cap, CapId dst_domain_ha
                          engine_.ShareUnit(caller, src_cap, dst, rights, policy, &effects));
   if (const auto child_cap = engine_.Get(child); child_cap.ok()) {
     audit_.ShareUnit(span, caller, dst, src_cap, child, (*child_cap)->kind,
-                     (*child_cap)->unit, rights, policy);
+                     (*child_cap)->unit, rights, policy, effects);
   }
-  const Status applied = ApplyEffects(effects, span);
+  const Status applied = ApplyEffects(effects);
   if (!applied.ok()) {
     return RollbackTransfer(ApiOp::kShareUnit, span, caller, dst, child, applied);
   }
@@ -972,10 +972,10 @@ Result<CapId> Monitor::GrantUnit(CoreId core, CapId src_cap, CapId dst_domain_ha
   TYCHE_ASSIGN_OR_RETURN(GrantOutcome outcome,
                          engine_.GrantUnit(caller, src_cap, dst, rights, policy));
   if (const auto granted = engine_.Get(outcome.granted); granted.ok()) {
-    audit_.GrantUnit(span, caller, dst, src_cap, outcome.granted, (*granted)->kind,
+    audit_.GrantUnit(span, caller, dst, src_cap, outcome, (*granted)->kind,
                      (*granted)->unit, rights, policy);
   }
-  const Status applied = ApplyEffects(outcome.effects, span);
+  const Status applied = ApplyEffects(outcome.effects);
   if (!applied.ok()) {
     return RollbackTransfer(ApiOp::kGrantUnit, span, caller, dst, outcome.granted, applied);
   }
@@ -991,7 +991,7 @@ Status Monitor::Revoke(CoreId core, CapId cap) {
   audit_.Revoke(span, caller, cap, outcome, engine_);
   Count(counters_.revokes);
   Count(counters_.revocations_cascaded, outcome.revoked_count);
-  const Status applied = ApplyEffects(outcome.effects, span);
+  const Status applied = ApplyEffects(outcome.effects);
   if (!applied.ok()) {
     // Revocation is never rolled back (§3.2: cleanups are guaranteed). The
     // failing projection already fail-safed to deny, so hardware enforces a

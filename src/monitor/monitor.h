@@ -359,9 +359,10 @@ class Monitor {
   // span when inside Dispatch(), else a fresh root span.
   uint64_t SpanForCore(CoreId core);
 
-  // Applies an effect list produced by the capability engine to hardware,
-  // journaling each applied effect under `span`.
-  Status ApplyEffects(const CapEffects& effects, uint64_t span);
+  // Applies an effect list produced by the capability engine to hardware.
+  // The list is journaled as a digest in the record of the operation that
+  // produced it, not here.
+  Status ApplyEffects(const CapEffects& effects);
   // Rolls back a share/grant whose hardware projection failed: revokes the
   // capability the operation created (as `owner`, the recipient — an owner
   // may always drop its own capability), applies the compensating effects,

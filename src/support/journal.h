@@ -43,9 +43,11 @@
 
 namespace tyche {
 
-// What kind of monitor event a record describes. kDispatch and kEffect are
-// context (skipped by replay); everything else is an engine mutation that a
-// shadow capability engine can re-apply deterministically.
+// What kind of monitor event a record describes. kDispatch, kOpAbort,
+// kRecovery and the migration handoffs are context (skipped by replay);
+// everything else is an engine mutation that a shadow capability engine can
+// re-apply deterministically. kEffect is retired (wire version 3): its slot
+// stays so every other event keeps its number, and replay refuses it.
 enum class JournalEvent : uint8_t {
   kDispatch = 0,     // one ABI call crossed Dispatch() (root of a span)
   kRegisterDomain,   // domain registered with the engine
@@ -60,7 +62,7 @@ enum class JournalEvent : uint8_t {
   kCascade,          // one capability deactivated by an enclosing cascade
   kRestore,          // revoking a grant returned ownership to the grantor
   kPurgeDomain,      // domain teardown revoked everything it owned
-  kEffect,           // one hardware obligation applied by the backend
+  kEffect,           // retired: effects are a digest in their op's record
   kOpAbort,          // an operation failed mid-flight and was rolled back /
                      // contained; context only (the compensating mutations
                      // are journaled as ordinary records before it)
@@ -98,7 +100,8 @@ struct JournalRecord {
   uint64_t parent = 0;   // source capability (share/grant/restore)
   uint64_t base = 0;     // memory base, or unit id for unit events
   uint64_t size = 0;     // memory size
-  uint64_t result = 0;   // ErrorCode of the operation (0 = OK)
+  uint64_t result = 0;   // ErrorCode (dispatch, abort); effect digest (share,
+                         // grant, revoke, purge: PackedEffectsDigest)
   uint64_t aux = 0;      // event-specific: cascade size, remainder count, ...
   Digest link;           // SHA-256(prev_link || canonical record bytes)
 };

@@ -20,14 +20,6 @@ Digest ExtendDigest(const Digest& pcr, const Digest& value) {
   return ctx.Finalize();
 }
 
-uint64_t LinkPrefix64(const Digest& digest) {
-  uint64_t value = 0;
-  for (size_t i = 0; i < 8; ++i) {
-    value |= static_cast<uint64_t>(digest.bytes[i]) << (8 * i);
-  }
-  return value;
-}
-
 // Tier-2 checks before the signature, in the order every path runs them:
 // nonce freshness, then digest consistency.
 Status CheckBeforeSignature(const DomainAttestation& report, uint64_t expected_nonce) {
@@ -391,7 +383,7 @@ Status VerifyJournalSplice(std::span<const uint8_t> source_journal,
       // The payload digest identifies the handoff (domain ids differ across
       // monitors); the aux link pins it to one specific source record.
       if (matched[i] || PackedSealDigest(out) != in_digest ||
-          in.aux != LinkPrefix64(out.link)) {
+          in.aux != out.link.Prefix64()) {
         continue;
       }
       matched[i] = true;

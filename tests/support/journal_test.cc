@@ -118,7 +118,7 @@ TEST(JournalTest, ReorderedRecordsAreDetected) {
   Journal journal(/*checkpoint_interval=*/4);
   SignWithTestKey(journal);
   for (int i = 0; i < 8; ++i) {
-    journal.Append(Record(JournalEvent::kEffect, 5, i));
+    journal.Append(Record(JournalEvent::kRestore, 5, i));
   }
   std::vector<JournalRecord> records = journal.Records();
   std::swap(records[1], records[6]);
@@ -239,7 +239,8 @@ TEST(JournalTest, VariedChainHeadAndWireBytesArePinned) {
   // 1 000 records with every field varied, signed checkpoints every 128
   // records and one at the tail: the head and the digest of the whole wire
   // image were recorded once and must never change, whatever the encoder or
-  // hash implementation underneath.
+  // hash implementation underneath. Wire version 3 changed only the version
+  // word: written back to 2, the image hashes to the digest recorded for v2.
   Journal journal;
   SignWithTestKey(journal);
   uint64_t tick = 5000;
@@ -272,7 +273,14 @@ TEST(JournalTest, VariedChainHeadAndWireBytesArePinned) {
   EXPECT_EQ(journal.head().ToHex(),
             "e63bf88c74ed90daa27148902db783c84ee650a7b97896378a51a58ee4398f6b");
   EXPECT_EQ(Sha256::Hash(wire).ToHex(),
+            "50c71c1c7ec3e3bdafe6acc4f429f4f20588d27a1b0f987fc85bced5a3844f25");
+  constexpr size_t kVersionOffset = 4;  // after the 4-byte magic, little-endian u32
+  ASSERT_EQ(wire[kVersionOffset], 3u);
+  std::vector<uint8_t> as_v2 = wire;
+  as_v2[kVersionOffset] = 2;
+  EXPECT_EQ(Sha256::Hash(as_v2).ToHex(),
             "8df60ef4d4e1c37446b7fc87e42ecc7529149ba21db86c9d88ff3e69dd89f48a");
+  EXPECT_FALSE(Journal::Deserialize(as_v2).ok());  // v2 images are refused
   EXPECT_TRUE(
       Journal::VerifyChain(journal.Records(), journal.Checkpoints(), TestKey().pub).ok());
 }
