@@ -60,7 +60,8 @@ class SectionWriter {
   std::vector<uint8_t> bytes_;
 };
 
-// Bounds-checked cursor over one section body.
+// Bounds-checked cursor over one section body, or over a serialized
+// journal (the same little-endian conventions).
 class SectionReader {
  public:
   explicit SectionReader(std::span<const uint8_t> bytes) : bytes_(bytes) {}
