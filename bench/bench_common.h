@@ -6,8 +6,9 @@
 //
 //   p50_ns / p90_ns / p99_ns      histogram-view percentiles (benches that
 //                                 run with latency histograms enabled)
-//   batches / batched_records /   journal group-commit stats (benches that
-//   max_batch                     run with the journal enabled)
+//   batches / batched_records /   journal commit stats, one batch per
+//   max_batch                     Append/AppendGroup call (benches that run
+//                                 with the journal enabled)
 //   phase_<name>_ns               per-phase attribution totals
 //                                 (bench_profile)
 //
@@ -48,7 +49,7 @@ inline void ExportPercentiles(benchmark::State& state, Monitor& monitor) {
   state.counters["p99_ns"] = static_cast<double>(merged.Percentile(99));
 }
 
-// Journal group-commit stats under the shared counter names.
+// Journal commit stats under the shared counter names.
 inline void ExportGroupCommitStats(benchmark::State& state, const Journal& journal) {
   const auto stats = journal.group_commit_stats();
   state.counters["batches"] = static_cast<double>(stats.batches);

@@ -194,14 +194,14 @@ void Monitor::RegisterMetrics() {
                        [this] { return audit_.journal().checkpoint_count(); });
   metrics_.AddCallback(
       "tyche_journal_group_commit_batches_total",
-      "Flat-combining group-commit batches flushed by the journal", true, {},
+      "Journal commits (one per Append or AppendGroup call)", true, {},
       [this] { return audit_.journal().group_commit_stats().batches; });
   metrics_.AddCallback(
       "tyche_journal_group_commit_records_total",
-      "Records flushed through group-commit batches", true, {},
+      "Records appended through journal commits", true, {},
       [this] { return audit_.journal().group_commit_stats().batched_records; });
   metrics_.AddCallback(
-      "tyche_journal_group_commit_max_batch", "Largest group-commit batch observed",
+      "tyche_journal_group_commit_max_batch", "Most records appended by one journal commit",
       false, {}, [this] { return audit_.journal().group_commit_stats().max_batch; });
   metrics_.AddCallback("tyche_trace_recorded_total",
                        "ABI calls recorded into the trace ring", true, {},
@@ -275,7 +275,7 @@ void Monitor::RegisterMetrics() {
                        [this] { return profiler_.TotalSamples(); });
 
   // Attributed lock-wait time: measured at the guards (src/support/locking.h)
-  // and the journal's group-commit waiter path, not inferred from counts.
+  // and the journal's chain lock, not inferred from counts.
   metrics_.AddCallback("tyche_lock_wait_ns_total",
                        "Nanoseconds spent blocked on contended conditional guards",
                        true, {{"class", "exclusive"}},
@@ -290,11 +290,11 @@ void Monitor::RegisterMetrics() {
                        [this] { return telemetry_.shard_wait_ns_total(); });
   metrics_.AddCallback(
       "tyche_journal_commit_waits_total",
-      "Group-commit appends that blocked waiting for a combiner", true, {},
+      "Journal appends that blocked on the chain lock", true, {},
       [this] { return audit_.journal().commit_wait_stats().waits; });
   metrics_.AddCallback(
       "tyche_journal_commit_wait_ns_total",
-      "Nanoseconds spent blocked waiting for a group-commit combiner", true, {},
+      "Nanoseconds journal appends spent blocked on the chain lock", true, {},
       [this] { return audit_.journal().commit_wait_stats().wait_ns; });
 
   // Invariant watchdog: per-invariant health (1 = holds), check/violation

@@ -381,7 +381,7 @@ class Monitor {
   // lock contention, fault injection, and per-op latency histograms.
   void RegisterMetrics();
   // Zeroes every MonitorStats-equivalent counter (recovery epoch reset).
-  // Contention counters and journal group-commit stats are NOT touched —
+  // Contention counters and journal commit stats are NOT touched —
   // the pre-PR-6 code never reset those either.
   void ResetStatCounters();
 

@@ -143,13 +143,10 @@ uint64_t Journal::Append(JournalRecord record) {
   }
   // Dispatch-profiler attribution: ALL journal work reached from a dispatch
   // -- the boundary record, engine-mutation records appended mid-op, and
-  // any group-commit wait inside CommitPending -- lands in the kJournal
-  // phase. A bare TLS load when no window is open.
+  // any wait for the chain lock -- lands in the kJournal phase. A bare TLS
+  // load when no window is open.
   const ScopedPhase phase(DispatchPhase::kJournal);
-  PendingAppend slot;
-  slot.records = &record;
-  slot.count = 1;
-  return CommitPending(&slot);
+  return Commit(&record, 1);
 }
 
 uint64_t Journal::AppendGroup(std::span<JournalRecord> records) {
@@ -157,58 +154,30 @@ uint64_t Journal::AppendGroup(std::span<JournalRecord> records) {
     return kNoSeq;
   }
   const ScopedPhase phase(DispatchPhase::kJournal);
-  PendingAppend slot;
-  slot.records = records.data();
-  slot.count = records.size();
-  return CommitPending(&slot);
+  return Commit(records.data(), records.size());
 }
 
-// Flat-combining group commit. The caller enqueues its stack-resident slot;
-// whichever thread finds no combiner running takes the role and drains the
-// whole queue under one mu_ acquisition, extending the chain one record at a
-// time (AppendOneLocked) so the bytes are identical to sequential appends.
-// Everyone else sleeps until the combiner marks their slot done. With a single
-// writer the queue always holds exactly one slot and this collapses to
-// lock-append-unlock.
-uint64_t Journal::CommitPending(PendingAppend* own) {
-  std::unique_lock<std::mutex> queue_lock(queue_mu_);
-  pending_.push_back(own);
-  if (combiner_active_) {
-    // Already off the fast path: this thread is about to sleep, so two
-    // clock reads attribute the group-commit wait exactly.
+// One mu_ acquisition per call: the records extend the chain one at a time
+// (AppendOneLocked), so a group's seqs are contiguous and the bytes are
+// identical to appending them singly.
+uint64_t Journal::Commit(JournalRecord* records, size_t count) {
+  std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
+  if (!lock.owns_lock()) {
+    // Already off the fast path: this thread is about to block, so two
+    // clock reads attribute the commit wait exactly.
     const uint64_t blocked_at = ProfilerNowNs();
-    queue_cv_.wait(queue_lock, [own] { return own->done; });
-    commit_waits_.Add();
-    commit_wait_ns_.Add(ProfilerNowNs() - blocked_at);
-    return own->first_seq;
+    lock.lock();
+    ++wait_stats_.waits;
+    wait_stats_.wait_ns += ProfilerNowNs() - blocked_at;
   }
-  combiner_active_ = true;
-  while (!pending_.empty()) {
-    batch_.swap(pending_);
-    queue_lock.unlock();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      uint64_t batch_records = 0;
-      for (PendingAppend* slot : batch_) {
-        slot->first_seq = base_seq_ + records_.size();
-        for (size_t i = 0; i < slot->count; ++i) {
-          AppendOneLocked(&slot->records[i]);
-        }
-        batch_records += slot->count;
-      }
-      ++group_stats_.batches;
-      group_stats_.batched_records += batch_records;
-      group_stats_.max_batch = std::max(group_stats_.max_batch, batch_records);
-    }
-    queue_lock.lock();
-    for (PendingAppend* slot : batch_) {
-      slot->done = true;
-    }
-    batch_.clear();
-    queue_cv_.notify_all();
+  const uint64_t first_seq = base_seq_ + records_.size();
+  for (size_t i = 0; i < count; ++i) {
+    AppendOneLocked(&records[i]);
   }
-  combiner_active_ = false;
-  return own->first_seq;
+  ++group_stats_.batches;
+  group_stats_.batched_records += count;
+  group_stats_.max_batch = std::max<uint64_t>(group_stats_.max_batch, count);
+  return first_seq;
 }
 
 void Journal::AppendOneLocked(JournalRecord* record) {
@@ -237,6 +206,11 @@ void Journal::AppendOneLocked(JournalRecord* record) {
 Journal::GroupCommitStats Journal::group_commit_stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return group_stats_;
+}
+
+Journal::CommitWaitStats Journal::commit_wait_stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return wait_stats_;
 }
 
 Status Journal::VerifyTail(ChainPosition* pos) const {
@@ -343,8 +317,7 @@ void Journal::Clear() {
   base_seq_ = 0;
   event_counts_ = {};
   group_stats_ = {};
-  commit_waits_.Reset();
-  commit_wait_ns_.Reset();
+  wait_stats_ = {};
 }
 
 Status Journal::TruncateBefore(uint64_t checkpoint_seq) {

@@ -29,7 +29,6 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -38,7 +37,6 @@
 
 #include "src/crypto/schnorr.h"
 #include "src/crypto/sha256.h"
-#include "src/support/metrics.h"
 #include "src/support/status.h"
 
 namespace tyche {
@@ -135,17 +133,10 @@ inline constexpr size_t kJournalCanonicalBytes = 86;
 // link = SHA-256(prev.bytes || canonical record bytes).
 Digest ChainLink(const Digest& prev, const JournalRecord& record);
 
-// Thread-safe append-only journal. Appends assign seq/tick/link under one
-// lock so the chain is total-ordered even under concurrent writers.
-//
-// Concurrent appends GROUP-COMMIT (flat combining): each caller enqueues its
-// record(s) on a pending queue; the first thread to find no combiner running
-// becomes the combiner, drains the whole queue under ONE chain-lock
-// acquisition, and wakes the waiters. The per-record chain is byte-identical
-// to sequential appends — seq, tick, and link are still assigned one record
-// at a time in arrival order — so the offline verifier replays batched and
-// unbatched histories identically. Under a single writer every "batch" has
-// size one and the path reduces to the old lock-append-unlock sequence.
+// Thread-safe append-only journal. Each Append() or AppendGroup() call
+// takes the chain lock once and assigns seq, tick and link under it, so the
+// chain is total-ordered even under concurrent writers and a group's records
+// get contiguous seqs.
 class Journal {
  public:
   static constexpr size_t kDefaultCheckpointInterval = 128;
@@ -187,26 +178,25 @@ class Journal {
   // first record, or kNoSeq when disabled or `records` is empty.
   uint64_t AppendGroup(std::span<JournalRecord> records);
 
-  // Group-commit counters (cumulative since construction / Clear()).
+  // Commit counters (cumulative since construction / Clear()). A batch is
+  // one Append() or AppendGroup() call: one chain-lock acquisition.
   struct GroupCommitStats {
-    uint64_t batches = 0;          // combiner drains (lock acquisitions)
+    uint64_t batches = 0;          // Append/AppendGroup calls that committed
     uint64_t batched_records = 0;  // records appended across all batches
-    uint64_t max_batch = 0;        // largest single drain, in records
+    uint64_t max_batch = 0;        // largest single call, in records
   };
   GroupCommitStats group_commit_stats() const;
 
-  // Group-commit WAIT attribution: how often an appender had to sleep for a
-  // running combiner, and the total nanoseconds spent blocked. Measured at
-  // the wait itself (striped counters, contended path only), so journal
-  // contention is reported, not inferred from throughput. The dispatch
-  // profiler sees the same interval inside its kJournal phase.
+  // Commit WAIT attribution: how often an append found the chain lock held
+  // and had to block, and the total nanoseconds spent blocked. Measured at
+  // the wait itself (contended path only), so journal contention is
+  // reported, not inferred from throughput. The dispatch profiler sees the
+  // same interval inside its kJournal phase.
   struct CommitWaitStats {
-    uint64_t waits = 0;    // appenders that blocked on a combiner
-    uint64_t wait_ns = 0;  // total nanoseconds those appenders were blocked
+    uint64_t waits = 0;    // appends that blocked on the chain lock
+    uint64_t wait_ns = 0;  // total nanoseconds those appends were blocked
   };
-  CommitWaitStats commit_wait_stats() const {
-    return {commit_waits_.Value(), commit_wait_ns_.Value()};
-  }
+  CommitWaitStats commit_wait_stats() const;
 
   // Incremental online chain verification for the invariant watchdog: the
   // caller carries its last verified position across calls so each check
@@ -272,39 +262,16 @@ class Journal {
                             bool require_covered_tail = true);
 
  private:
-  // One caller's contribution to a group commit. Lives on the caller's
-  // stack: the caller blocks until `done`, so the combiner's pointer stays
-  // valid without allocation on the append path.
-  struct PendingAppend {
-    JournalRecord* records = nullptr;  // caller-owned array, written in place
-    size_t count = 0;
-    uint64_t first_seq = kNoSeq;
-    bool done = false;
-  };
-
   void CheckpointLocked();
   void AppendOneLocked(JournalRecord* record);
-  uint64_t CommitPending(PendingAppend* own);
+  uint64_t Commit(JournalRecord* records, size_t count);
 
   size_t checkpoint_interval_;
   std::atomic<bool> enabled_{true};
 
-  // Group-commit staging. Lock order: queue_mu_ is never held while taking
-  // mu_ (the combiner drops it across the chain extension).
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::vector<PendingAppend*> pending_;
-  bool combiner_active_ = false;
-  // The running combiner's drained batch. Only the combiner touches it, and
-  // swapping it with pending_ keeps both buffers' capacity across batches.
-  std::vector<PendingAppend*> batch_;
-
-  // Commit-wait attribution; striped atomics, outside both locks.
-  StripedCounter commit_waits_;
-  StripedCounter commit_wait_ns_;
-
   mutable std::mutex mu_;  // guards everything below
   GroupCommitStats group_stats_;
+  CommitWaitStats wait_stats_;
   TickSource tick_;
   Signer signer_;
   SnapshotProvider snapshot_provider_;

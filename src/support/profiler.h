@@ -8,7 +8,7 @@
 //   shard_lock_wait  blocking on a per-domain shard lock (contended only)
 //   engine           capability-engine mutation / query time
 //   backend          hardware projection (VT-x / PMP) time
-//   journal          audit-journal append, including the group-commit wait
+//   journal          audit-journal append, including any chain-lock wait
 //   telemetry        trace-ring + histogram recording overhead (measured
 //                    OUTSIDE the e2e window and SAMPLED 1-in-16, because
 //                    the measurement itself costs two clock reads)

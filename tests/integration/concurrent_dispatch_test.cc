@@ -3,7 +3,7 @@
 // a mixed read/write workload while the journal is live. Afterwards the
 // usual single-threaded evidence obligations must still hold exactly --
 // the hash chain verifies, shadow replay reproduces the engine state
-// digest, and the group-commit counters account for every record. Plus the
+// digest, and the journal commit counters account for every record. Plus the
 // capability-lifetime regression: a domain purge that fails mid-cascade
 // must journal the committed prefix and leave the domain destroyable.
 //
@@ -125,8 +125,8 @@ TEST_F(ConcurrentDispatchTest, StressedMonitorStillReplaysAndVerifies) {
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   EXPECT_EQ(EngineDigest(shadow).ToHex(), EngineDigest(monitor_->engine()).ToHex());
 
-  // Group commit accounted for every record, and the scrape surfaces the
-  // concurrency counters.
+  // The journal commit counters account for every record, and the scrape
+  // surfaces the concurrency counters.
   const auto stats = monitor_->audit().journal().group_commit_stats();
   EXPECT_GT(stats.batches, 0u);
   EXPECT_EQ(stats.batched_records, monitor_->audit().journal().size());

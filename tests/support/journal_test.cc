@@ -308,6 +308,58 @@ TEST(JournalTest, ConcurrentAppendsKeepTheChainConsistent) {
       Journal::VerifyChain(journal.Records(), journal.Checkpoints(), TestKey().pub).ok());
 }
 
+TEST(JournalTest, ConcurrentGroupsStayContiguous) {
+  Journal journal(/*checkpoint_interval=*/64);
+  SignWithTestKey(journal);
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 200;  // each: one group of kGroup, then one single
+  constexpr size_t kGroup = 5;
+  std::vector<std::vector<uint64_t>> group_seqs(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&journal, &group_seqs, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<JournalRecord> group;
+        for (size_t k = 0; k < kGroup; ++k) {
+          group.push_back(Record(JournalEvent::kCascade, t + 1, round * kGroup + k));
+        }
+        group_seqs[t].push_back(journal.AppendGroup(group));
+        journal.Append(Record(JournalEvent::kRevoke, t + 1, round));
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+
+  const std::vector<JournalRecord> records = journal.Records();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(group_seqs[t].size(), static_cast<size_t>(kRounds));
+    for (int round = 0; round < kRounds; ++round) {
+      const uint64_t first = group_seqs[t][round];
+      ASSERT_LE(first + kGroup, records.size());
+      for (size_t k = 0; k < kGroup; ++k) {
+        const JournalRecord& record = records[first + k];
+        EXPECT_EQ(record.seq, first + k);
+        EXPECT_EQ(record.span, static_cast<uint64_t>(t + 1));
+        EXPECT_EQ(record.event, static_cast<uint8_t>(JournalEvent::kCascade));
+        EXPECT_EQ(record.cap, round * kGroup + k);
+      }
+    }
+  }
+  journal.Checkpoint();
+  EXPECT_TRUE(
+      Journal::VerifyChain(records, journal.Checkpoints(), TestKey().pub).ok());
+
+  // One batch per call, each call's records counted once.
+  const Journal::GroupCommitStats stats = journal.group_commit_stats();
+  EXPECT_EQ(stats.batches, static_cast<uint64_t>(kThreads * kRounds * 2));
+  EXPECT_EQ(stats.batched_records, journal.size());
+  EXPECT_EQ(journal.size(), kThreads * kRounds * (kGroup + 1));
+  EXPECT_EQ(stats.max_batch, kGroup);
+}
+
 TEST(JournalTest, ClearResetsToGenesis) {
   Journal journal(/*checkpoint_interval=*/2);
   SignWithTestKey(journal);
