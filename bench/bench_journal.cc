@@ -10,13 +10,17 @@
 //  3. Dispatch-path cost: with the journal disabled the wrapper must stay
 //     within 2x of the telemetry-off fast path from bench_telemetry (one
 //     extra relaxed load and a branch); with it enabled the cost of the
-//     record build plus chain hash is visible and bounded.
-//
-// Like bench_telemetry, the dispatched op is kTakeInterrupt with an empty
-// queue so the measurement is dispatch plumbing, not capability work.
+//     record build plus chain hash is visible and bounded. Like
+//     bench_telemetry, the dispatched op is kTakeInterrupt with an empty
+//     queue so the measurement is dispatch plumbing, not capability work.
+//  4. The journal's share of a capability write: BM_ShareRevokeJournal runs
+//     share+revoke pairs through Dispatch() alternately with the journal on
+//     and off in one run, gated in
+//     bench/baselines/share_journal_baseline.json.
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstring>
 
 #include "src/crypto/schnorr.h"
@@ -164,6 +168,73 @@ void BM_Dispatch_JournalOn(benchmark::State& state) {
 
 BENCHMARK(BM_Dispatch_JournalOff);
 BENCHMARK(BM_Dispatch_JournalOn);
+
+// One-page share+revoke pairs from the OS into a child domain, as perfbench's
+// cap_churn runs them, each pair timed alone and alternately with the audit
+// journal on and off in the SAME run (the pattern of BM_EnclaveLaunchDestroy
+// in bench_enclaves), so the machine's drift cancels. One iteration is one
+// pair each way; 3 000 of them are one cap_churn pass, whose journal starts
+// empty on a fresh monitor. Exports the records one journal-on pair writes
+// and the journal-on time over the journal-off time.
+void BM_ShareRevokeJournal(benchmark::State& state) {
+  constexpr uint64_t kWindowPages = 16;
+  auto testbed = Testbed::Create(TestbedOptions{});
+  if (!testbed.ok()) {
+    std::abort();
+  }
+  Monitor& monitor = testbed->monitor();
+  const CapId child = (*monitor.CreateDomain(0, "pair")).handle;
+  const uint64_t base = testbed->Scratch(16ull << 20);
+  ApiRegs share;
+  share.op = static_cast<uint64_t>(ApiOp::kShareMemory);
+  share.arg0 = *testbed->OsMemCap(AddrRange{base, kWindowPages * kPageSize});
+  share.arg1 = child;
+  share.arg3 = kPageSize;
+  share.arg4 = Perms::kRW;
+  share.arg5 = static_cast<uint64_t>(CapRights::kAll) << 8;
+  ApiRegs revoke;
+  revoke.op = static_cast<uint64_t>(ApiOp::kRevoke);
+
+  uint64_t pairs = 0;
+  // One share+revoke pair with the journal on or off; returns its ns.
+  const auto pair = [&](bool journal_on) -> int64_t {
+    monitor.audit().set_enabled(journal_on);
+    share.arg2 = base + (pairs++ % kWindowPages) * kPageSize;
+    const auto start = std::chrono::steady_clock::now();
+    revoke.arg0 = Dispatch(&monitor, 0, share).ret0;
+    if (Dispatch(&monitor, 0, revoke).error != 0) {
+      return -1;
+    }
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  const size_t records_before = monitor.audit().journal().size();
+  int64_t on_ns = 0;
+  int64_t off_ns = 0;
+  uint64_t iterations = 0;
+  for (auto _ : state) {
+    const bool on_first = iterations % 2 == 0;
+    const int64_t first = pair(on_first);
+    const int64_t second = pair(!on_first);
+    if (first < 0 || second < 0) {
+      state.SkipWithError("share+revoke pair failed");
+      return;
+    }
+    on_ns += on_first ? first : second;
+    off_ns += on_first ? second : first;
+    ++iterations;
+  }
+  const auto per_pair = [iterations](double total) {
+    return total / static_cast<double>(iterations);
+  };
+  state.counters["journal_on_ns"] = per_pair(static_cast<double>(on_ns));
+  state.counters["journal_off_ns"] = per_pair(static_cast<double>(off_ns));
+  state.counters["journal_share"] = static_cast<double>(on_ns) / static_cast<double>(off_ns);
+  state.counters["journal_records"] =
+      per_pair(static_cast<double>(monitor.audit().journal().size() - records_before));
+}
+BENCHMARK(BM_ShareRevokeJournal)->Iterations(3000);
 
 }  // namespace
 }  // namespace tyche

@@ -107,6 +107,20 @@ inline void Banner(const char* title) {
   std::printf("\n=== %s ===\n", title);
 }
 
+// One paragraph on the audit journal: record and checkpoint counts, the
+// chain head, and a tally per event kind.
+inline void PrintJournalSummary(const Journal& journal) {
+  std::printf("journal: %zu records, %zu checkpoints, head=%s\n ", journal.size(),
+              journal.checkpoint_count(), journal.head().ToHex().substr(0, 16).c_str());
+  for (size_t i = 0; i < static_cast<size_t>(JournalEvent::kEventCount); ++i) {
+    const auto event = static_cast<JournalEvent>(i);
+    if (const uint64_t count = journal.EventCount(event); count != 0) {
+      std::printf(" %s=%llu", JournalEventName(event), static_cast<unsigned long long>(count));
+    }
+  }
+  std::printf("\n\n");
+}
+
 // Prints the per-op latency table, every nonzero registry scalar, and the
 // audit-journal summary, then closes the loop: exports the journal and
 // verifies it offline (hash chain, checkpoint signatures, shadow replay
@@ -124,7 +138,7 @@ inline void DumpObservability(Monitor& monitor) {
       std::printf("%s %llu\n", series.c_str(), static_cast<unsigned long long>(value));
     }
   }
-  std::printf("%s\n", monitor.audit().Summary().c_str());
+  PrintJournalSummary(monitor.audit().journal());
   const std::vector<uint8_t> wire = monitor.ExportJournal();
   const std::string graph_json = ExportCapabilityGraphJson(monitor.engine());
   const Status verdict =

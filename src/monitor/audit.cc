@@ -3,7 +3,6 @@
 #include "src/monitor/audit.h"
 
 #include <deque>
-#include <sstream>
 #include <string_view>
 
 #include "src/crypto/encode.h"
@@ -20,29 +19,65 @@ JournalRecord Base(uint64_t span, JournalEvent event) {
   return record;
 }
 
+uint8_t RecordOp(uint16_t op) { return static_cast<uint8_t>(op <= 0xff ? op : 0xff); }
+
+// The Dispatch() call running on this thread, until its span's first record.
+struct OpenDispatch {
+  uint64_t span = 0;  // 0 once the span's first record is written
+  uint32_t caller = kJournalNoDomain;
+  uint8_t op = kJournalNoOp;
+  bool folded = false;  // that record named the caller and carries op
+};
+// `constinit`, so each use is a bare TLS access with no init-function call,
+// and read and written by name, never through a reference (UBSan's null
+// check on a TLS reference misfires under PIE; see tls_scratch in
+// src/support/profiler.h).
+constinit thread_local OpenDispatch tls_dispatch;
+
+// Stamps the open dispatch's op into its span's first record when that
+// record names the caller: a share, grant or revoke record already says
+// who did what, so it can stand as the call's boundary.
+void FoldDispatch(JournalRecord* record) {
+  if (record->span == tls_dispatch.span) {
+    tls_dispatch.span = 0;
+    tls_dispatch.folded = record->domain == tls_dispatch.caller;
+    if (tls_dispatch.folded) {
+      record->op = tls_dispatch.op;
+    }
+  }
+}
+
 }  // namespace
 
-void AuditJournal::Dispatch(uint64_t span, uint16_t op, uint32_t caller,
-                            uint64_t args_digest, uint64_t error) {
-  if (!enabled()) {
+void AuditJournal::BeginDispatch(uint64_t span, uint16_t op, uint32_t caller) {
+  tls_dispatch = {span, caller, RecordOp(op), false};
+}
+
+void AuditJournal::EndDispatch(uint64_t span, uint16_t op, uint32_t caller,
+                               uint64_t args_digest, uint64_t error) {
+  const bool folded = tls_dispatch.folded;
+  tls_dispatch = {};
+  if (folded && error == 0) {
     return;
   }
   JournalRecord record = Base(span, JournalEvent::kDispatch);
-  record.op = static_cast<uint8_t>(op <= 0xff ? op : 0xff);
+  record.op = RecordOp(op);
   record.domain = caller;
   record.aux = args_digest;
   record.result = error;
   journal_.Append(record);
 }
 
+void AuditJournal::Append(JournalRecord record) {
+  FoldDispatch(&record);
+  journal_.Append(record);
+}
+
 void AuditJournal::RegisterDomain(uint64_t span, uint32_t domain, uint32_t creator) {
-  if (!enabled()) {
-    return;
-  }
   JournalRecord record = Base(span, JournalEvent::kRegisterDomain);
   record.domain = domain;
   record.dst = creator;
-  journal_.Append(record);
+  Append(record);
 }
 
 namespace {
@@ -99,21 +134,15 @@ uint64_t PackedEffectsDigest(const JournalRecord& record) { return record.result
 
 void AuditJournal::SealDomain(uint64_t span, uint32_t domain, const Digest& measurement,
                               uint64_t entry_point) {
-  if (!enabled()) {
-    return;
-  }
   JournalRecord record = Base(span, JournalEvent::kSealDomain);
   record.domain = domain;
   PackSealDigest(&record, measurement);
   record.aux = entry_point;
-  journal_.Append(record);
+  Append(record);
 }
 
 void AuditJournal::MintMemory(uint64_t span, uint32_t owner, uint64_t cap, AddrRange range,
                               Perms perms, CapRights rights) {
-  if (!enabled()) {
-    return;
-  }
   JournalRecord record = Base(span, JournalEvent::kMintMemory);
   record.domain = owner;
   record.cap = cap;
@@ -122,21 +151,18 @@ void AuditJournal::MintMemory(uint64_t span, uint32_t owner, uint64_t cap, AddrR
   record.perms = perms.mask;
   record.rights = rights.mask;
   record.resource = static_cast<uint8_t>(ResourceKind::kMemory);
-  journal_.Append(record);
+  Append(record);
 }
 
 void AuditJournal::MintUnit(uint64_t span, uint32_t owner, uint64_t cap, ResourceKind kind,
                             uint64_t unit, CapRights rights) {
-  if (!enabled()) {
-    return;
-  }
   JournalRecord record = Base(span, JournalEvent::kMintUnit);
   record.domain = owner;
   record.cap = cap;
   record.base = unit;
   record.rights = rights.mask;
   record.resource = static_cast<uint8_t>(kind);
-  journal_.Append(record);
+  Append(record);
 }
 
 void AuditJournal::ShareMemory(uint64_t span, uint32_t requester, uint32_t dst,
@@ -158,7 +184,7 @@ void AuditJournal::ShareMemory(uint64_t span, uint32_t requester, uint32_t dst,
   record.policy = policy.mask;
   record.result = EffectsDigest(effects.effects);
   record.resource = static_cast<uint8_t>(ResourceKind::kMemory);
-  journal_.Append(record);
+  Append(record);
 }
 
 void AuditJournal::GrantMemory(uint64_t span, uint32_t requester, uint32_t dst,
@@ -180,7 +206,7 @@ void AuditJournal::GrantMemory(uint64_t span, uint32_t requester, uint32_t dst,
   record.result = EffectsDigest(outcome.effects.effects);
   record.aux = outcome.remainders.size();
   record.resource = static_cast<uint8_t>(ResourceKind::kMemory);
-  journal_.Append(record);
+  Append(record);
 }
 
 void AuditJournal::ShareUnit(uint64_t span, uint32_t requester, uint32_t dst,
@@ -200,7 +226,7 @@ void AuditJournal::ShareUnit(uint64_t span, uint32_t requester, uint32_t dst,
   record.policy = policy.mask;
   record.result = EffectsDigest(effects.effects);
   record.resource = static_cast<uint8_t>(kind);
-  journal_.Append(record);
+  Append(record);
 }
 
 void AuditJournal::GrantUnit(uint64_t span, uint32_t requester, uint32_t dst,
@@ -219,7 +245,7 @@ void AuditJournal::GrantUnit(uint64_t span, uint32_t requester, uint32_t dst,
   record.rights = rights.mask;
   record.policy = policy.mask;
   record.resource = static_cast<uint8_t>(kind);
-  journal_.Append(record);
+  Append(record);
 }
 
 // A revoke's or purge's record family (the root, its kCascades, an optional
@@ -243,6 +269,7 @@ void AuditJournal::AppendCascadeGroup(const JournalRecord& root, uint64_t root_c
   if (restore != nullptr) {
     group.push_back(*restore);
   }
+  FoldDispatch(&group.front());
   journal_.AppendGroup(group);
 }
 
@@ -282,62 +309,35 @@ void AuditJournal::PurgeDomain(uint64_t span, uint32_t domain, const RevokeOutco
 }
 
 void AuditJournal::Abort(uint64_t span, uint16_t op, uint32_t requester, ErrorCode error) {
-  if (!enabled()) {
-    return;
-  }
   JournalRecord record = Base(span, JournalEvent::kOpAbort);
-  record.op = static_cast<uint8_t>(op <= 0xff ? op : 0xff);
+  record.op = RecordOp(op);
   record.domain = requester;
   record.result = static_cast<uint64_t>(error);
-  journal_.Append(record);
+  Append(record);
 }
 
 void AuditJournal::Recovery(uint64_t span, uint64_t recovered_seq) {
-  if (!enabled()) {
-    return;
-  }
   JournalRecord record = Base(span, JournalEvent::kRecovery);
   record.aux = recovered_seq;
-  journal_.Append(record);
+  Append(record);
 }
 
 void AuditJournal::MigrateOut(uint64_t span, uint32_t domain, const Digest& payload_digest,
                               uint64_t source_head_prefix) {
-  if (!enabled()) {
-    return;
-  }
   JournalRecord record = Base(span, JournalEvent::kMigrateOut);
   record.domain = domain;
   PackSealDigest(&record, payload_digest);
   record.aux = source_head_prefix;
-  journal_.Append(record);
+  Append(record);
 }
 
 void AuditJournal::MigrateIn(uint64_t span, uint32_t domain, const Digest& payload_digest,
                              uint64_t source_head_prefix) {
-  if (!enabled()) {
-    return;
-  }
   JournalRecord record = Base(span, JournalEvent::kMigrateIn);
   record.domain = domain;
   PackSealDigest(&record, payload_digest);
   record.aux = source_head_prefix;
-  journal_.Append(record);
-}
-
-std::string AuditJournal::Summary() const {
-  std::ostringstream out;
-  out << "journal: " << journal_.size() << " records, " << journal_.checkpoint_count()
-      << " checkpoints, head=" << journal_.head().ToHex().substr(0, 16) << "\n ";
-  for (size_t i = 0; i < static_cast<size_t>(JournalEvent::kEventCount); ++i) {
-    const uint64_t count = journal_.EventCount(static_cast<JournalEvent>(i));
-    if (count == 0) {
-      continue;
-    }
-    out << " " << JournalEventName(static_cast<JournalEvent>(i)) << "=" << count;
-  }
-  out << "\n";
-  return out.str();
+  Append(record);
 }
 
 std::vector<uint8_t> AuditJournal::Export() {

@@ -1,8 +1,8 @@
 // Copyright 2026 The Tyche Reproduction Authors.
 // The monitor-side face of the audit journal (§3.4 extended to history):
-// typed record builders for every capability mutation, a text summary, and
-// the shadow replay that recovery, migration and the offline verifier
-// (VerifyJournal, src/tyche/verifier.h) share. The journal itself (hash
+// typed record builders for every capability mutation and the dispatch
+// boundary, and the shadow replay that recovery, migration and the offline
+// verifier (VerifyJournal, src/tyche/verifier.h) share. The journal itself (hash
 // chain, signed checkpoints, wire format) lives in src/support/journal.h;
 // this layer binds it to the monitor's vocabulary -- ApiOps, capability ids,
 // revoke outcomes.
@@ -19,7 +19,6 @@
 #define SRC_MONITOR_AUDIT_H_
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "src/capability/engine.h"
@@ -28,7 +27,9 @@
 namespace tyche {
 
 // Owned by the Monitor; all builders are no-ops while the journal is
-// disabled. Builders take the causal span id threaded from Dispatch().
+// disabled (the ones that hash an effect list test enabled() first; the rest
+// leave it to Journal::Append). Builders take the causal span id threaded
+// from Dispatch().
 // Every record of an operation that causes effects (share, grant, revoke,
 // purge) carries EffectsDigest() of that operation's effect list in its
 // `result` field; replay recomputes it from the shadow engine's own effects.
@@ -41,9 +42,18 @@ class AuditJournal {
   bool enabled() const { return journal_.enabled(); }
   void set_enabled(bool enabled) { journal_.set_enabled(enabled); }
 
+  // --- Dispatch boundary (DESIGN.md §6) ---
+  // Dispatch() brackets each call with these, on the calling thread. The
+  // span's first record is stamped with `op` when it names `caller` in
+  // `domain` (share, grant and revoke records do); EndDispatch then writes
+  // no kDispatch record if the call returned 0. Any other call -- a failed
+  // one, a read-only one, one whose first record names another domain --
+  // gets its kDispatch record carrying the args digest and the error.
+  void BeginDispatch(uint64_t span, uint16_t op, uint32_t caller);
+  void EndDispatch(uint64_t span, uint16_t op, uint32_t caller, uint64_t args_digest,
+                   uint64_t error);
+
   // --- Record builders (one per monitor event) ---
-  void Dispatch(uint64_t span, uint16_t op, uint32_t caller, uint64_t args_digest,
-                uint64_t error);
   void RegisterDomain(uint64_t span, uint32_t domain, uint32_t creator);
   // The seal record carries the finalized measurement (packed into
   // cap/parent/base/size) and the entry point (aux) so recovery can rebuild
@@ -94,13 +104,14 @@ class AuditJournal {
   void MigrateIn(uint64_t span, uint32_t domain, const Digest& payload_digest,
                  uint64_t source_head_prefix);
 
-  // --- Introspection / export ---
-  // One-paragraph text: record/checkpoint counts, per-event tallies, head.
-  std::string Summary() const;
+  // --- Export ---
   // Checkpoints the head, then serializes the whole journal for transport.
   std::vector<uint8_t> Export();
 
  private:
+  // Appends one record, folding the open dispatch's boundary into it when
+  // it is the span's first (see BeginDispatch).
+  void Append(JournalRecord record);
   // Appends a root record (kRevoke / kPurgeDomain, already filled in) with
   // its kCascade records and an optional kRestore as one atomic group.
   void AppendCascadeGroup(const JournalRecord& root, uint64_t root_cap,

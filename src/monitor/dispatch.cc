@@ -272,6 +272,11 @@ ApiResult Dispatch(Monitor* monitor, CoreId core, const ApiRegs& regs) {
   // Every journal record caused by this call -- engine mutations, cascades,
   // backend effects -- shares this span id with the TraceEntry.
   const uint64_t span = monitor->BeginSpan(core);
+  const uint16_t op = static_cast<uint16_t>(
+      regs.op < static_cast<uint64_t>(ApiOp::kOpCount) ? regs.op : ~0ull);
+  if (journal_on) {
+    audit.BeginDispatch(span, op, caller);
+  }
   ApiResult result;
   {
     ConditionalSharedLock read_lock(monitor->api_mu(), shared_op,
@@ -285,14 +290,12 @@ ApiResult Dispatch(Monitor* monitor, CoreId core, const ApiRegs& regs) {
   }
   monitor->EndSpan(core);
 
-  const uint16_t op = static_cast<uint16_t>(
-      regs.op < static_cast<uint64_t>(ApiOp::kOpCount) ? regs.op : ~0ull);
   const uint64_t args[] = {regs.arg0, regs.arg1, regs.arg2,
                            regs.arg3, regs.arg4, regs.arg5};
   const uint64_t args_digest = Fnv1aDigest(args, 6);
 
   if (journal_on) {
-    audit.Dispatch(span, op, caller, args_digest, result.error);
+    audit.EndDispatch(span, op, caller, args_digest, result.error);
   }
   const auto end = (timing || windowed) ? std::chrono::steady_clock::now()
                                         : std::chrono::steady_clock::time_point{};

@@ -47,6 +47,24 @@ uint8_t* PutCanonical(uint8_t* out, const JournalRecord& r) {
   return out;
 }
 
+// The wire format over any record container (the live deque or a vector).
+template <typename Records>
+std::vector<uint8_t> SerializeWire(const Records& records,
+                                   const std::vector<JournalCheckpoint>& checkpoints) {
+  std::vector<uint8_t> out(kHeaderBytes + records.size() * kRecordWireBytes +
+                           checkpoints.size() * kCheckpointWireBytes);
+  uint8_t* at = std::copy(kMagic, kMagic + sizeof(kMagic), out.data());
+  at = Put(Put(at, kVersion), static_cast<uint64_t>(records.size()));
+  at = Put(at, static_cast<uint64_t>(checkpoints.size()));
+  for (const JournalRecord& record : records) {
+    at = PutDigest(PutCanonical(at, record), record.link);
+  }
+  for (const JournalCheckpoint& c : checkpoints) {
+    at = Put(PutDigest(PutDigest(Put(at, c.seq), c.head), c.snapshot), c.signature.s);
+    at = PutDigest(at, c.signature.e);
+  }
+  return out;
+}
 
 }  // namespace
 
@@ -301,7 +319,7 @@ uint64_t Journal::EventCount(JournalEvent event) const {
 
 std::vector<JournalRecord> Journal::Records() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return records_;
+  return {records_.begin(), records_.end()};
 }
 
 std::vector<JournalCheckpoint> Journal::Checkpoints() const {
@@ -365,7 +383,7 @@ Status Journal::TruncateBefore(uint64_t checkpoint_seq) {
 void Journal::Restore(const std::vector<JournalRecord>& records,
                       const std::vector<JournalCheckpoint>& checkpoints) {
   std::lock_guard<std::mutex> lock(mu_);
-  records_ = records;
+  records_.assign(records.begin(), records.end());
   checkpoints_ = checkpoints;
   event_counts_ = {};
   for (const JournalRecord& record : records_) {
@@ -388,24 +406,12 @@ void Journal::Restore(const std::vector<JournalRecord>& records,
 std::vector<uint8_t> Journal::SerializeParts(
     const std::vector<JournalRecord>& records,
     const std::vector<JournalCheckpoint>& checkpoints) {
-  std::vector<uint8_t> out(kHeaderBytes + records.size() * kRecordWireBytes +
-                           checkpoints.size() * kCheckpointWireBytes);
-  uint8_t* at = std::copy(kMagic, kMagic + sizeof(kMagic), out.data());
-  at = Put(Put(at, kVersion), static_cast<uint64_t>(records.size()));
-  at = Put(at, static_cast<uint64_t>(checkpoints.size()));
-  for (const JournalRecord& record : records) {
-    at = PutDigest(PutCanonical(at, record), record.link);
-  }
-  for (const JournalCheckpoint& c : checkpoints) {
-    at = Put(PutDigest(PutDigest(Put(at, c.seq), c.head), c.snapshot), c.signature.s);
-    at = PutDigest(at, c.signature.e);
-  }
-  return out;
+  return SerializeWire(records, checkpoints);
 }
 
 std::vector<uint8_t> Journal::Serialize() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return SerializeParts(records_, checkpoints_);
+  return SerializeWire(records_, checkpoints_);
 }
 
 Result<ParsedJournal> Journal::Deserialize(std::span<const uint8_t> bytes) {

@@ -30,6 +30,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <mutex>
 #include <span>
@@ -87,7 +88,10 @@ struct JournalRecord {
   uint64_t tick = 0;   // monotonic tick (simulated cycles), from the source
   uint64_t span = 0;   // causal span id: all records caused by one root op
   uint8_t event = 0;   // JournalEvent
-  uint8_t op = kJournalNoOp;  // ApiOp at the dispatch boundary (kDispatch)
+  uint8_t op = kJournalNoOp;  // ApiOp of the dispatch: on kDispatch and
+                              // kOpAbort, the call; on the first record of a
+                              // span that names the caller, the call whose
+                              // boundary it folds (DESIGN.md §6)
   uint32_t domain = kJournalNoDomain;  // acting / owning domain
   uint32_t dst = kJournalNoDomain;     // destination domain (share/grant)
   uint8_t resource = 0;  // ResourceKind
@@ -275,7 +279,9 @@ class Journal {
   TickSource tick_;
   Signer signer_;
   SnapshotProvider snapshot_provider_;
-  std::vector<JournalRecord> records_;
+  // A deque: a written record never moves, so appends pay no regrowth
+  // copies and the held log carries no doubling slack.
+  std::deque<JournalRecord> records_;
   std::vector<JournalCheckpoint> checkpoints_;
   Digest head_;
   uint64_t base_seq_ = 0;  // seq of records_[0]; nonzero after compaction

@@ -6,7 +6,8 @@
 // record drops, record swaps -- must be caught on every single trial. Edits
 // that are re-chained and re-signed with the monitor's own key (an effect
 // digest, the retired kEffect event) must still fail replay, and the record
-// count of one share+revoke pair and of one enclave launch is pinned.
+// count of one share+revoke pair and of one enclave launch is pinned, as is
+// which dispatches fold their boundary into their first record.
 
 #include <gtest/gtest.h>
 
@@ -191,15 +192,25 @@ TEST_F(AuditJournalTest, ReplayReproducesGraphAndSpansTieTheCascade) {
   EXPECT_EQ(cascaded, expected);
 
   // Direct replay agrees with the snapshot byte for byte and skipped only
-  // the context records (dispatches).
-  const auto parsed = Journal::Deserialize(wire);
+  // the context records: the dispatch records of the creates and of one
+  // failed revoke (the root share is already gone), which writes nothing
+  // else.
+  ASSERT_NE(Call(0, ApiOp::kRevoke, root_share_).error, 0u);
+  const auto parsed = Journal::Deserialize(monitor_->ExportJournal());
   ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ(parsed->records.back().event, static_cast<uint8_t>(JournalEvent::kDispatch));
+  const auto dispatches = std::count_if(
+      parsed->records.begin(), parsed->records.end(), [](const JournalRecord& record) {
+        return record.event == static_cast<uint8_t>(JournalEvent::kDispatch);
+      });
   CapabilityEngine shadow;
   const auto replay = ReplayJournalInto(&shadow, parsed->records);
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   EXPECT_EQ(ExportCapabilityGraphJson(shadow), graph_json);
   EXPECT_GT(replay->applied, 0u);
   EXPECT_GT(replay->skipped, 0u);
+  EXPECT_EQ(replay->skipped, static_cast<uint64_t>(dispatches));
+  EXPECT_EQ(replay->applied + replay->skipped, parsed->records.size());
 }
 
 TEST_F(AuditJournalTest, EveryRandomizedTamperIsCaught) {
@@ -281,12 +292,12 @@ TEST_F(AuditJournalTest, ResealedEffectDigestEditFailsReplay) {
 
 TEST_F(AuditJournalTest, RetiredAndUnknownEventsFailReplay) {
   RunCircularWorkload();
+  // A failed revoke writes one context record: its dispatch boundary.
+  ASSERT_NE(Call(0, ApiOp::kRevoke, root_share_).error, 0u);
   const auto parsed = Journal::Deserialize(monitor_->ExportJournal());
   ASSERT_TRUE(parsed.ok());
-  size_t dispatch = 0;
-  while (parsed->records[dispatch].event != static_cast<uint8_t>(JournalEvent::kDispatch)) {
-    ++dispatch;
-  }
+  const size_t dispatch = parsed->records.size() - 1;
+  ASSERT_EQ(parsed->records[dispatch].event, static_cast<uint8_t>(JournalEvent::kDispatch));
   // A context record re-labelled as the retired kEffect...
   Status status = VerifyJournal(Resealed(*parsed, dispatch,
                                          [](JournalRecord* record) {
@@ -312,9 +323,11 @@ TEST_F(AuditJournalTest, RecordCountsPerOperationArePinned) {
   const auto count = [&journal](JournalEvent event) { return journal.EventCount(event); };
 
   // One share+revoke pair through Dispatch(), as perfbench's cap_churn runs
-  // it: a dispatch record and one mutation record each, plus the revoke's
-  // cascade record. The effect lists (one map, one unmap) ride in the
-  // mutation records as digests; version 2 wrote them as two more records.
+  // it: one mutation record each, plus the revoke's cascade record. Each
+  // mutation record names the caller, so it carries the call's op and
+  // stands as its dispatch boundary; a separate kDispatch record per call
+  // made it 5. The effect lists (one map, one unmap) ride in the mutation
+  // records as digests; version 2 wrote them as two more records.
   const ApiResult created = Call(0, ApiOp::kCreateDomain);
   ASSERT_EQ(created.error, 0u);
   const AddrRange window = Scratch(kMiB, kPageSize);
@@ -324,7 +337,7 @@ TEST_F(AuditJournalTest, RecordCountsPerOperationArePinned) {
                                 Pack(CapRights::kAll, 0));
   ASSERT_EQ(shared.error, 0u);
   ASSERT_EQ(Call(0, ApiOp::kRevoke, shared.ret0).error, 0u);
-  EXPECT_EQ(journal.size() - before, 5u);
+  EXPECT_EQ(journal.size() - before, 3u);
   EXPECT_EQ(count(JournalEvent::kEffect), 0u);
 
   // One enclave launch and teardown (16 KiB, one 8 KiB measured segment,
@@ -353,6 +366,92 @@ TEST_F(AuditJournalTest, RecordCountsPerOperationArePinned) {
   EXPECT_EQ(count(JournalEvent::kEffect), 0u);
 
   // Both still verify and replay to the live graph.
+  const std::string graph_json = ExportCapabilityGraphJson(monitor_->engine());
+  EXPECT_TRUE(VerifyJournal(monitor_->ExportJournal(), {}, monitor_->public_key(), &graph_json)
+                  .ok());
+}
+
+TEST_F(AuditJournalTest, DispatchBoundaryFoldsIntoTheFirstRecordNamingTheCaller) {
+  Journal& journal = monitor_->audit().journal();
+  const auto appended = [&journal](size_t before) {
+    const std::vector<JournalRecord> records = journal.Records();
+    return std::vector<JournalRecord>(records.begin() + static_cast<ptrdiff_t>(before),
+                                      records.end());
+  };
+  const auto event = [](const JournalRecord& record) {
+    return static_cast<JournalEvent>(record.event);
+  };
+  const auto op = [](ApiOp api_op) { return static_cast<uint8_t>(api_op); };
+
+  // A create's first record registers the new domain, not the caller: the
+  // call keeps its own kDispatch record.
+  size_t before = journal.size();
+  const ApiResult created = Call(0, ApiOp::kCreateDomain);
+  ASSERT_EQ(created.error, 0u);
+  std::vector<JournalRecord> records = appended(before);
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(event(records[0]), JournalEvent::kRegisterDomain);
+  EXPECT_EQ(records[0].op, kJournalNoOp);
+  EXPECT_EQ(event(records[1]), JournalEvent::kMintUnit);
+  EXPECT_EQ(records[1].op, kJournalNoOp);
+  EXPECT_EQ(event(records[2]), JournalEvent::kDispatch);
+  EXPECT_EQ(records[2].op, op(ApiOp::kCreateDomain));
+  EXPECT_EQ(records[2].domain, os_domain_);
+
+  // A share writes one record: the mutation, naming the caller and the op.
+  const AddrRange window = Scratch(kMiB, kPageSize);
+  before = journal.size();
+  const ApiResult shared = Call(0, ApiOp::kShareMemory, OsMemCap(window), created.ret1,
+                                window.base, window.size, Perms::kRW,
+                                Pack(CapRights::kAll, 0));
+  ASSERT_EQ(shared.error, 0u);
+  records = appended(before);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(event(records[0]), JournalEvent::kShareMemory);
+  EXPECT_EQ(records[0].op, op(ApiOp::kShareMemory));
+  EXPECT_EQ(records[0].domain, os_domain_);
+  EXPECT_EQ(records[0].cap, shared.ret0);
+
+  // A revoke: the op-stamped kRevoke and its unstamped kCascade.
+  before = journal.size();
+  ASSERT_EQ(Call(0, ApiOp::kRevoke, shared.ret0).error, 0u);
+  records = appended(before);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(event(records[0]), JournalEvent::kRevoke);
+  EXPECT_EQ(records[0].op, op(ApiOp::kRevoke));
+  EXPECT_EQ(records[0].domain, os_domain_);
+  EXPECT_EQ(event(records[1]), JournalEvent::kCascade);
+  EXPECT_EQ(records[1].op, kJournalNoOp);
+  EXPECT_EQ(records[0].span, records[1].span);
+
+  // A failing share (its source was just revoked) writes one kDispatch
+  // carrying its error and args digest.
+  before = journal.size();
+  const ApiResult failed = Call(0, ApiOp::kShareMemory, shared.ret0, created.ret1,
+                                window.base, window.size, Perms::kRW,
+                                Pack(CapRights::kAll, 0));
+  ASSERT_NE(failed.error, 0u);
+  records = appended(before);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(event(records[0]), JournalEvent::kDispatch);
+  EXPECT_EQ(records[0].op, op(ApiOp::kShareMemory));
+  EXPECT_EQ(records[0].domain, os_domain_);
+  EXPECT_EQ(records[0].result, failed.error);
+  EXPECT_NE(records[0].aux, 0u);
+
+  // A read-only attest writes one kDispatch.
+  const AddrRange out = Scratch(2 * kMiB, kPageSize);
+  before = journal.size();
+  const ApiResult attested =
+      Call(0, ApiOp::kAttestDomain, /*self=*/0, /*nonce=*/7, out.base, out.size);
+  ASSERT_EQ(attested.error, 0u);
+  records = appended(before);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(event(records[0]), JournalEvent::kDispatch);
+  EXPECT_EQ(records[0].op, op(ApiOp::kAttestDomain));
+  EXPECT_EQ(records[0].result, 0u);
+
+  // The folded journal still verifies and replays to the live graph.
   const std::string graph_json = ExportCapabilityGraphJson(monitor_->engine());
   EXPECT_TRUE(VerifyJournal(monitor_->ExportJournal(), {}, monitor_->public_key(), &graph_json)
                   .ok());

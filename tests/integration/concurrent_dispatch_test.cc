@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <span>
 #include <thread>
 #include <vector>
@@ -69,7 +70,9 @@ TEST_F(ConcurrentDispatchTest, StressedMonitorStillReplaysAndVerifies) {
     out_buf[t] = Scratch(16 * kMiB + t * kMiB, 0).base;
   }
 
+  const size_t records_before = monitor_->audit().journal().size();
   std::atomic<uint32_t> failures{0};
+  std::atomic<uint32_t> dispatched{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (uint32_t t = 0; t < kThreads; ++t) {
@@ -106,6 +109,7 @@ TEST_F(ConcurrentDispatchTest, StressedMonitorStillReplaysAndVerifies) {
           ++failures;
         }
       }
+      dispatched += 1 + 5 * kIterations;
     });
   }
   for (std::thread& thread : threads) {
@@ -124,6 +128,25 @@ TEST_F(ConcurrentDispatchTest, StressedMonitorStillReplaysAndVerifies) {
   const auto replay = ReplayJournalInto(&shadow, std::span<const JournalRecord>(records));
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   EXPECT_EQ(EngineDigest(shadow).ToHex(), EngineDigest(monitor_->engine()).ToHex());
+
+  // Every dispatch left exactly one boundary in its span, folded or not:
+  // its kDispatch record, or else the first record, stamped with the op.
+  // Each thread folds only into records of its own dispatch's span.
+  std::map<uint64_t, int> boundaries;
+  for (size_t i = records_before; i < records.size(); ++i) {
+    const JournalRecord& record = records[i];
+    const bool dispatch = record.event == static_cast<uint8_t>(JournalEvent::kDispatch);
+    boundaries[record.span] += (dispatch || record.op != kJournalNoOp) ? 1 : 0;
+    if (!dispatch && record.op != kJournalNoOp) {
+      EXPECT_TRUE(record.op == static_cast<uint8_t>(ApiOp::kShareMemory) ||
+                  record.op == static_cast<uint8_t>(ApiOp::kRevoke))
+          << "seq " << record.seq << " op " << int{record.op};
+    }
+  }
+  EXPECT_EQ(boundaries.size(), dispatched.load());
+  for (const auto& [span, count] : boundaries) {
+    EXPECT_EQ(count, 1) << "span " << span;
+  }
 
   // The journal commit counters account for every record, and the scrape
   // surfaces the concurrency counters.

@@ -534,5 +534,59 @@ TEST(JournalTest, RestoreResumesTheChain) {
                   .ok());
 }
 
+// The record store hands out nodes of a few records each; a journal of
+// thousands spans hundreds of them. Compacting it, shipping it and restoring
+// it must keep every record, every link and the chain head intact.
+TEST(JournalTest, StoreSpanningManyNodesRoundTrips) {
+  Journal journal(/*checkpoint_interval=*/500);
+  SignWithTestKey(journal);
+  journal.set_snapshot_provider([](uint64_t) { return FakeSnapshotDigest(); });
+  for (uint64_t i = 0; i < 3001; ++i) {
+    journal.Append(Record(static_cast<JournalEvent>(1 + i % 12), 30 + i / 7, i));
+  }
+  ASSERT_EQ(journal.checkpoint_count(), 6u);  // seqs 499, 999, ..., 2999
+  Journal::ChainPosition position{0, JournalGenesis()};
+  ASSERT_TRUE(journal.VerifyTail(&position).ok());
+  EXPECT_EQ(position.next_seq, 3001u);
+
+  ASSERT_TRUE(journal.TruncateBefore(1499).ok());
+  EXPECT_EQ(journal.base_seq(), 1500u);
+  EXPECT_EQ(journal.size(), 1501u);
+  journal.Append(Record(JournalEvent::kRevoke, 40, 9000));
+  ASSERT_TRUE(journal.VerifyTail(&position).ok());
+  journal.Checkpoint();
+  const std::vector<JournalRecord> records = journal.Records();
+  ASSERT_EQ(records.size(), 1502u);
+  for (size_t i = 0; i < records.size(); ++i) {
+    ASSERT_EQ(records[i].seq, 1500 + i);
+    ASSERT_EQ(records[i].cap, i + 1 < records.size() ? 1500 + i : 9000u);
+  }
+  EXPECT_EQ(records.back().link, journal.head());
+  EXPECT_TRUE(Journal::VerifyChain(records, journal.Checkpoints(), TestKey().pub).ok());
+
+  const std::vector<uint8_t> wire = journal.Serialize();
+  EXPECT_EQ(wire, Journal::SerializeParts(records, journal.Checkpoints()));
+  const auto parsed = Journal::Deserialize(wire);
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ(parsed->records.size(), records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    ASSERT_EQ(parsed->records[i].link, records[i].link);
+  }
+  Journal restored(/*checkpoint_interval=*/500);
+  SignWithTestKey(restored);
+  restored.Restore(parsed->records, parsed->checkpoints);
+  EXPECT_EQ(restored.base_seq(), 1500u);
+  EXPECT_EQ(restored.size(), records.size());
+  EXPECT_EQ(restored.head(), journal.head());
+  EXPECT_EQ(restored.Serialize(), wire);
+  // Both continue the same chain.
+  journal.Append(Record(JournalEvent::kCascade, 41, 9001));
+  restored.Append(Record(JournalEvent::kCascade, 41, 9001));
+  EXPECT_EQ(restored.head(), journal.head());
+  restored.Checkpoint();
+  EXPECT_TRUE(
+      Journal::VerifyChain(restored.Records(), restored.Checkpoints(), TestKey().pub).ok());
+}
+
 }  // namespace
 }  // namespace tyche
