@@ -13,9 +13,10 @@
 //               axis is the verification bill (BM_MigrateJournalSuffix).
 //
 // Each iteration boots a fresh source/dest pair (timing paused), then
-// times MigrateDomain end to end over a perfect channel. Counters follow
-// the bench_common.h schema: payload_bytes / frames_sent / retries come
-// straight from the MigrationReport of the last iteration.
+// times MigrateOver end to end over a LossyChannel with no fault plan
+// armed, which delivers every frame in order. Counters follow the
+// bench_common.h schema: payload_bytes / frames_sent / retries come straight
+// from the report of the last iteration.
 
 #include <benchmark/benchmark.h>
 
@@ -25,7 +26,7 @@
 #include <vector>
 
 #include "src/monitor/boot.h"
-#include "src/monitor/migration.h"
+#include "src/tyche/channel.h"
 #include "src/tyche/loader.h"
 
 namespace tyche {
@@ -104,19 +105,18 @@ Pair MakePair(int caps, int pages_per_cap, int journal_ops) {
 
 void RunMigration(benchmark::State& state, int caps, int pages_per_cap,
                   int journal_ops) {
-  MigrationReport last;
+  MigrationTransferReport last;
   uint64_t sim_cycles = 0;
   uint64_t ops = 0;
   for (auto _ : state) {
     state.PauseTiming();
     Pair pair = MakePair(caps, pages_per_cap, journal_ops);
-    ReliableTransport transport;
+    LossyChannel wire;
     const uint64_t before = pair.source_machine->cycles().cycles() +
                             pair.dest_machine->cycles().cycles();
     state.ResumeTiming();
-    const auto report =
-        MigrateDomain(pair.source.get(), pair.dest.get(), pair.victim,
-                      &transport, pair.source->public_key());
+    const auto report = MigrateOver(pair.source.get(), pair.dest.get(), pair.victim, &wire,
+                                    pair.source->public_key());
     if (!report.ok()) {
       std::abort();
     }
@@ -127,7 +127,7 @@ void RunMigration(benchmark::State& state, int caps, int pages_per_cap,
   }
   state.counters["sim_cycles/op"] =
       static_cast<double>(sim_cycles) / static_cast<double>(ops);
-  state.counters["payload_bytes"] = static_cast<double>(last.payload_bytes);
+  state.counters["payload_bytes"] = static_cast<double>(last.migration.payload_bytes);
   state.counters["frames_sent"] = static_cast<double>(last.frames_sent);
   state.counters["retries"] = static_cast<double>(last.retries);
   state.counters["caps_moved"] = static_cast<double>(caps);

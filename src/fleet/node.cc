@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/monitor/attestation.h"
-#include "src/monitor/migration.h"
 #include "src/monitor/recovery.h"
 #include "src/support/align.h"
 #include "src/support/faults.h"
@@ -56,14 +55,6 @@ Digest FleetSessionAck(const Digest& secret, uint32_t node, uint64_t epoch,
                        uint32_t domain, uint64_t nonce, const Digest& measurement) {
   const uint64_t fields[] = {node, epoch, domain, nonce};
   return SessionMac(secret, "tyche-resume-ack-v1", fields, &measurement);
-}
-
-uint64_t DigestPrefix64(const Digest& digest) {
-  uint64_t prefix = 0;
-  for (int i = 0; i < 8; ++i) {
-    prefix |= static_cast<uint64_t>(digest.bytes[i]) << (8 * i);
-  }
-  return prefix;
 }
 
 std::vector<uint8_t> EncodeFleetRequest(const FleetRequest& request) {
@@ -388,14 +379,13 @@ Status Fleet::FailoverNode(uint32_t node_id) {
       continue;
     }
     LossyChannel wire;
-    const auto report =
-        MigrateDomain(down->monitor(), replica->monitor(), svc.domain, &wire,
-                      down->monitor()->public_key());
+    const auto report = MigrateOver(down->monitor(), replica->monitor(), svc.domain, &wire,
+                                    down->monitor()->public_key());
     if (!report.ok()) {
       return report.status();
     }
     svc.node = replica->id();
-    svc.domain = report->dest_domain;
+    svc.domain = report->migration.dest_domain;
     ++svc.failovers;
     ++migrations_;
   }

@@ -80,9 +80,6 @@ bool DecodeFleetRequest(std::span<const uint8_t> bytes, FleetRequest* out);
 std::vector<uint8_t> EncodeFleetResponse(const FleetResponse& response);
 bool DecodeFleetResponse(std::span<const uint8_t> bytes, FleetResponse* out);
 
-// First 8 bytes of a digest, little-endian (cache keys, seeds).
-uint64_t DigestPrefix64(const Digest& digest);
-
 // Session-resumption MACs (DESIGN.md §13). Both sides derive `secret` via
 // DhSharedSecret, so both can compute — and neither can forge to a third
 // party — the epoch-bound token and the per-response ack.
@@ -136,7 +133,7 @@ class MonitorNode {
   const Digest& golden_firmware() const { return golden_firmware_; }
   const Digest& golden_monitor() const { return golden_monitor_; }
   // PCR1-equivalent prefix for cache keys.
-  uint64_t pcr_prefix() const { return DigestPrefix64(golden_monitor_); }
+  uint64_t pcr_prefix() const { return golden_monitor_.Prefix64(); }
 
   LossyChannel* requests() { return &requests_; }
   LossyChannel* responses() { return &responses_; }

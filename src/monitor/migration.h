@@ -11,10 +11,12 @@
 //                into a hash-committed payload, bind it to the source's
 //                measured identity with a Schnorr signature, and ship the
 //                source's checkpointed journal alongside as provenance.
-//   transfer  -- chunk the payload into checksummed frames and push them
-//                through a MigrationTransport, re-sending un-delivered
-//                frames for up to MigrationOptions::max_attempts rounds (the
-//                simulated channel may drop, duplicate, or reorder frames).
+//   transfer  -- hand the payload to an untrusted carrier, called exactly
+//                once, which returns the bytes the destination receives.
+//                The monitor owns no wire protocol (libtyche's MigrateOver,
+//                src/tyche/channel.h, frames and re-sends), and a carrier
+//                that corrupts, truncates or withholds the payload only
+//                makes restore refuse it.
 //   restore   -- the destination verifies everything it can (container
 //                commitment, binding signature, journal chain, shadow-replay
 //                cross-check) and stages the adoption on a COPY of its
@@ -38,7 +40,7 @@
 #define SRC_MONITOR_MIGRATION_H_
 
 #include <cstdint>
-#include <deque>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -46,65 +48,18 @@
 
 namespace tyche {
 
-// Byte-frame transport between the two monitors. Send() MAY silently lose,
-// duplicate, or delay frames (that is the point of LossyChannel); Recv()
-// returns kNotFound when no frame is pending. The migration protocol owns
-// reliability: frames carry sequence numbers and checksums, and missing
-// frames are re-sent.
-class MigrationTransport {
- public:
-  virtual ~MigrationTransport() = default;
-  virtual Status Send(std::span<const uint8_t> frame) = 0;
-  virtual Result<std::vector<uint8_t>> Recv() = 0;
-};
-
-// In-process transport with perfect delivery (tests, benches). The lossy
-// variant lives in src/tyche/channel.h next to the attested ring channels.
-class ReliableTransport : public MigrationTransport {
- public:
-  Status Send(std::span<const uint8_t> frame) override {
-    frames_.emplace_back(frame.begin(), frame.end());
-    return OkStatus();
-  }
-  Result<std::vector<uint8_t>> Recv() override {
-    if (frames_.empty()) {
-      return Error(ErrorCode::kNotFound, "no frame pending");
-    }
-    std::vector<uint8_t> frame = std::move(frames_.front());
-    frames_.pop_front();
-    return frame;
-  }
-
- private:
-  std::deque<std::vector<uint8_t>> frames_;
-};
-
-struct MigrationOptions {
-  // Payload bytes per frame. Small enough that a multi-page domain spans
-  // many frames (so drop/reorder faults have structure to break), large
-  // enough that the bench can sweep footprint without frame-count noise.
-  uint64_t chunk_size = 4096;
-  // Send-and-drain rounds before the transfer stage gives up. Round 1 sends
-  // everything; each later round re-sends only the frames that never
-  // arrived, so a single dropped frame costs one retry, not a full resend.
-  uint32_t max_attempts = 8;
-  // Seed for the jittered retry backoff (src/support/backoff.h). 0 derives a
-  // per-migration seed from the payload digest, so concurrent migrations
-  // against one congested channel de-synchronize by default; a fixed nonzero
-  // seed pins the schedule for reproducibility.
-  uint64_t backoff_seed = 0;
-};
+// Moves the payload from the source to the destination and returns what
+// arrived. Untrusted: restore verifies every byte it returns. The digest is
+// the one both handoff records bind, passed so a carrier can derive
+// per-migration state (a retry schedule's seed) without hashing the payload
+// again. An error rolls the migration back to the source.
+using MigrationCarrier = std::function<Result<std::vector<uint8_t>>(
+    std::span<const uint8_t> payload, const Digest& payload_digest)>;
 
 struct MigrationReport {
   DomainId dest_domain = kInvalidDomain;  // id adopted on the destination
   Digest payload_digest;                  // what both handoff records bind
-  uint64_t payload_bytes = 0;
-  uint64_t frames_sent = 0;  // includes re-sends
-  uint64_t retries = 0;      // transfer rounds beyond the first
-  // Total jittered backoff charged across retry rounds, in sim cycles.
-  // Exposed so tests can assert the schedule is jittered (two seeds =>
-  // different totals) yet reproducible (same seed => same total).
-  uint64_t backoff_cycles = 0;
+  uint64_t payload_bytes = 0;             // captured payload size
 };
 
 // Migrates `domain` from `source` to `dest`. Both monitors must be in serial
@@ -113,12 +68,12 @@ struct MigrationReport {
 // resources exclusively. `source_key` authenticates the payload on the
 // destination -- in the failover deployment both monitors boot the same
 // measured image, so this is source->public_key() and key continuity is what
-// makes the migrated domain's attestation verify unchanged.
+// makes the migrated domain's attestation verify unchanged. `carrier` is
+// called exactly once, between capture and restore.
 Result<MigrationReport> MigrateDomain(Monitor* source, Monitor* dest,
                                       DomainId domain,
-                                      MigrationTransport* transport,
-                                      const SchnorrPublicKey& source_key,
-                                      const MigrationOptions& options = {});
+                                      const MigrationCarrier& carrier,
+                                      const SchnorrPublicKey& source_key);
 
 // Test-only hooks: freeze / unfreeze a domain exactly as the protocol does.
 // The freeze window is otherwise synchronous inside MigrateDomain(), so the

@@ -317,14 +317,15 @@ class Monitor {
 
   // Switches the monitor into concurrent mode: Dispatch() brackets every ABI
   // call in the api reader-writer lock (shared for the read-mostly ops,
-  // exclusive for graph mutations and transitions), per-domain shard locks
-  // order config mutations within the shared class, and stat counters flip
-  // to atomic updates. Contract: while concurrent mode is on, concurrent
-  // callers must enter through Dispatch() — direct Monitor method calls
-  // remain serial-only. Fails with kFailedPrecondition when snapshots are
-  // bound: the snapshot provider runs under the journal lock and reads
-  // monitor state, which would invert the lock order against a concurrent
-  // dispatcher.
+  // exclusive for graph mutations and transitions), and per-domain shard
+  // locks order config mutations within the shared class. Stat counters are
+  // striped in both modes, so they need no switch. Contract: while
+  // concurrent mode is on, concurrent callers must enter through Dispatch()
+  // — direct Monitor method calls remain serial-only. Fails with
+  // kFailedPrecondition when snapshots are bound (the snapshot provider runs
+  // under the journal lock and reads monitor state, which would invert the
+  // lock order against a concurrent dispatcher) or while a migration holds a
+  // domain frozen.
   Status EnableConcurrentDispatch();
   // Back to serial mode. Callers must quiesce dispatch threads first.
   void DisableConcurrentDispatch();

@@ -60,22 +60,6 @@ void TraceRing::Clear() {
   std::fill(ring_.begin(), ring_.end(), TraceEntry{});
 }
 
-std::string TraceRing::DumpText(
-    const std::function<std::string(uint16_t)>& op_name) const {
-  std::ostringstream out;
-  for (const TraceEntry& entry : Snapshot()) {
-    out << "#" << entry.seq << " " << op_name(entry.op) << " core=" << entry.core;
-    if (entry.domain == kTraceNoDomain) {
-      out << " domain=?";
-    } else {
-      out << " domain=" << entry.domain;
-    }
-    out << " span=" << entry.span << " args=0x" << std::hex << entry.args_digest
-        << std::dec << " err=" << entry.error << " ns=" << entry.duration_ns << "\n";
-  }
-  return out.str();
-}
-
 std::string TraceRing::DumpJson(
     const std::function<std::string(uint16_t)>& op_name) const {
   std::ostringstream out;

@@ -80,8 +80,6 @@ class TraceRing {
   uint64_t dropped() const;   // of those, how many overwrote an older entry
   void Clear();
 
-  // Human-readable dump, one line per entry (oldest first).
-  std::string DumpText(const std::function<std::string(uint16_t)>& op_name) const;
   // JSON array of entry objects.
   std::string DumpJson(const std::function<std::string(uint16_t)>& op_name) const;
 

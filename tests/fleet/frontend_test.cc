@@ -14,9 +14,9 @@
 
 #include "src/fleet/frontend.h"
 #include "src/fleet/zipf.h"
-#include "src/monitor/migration.h"
 #include "src/support/backoff.h"
 #include "src/support/faults.h"
+#include "src/tyche/channel.h"
 #include "src/tyche/verifier.h"
 
 namespace tyche {
@@ -88,7 +88,7 @@ TEST(Backoff, MigrationRetryBackoffIsJitteredPerSeed) {
     LossyChannel wire;
     MigrationOptions options;
     options.backoff_seed = backoff_seed;
-    const auto report = MigrateDomain(
+    const auto report = MigrateOver(
         fleet->node(0)->monitor(), fleet->node(1)->monitor(), svc.domain, &wire,
         fleet->node(0)->monitor()->public_key(), options);
     if (!report.ok()) {

@@ -73,7 +73,6 @@ TEST(TraceRingTest, DumpFormatsContainOpNames) {
   TraceRing ring(4);
   ring.Record(MakeEntry(3, 42));
   const auto name = [](uint16_t op) { return std::string("op") + std::to_string(op); };
-  EXPECT_NE(ring.DumpText(name).find("op3"), std::string::npos);
   const std::string json = ring.DumpJson(name);
   EXPECT_NE(json.find("\"op\":\"op3\""), std::string::npos);
   EXPECT_NE(json.find("\"duration_ns\":42"), std::string::npos);

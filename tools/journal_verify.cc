@@ -49,10 +49,10 @@
 #include "src/monitor/audit.h"
 #include "src/monitor/boot.h"
 #include "src/monitor/dispatch.h"
-#include "src/monitor/migration.h"
 #include "src/monitor/recovery.h"
 #include "src/os/testbed.h"
 #include "src/support/metrics.h"
+#include "src/tyche/channel.h"
 #include "src/tyche/graph_export.h"
 #include "src/tyche/loader.h"
 #include "src/tyche/verifier.h"
@@ -416,9 +416,8 @@ int SelfTest(size_t* records, size_t* checkpoints) {
     std::fprintf(stderr, "victim setup failed on the source\n");
     return 2;
   }
-  ReliableTransport transport;
-  const auto migrated =
-      MigrateDomain(&source, &dest, svc->domain, &transport, source.public_key());
+  LossyChannel channel;
+  const auto migrated = MigrateOver(&source, &dest, svc->domain, &channel, source.public_key());
   if (!migrated.ok()) {
     std::printf("FAIL: migration failed: %s\n", migrated.status().ToString().c_str());
     return 1;
@@ -432,7 +431,7 @@ int SelfTest(size_t* records, size_t* checkpoints) {
     return 1;
   }
   std::printf("spliced custody chain verifies (migrated domain %llu)\n",
-              static_cast<unsigned long long>(migrated->dest_domain));
+              static_cast<unsigned long long>(migrated->migration.dest_domain));
   std::vector<uint8_t> forged = dst_wire;
   forged[forged.size() / 2] ^= 0x01;
   verdict = VerifyJournalSplice(src_wire, forged, source.public_key(),
