@@ -18,6 +18,7 @@
 
 #include "bench/bench_common.h"
 #include "src/monitor/dispatch.h"
+#include "src/tyche/observe.h"
 
 namespace tyche {
 namespace {
@@ -76,8 +77,9 @@ BENCHMARK(BM_Dispatch_HistogramsOnly);
 BENCHMARK(BM_Dispatch_HistogramsMetricsOn);
 BENCHMARK(BM_Dispatch_TelemetryFull);
 
-// The scrape path: rendering the full Prometheus snapshot, histograms and
-// pull callbacks included, once a workload has filled the trace ring.
+// The scrape path: collecting every metric under the api lock and rendering
+// the full Prometheus snapshot, histograms and pull callbacks included, once
+// a workload has filled the trace ring.
 void BM_ExportMetrics(benchmark::State& state) {
   Testbed testbed = bench::MustTestbed();
   Monitor& monitor = testbed.monitor();
@@ -87,7 +89,7 @@ void BM_ExportMetrics(benchmark::State& state) {
     (void)Dispatch(&monitor, 0, regs);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(monitor.ExportMetrics());
+    benchmark::DoNotOptimize(RenderPrometheus(monitor.CollectMetrics()));
   }
 }
 BENCHMARK(BM_ExportMetrics);

@@ -14,9 +14,9 @@
 #include "src/monitor/boot.h"
 #include "src/monitor/dispatch.h"
 #include "src/os/kernel.h"
-#include "src/support/profiler.h"
 #include "src/tyche/graph_export.h"
 #include "src/tyche/loader.h"
+#include "src/tyche/observe.h"
 #include "src/tyche/trace_export.h"
 #include "src/tyche/verifier.h"
 
@@ -132,10 +132,13 @@ inline void DumpObservability(Monitor& monitor) {
   // demo's own dispatches.
   const std::vector<TraceEntry> trace = monitor.telemetry().ring().Snapshot();
   const auto op_name = [](uint16_t op) { return std::string(ApiOpName(static_cast<ApiOp>(op))); };
-  std::printf("%s", monitor.telemetry().SummaryText(op_name).c_str());
-  for (const auto& [series, value] : monitor.metrics().ScalarValues()) {
-    if (value != 0) {
-      std::printf("%s %llu\n", series.c_str(), static_cast<unsigned long long>(value));
+  std::printf("%s", ExportOpSummary(monitor.telemetry(), op_name).c_str());
+  for (const MetricFamily& family : monitor.CollectMetrics()) {
+    for (const MetricSeries& series : family.series) {
+      if (family.type != MetricType::kHistogram && series.value != 0) {
+        std::printf("%s %llu\n", RenderSeriesName(family.name, series.labels).c_str(),
+                    static_cast<unsigned long long>(series.value));
+      }
     }
   }
   PrintJournalSummary(monitor.audit().journal());
@@ -186,7 +189,8 @@ inline void DumpObservability(Monitor& monitor) {
     std::printf("wrote %s to %s (%zu bytes)\n", what, path, body.size());
     DEMO_CHECK(out.good());
   };
-  write_artifact("TYCHE_METRICS_OUT", monitor.ExportMetrics(), "metrics snapshot");
+  write_artifact("TYCHE_METRICS_OUT", RenderPrometheus(monitor.CollectMetrics()),
+                 "metrics snapshot");
   write_artifact(
       "TYCHE_TRACE_OUT",
       ExportChromeTrace(
@@ -196,15 +200,9 @@ inline void DumpObservability(Monitor& monitor) {
             return std::string(JournalEventName(static_cast<JournalEvent>(event)));
           }),
       "chrome trace");
-  write_artifact("TYCHE_FLIGHT_OUT",
-                 monitor.flight_recorder().DumpJson([](uint16_t op) {
-                   return std::string(ApiOpName(static_cast<ApiOp>(op)));
-                 }),
+  write_artifact("TYCHE_FLIGHT_OUT", ExportFlightJson(monitor.flight_recorder(), op_name),
                  "flight-recorder dump");
-  write_artifact("TYCHE_PROF_OUT",
-                 ExportFoldedStacks(monitor.profiler(), [](uint16_t op) {
-                   return std::string(ApiOpName(static_cast<ApiOp>(op)));
-                 }),
+  write_artifact("TYCHE_PROF_OUT", ExportFoldedStacks(monitor.profiler(), op_name),
                  "folded phase stacks");
 }
 

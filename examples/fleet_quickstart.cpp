@@ -25,6 +25,7 @@
 #include <fstream>
 
 #include "src/fleet/frontend.h"
+#include "src/tyche/observe.h"
 #include "src/tyche/verifier.h"
 
 namespace tyche {
@@ -232,7 +233,7 @@ int Run() {
               static_cast<unsigned long long>(frontend.cache().expired()));
 
   Banner("metrics");
-  const std::string scrape = frontend.metrics().ExportPrometheus();
+  const std::string scrape = RenderPrometheus(frontend.metrics().Collect());
   std::printf("front end exports %zu bytes of Prometheus text "
               "(tyche_fleet_* families)\n", scrape.size());
   if (const char* path = std::getenv("TYCHE_METRICS_OUT");

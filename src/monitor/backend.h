@@ -19,7 +19,7 @@ namespace tyche {
 
 // What the enforcement hardware actually did on the monitor's behalf.
 // Maintained by every backend; scraped as tyche_backend_ops_total by
-// Monitor::ExportMetrics() so the cost of projecting policy onto hardware
+// Monitor::CollectMetrics() so the cost of projecting policy onto hardware
 // is observable per deployment.
 struct BackendStats {
   uint64_t memory_syncs = 0;      // SyncMemory invocations

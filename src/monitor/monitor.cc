@@ -162,7 +162,7 @@ void Monitor::RegisterMetrics() {
   }
 
   // Pull callbacks for signals owned elsewhere. All of these are read under
-  // the api lock at export time (ExportMetrics quiesces dispatchers), so
+  // the api lock at collection time (CollectMetrics quiesces dispatchers), so
   // plain-field sources (backend stats, domain table) are safe.
   struct BackendField {
     const char* op;
@@ -237,7 +237,7 @@ void Monitor::RegisterMetrics() {
                        [this] { return engine_.total_caps() - engine_.active_caps(); });
   // captures() is a bare atomic, so this callback never touches the flight
   // recorder's mutex (a size() callback would deadlock against a capture
-  // that is concurrently reading ScalarValues from the registry).
+  // that is concurrently collecting from the registry).
   metrics_.AddCallback("tyche_flight_captures_total",
                        "Post-mortem flight records captured", true, {},
                        [this] { return flight_.captures(); });
@@ -356,11 +356,12 @@ void Monitor::ResetStatCounters() {
   }
 }
 
-std::string Monitor::ExportMetrics() const {
+std::vector<MetricFamily> Monitor::CollectMetrics() const {
   // Quiesce dispatchers: callback metrics read plain fields (backend stats,
-  // domain table) that must not be mid-mutation.
+  // domain table) that must not be mid-mutation. Rendering happens after
+  // the lock is released, in the caller.
   ConditionalUniqueLock api(api_mu_, concurrent_dispatch(), nullptr);
-  return metrics_.ExportPrometheus();
+  return metrics_.Collect(/*include_callbacks=*/true);
 }
 
 uint64_t Monitor::TrapCost() const {

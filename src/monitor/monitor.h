@@ -141,7 +141,7 @@ class Monitor {
   const FlightRecorder& flight_recorder() const { return flight_; }
   // Kill switch for the stat counters, mirroring the telemetry switches so
   // bench_telemetry can cost the registry itself. Disabling freezes
-  // stats()/ExportMetrics() counter values; production leaves it on.
+  // stats()/CollectMetrics() counter values; production leaves it on.
   void set_counters_enabled(bool enabled) {
     counters_on_.store(enabled, std::memory_order_relaxed);
   }
@@ -253,13 +253,14 @@ class Monitor {
   Result<bool> AuditHardwareConsistency();
 
   // --- Introspection (tests, benches, examples) ---
-  // Prometheus text-exposition snapshot of every registered metric: stat
-  // counters, backend/journal/trace/contention signals, fault-injection
-  // hits, per-op latency histograms. The registry is the one source of
-  // stats; stats(), backend().stats(), telemetry().ring() and audit() are
-  // typed views of the same signals. Safe against concurrent dispatchers
-  // (quiesces via api_mu_).
-  std::string ExportMetrics() const;
+  // Values of every registered metric: stat counters, backend/journal/
+  // trace/contention signals, fault-injection hits, per-op latency
+  // histograms. The registry is the one source of stats; stats(),
+  // backend().stats(), telemetry().ring() and audit() are typed views of the
+  // same signals. Safe against concurrent dispatchers (quiesces via api_mu_
+  // for the collection only). libtyche's RenderPrometheus
+  // (src/tyche/observe.h) turns the result into the Prometheus scrape.
+  std::vector<MetricFamily> CollectMetrics() const;
   // Checkpoints and serializes the audit journal (wire format for
   // VerifyJournal in src/tyche/verifier.h / tools/journal_verify).
   std::vector<uint8_t> ExportJournal() { return audit_.Export(); }

@@ -2,8 +2,6 @@
 
 #include "src/support/flight_recorder.h"
 
-#include <sstream>
-
 namespace tyche {
 
 namespace {
@@ -24,7 +22,11 @@ bool FlightRecorder::OnDispatchError(uint16_t op, uint64_t span, uint64_t error)
     return false;
   }
   const uint64_t key = DedupKey(op, error);
-  std::atomic<uint64_t>& slot = seen_[key % kDedupSlots];
+  // The slot is the product's top 8 bits, which every key bit reaches; the
+  // low bits alone would drop the op (bits 48+), so every op failing with
+  // one error would share a slot and evict the other.
+  static_assert(kDedupSlots == 256);
+  std::atomic<uint64_t>& slot = seen_[(key * 0x9e3779b97f4a7c15ull) >> 56];
   if (slot.load(std::memory_order_relaxed) == key) {
     return false;  // this failure shape is already on record
   }
@@ -65,15 +67,17 @@ void FlightRecorder::CaptureLocked(const std::string& reason, uint16_t op, uint6
   if (registry_ != nullptr) {
     // Native series only: captures run on dispatch threads, and callback
     // metrics read state that another thread may be mutating under its own
-    // lock. Striped counters and gauges are atomic, so they are always safe.
-    for (const auto& [name, value] : registry_->ScalarValues(/*include_callbacks=*/false)) {
-      const auto it = last_values_.find(name);
-      const uint64_t previous = it == last_values_.end() ? 0 : it->second;
-      if (value != previous) {
-        record.metrics_delta.emplace_back(
-            name, static_cast<int64_t>(value) - static_cast<int64_t>(previous));
+    // lock. Striped counters are atomic, so they are always safe.
+    for (MetricFamily& family : registry_->Collect(/*include_callbacks=*/false)) {
+      for (MetricSeries& series : family.series) {
+        uint64_t& last = last_values_[{family.name, series.labels}];
+        if (series.value != last) {
+          record.metrics_delta.push_back(
+              {family.name, std::move(series.labels),
+               static_cast<int64_t>(series.value) - static_cast<int64_t>(last)});
+        }
+        last = series.value;
       }
-      last_values_[name] = value;
     }
   }
   records_.push_back(std::move(record));
@@ -99,46 +103,6 @@ void FlightRecorder::Clear() {
   for (std::atomic<uint64_t>& slot : seen_) {
     slot.store(0, std::memory_order_relaxed);
   }
-}
-
-std::string FlightRecorder::DumpJson(
-    const std::function<std::string(uint16_t)>& op_name) const {
-  const std::vector<FlightRecord> records = Snapshot();
-  std::ostringstream out;
-  out << "[";
-  for (size_t i = 0; i < records.size(); ++i) {
-    const FlightRecord& record = records[i];
-    if (i > 0) {
-      out << ",";
-    }
-    out << "{\"id\":" << record.id << ",\"reason\":\"" << EscapeJsonString(record.reason)
-        << "\",\"op\":\""
-        << EscapeJsonString(op_name ? op_name(record.op) : std::to_string(record.op))
-        << "\",\"span\":" << record.span << ",\"error\":" << record.error
-        << ",\"detail\":\"" << EscapeJsonString(record.detail) << "\",\"trace\":[";
-    for (size_t j = 0; j < record.trace.size(); ++j) {
-      const TraceEntry& entry = record.trace[j];
-      if (j > 0) {
-        out << ",";
-      }
-      out << "{\"seq\":" << entry.seq << ",\"op\":\""
-          << EscapeJsonString(op_name ? op_name(entry.op) : std::to_string(entry.op))
-          << "\",\"core\":" << entry.core << ",\"domain\":" << entry.domain
-          << ",\"span\":" << entry.span << ",\"error\":" << entry.error
-          << ",\"duration_ns\":" << entry.duration_ns << "}";
-    }
-    out << "],\"metrics_delta\":{";
-    for (size_t j = 0; j < record.metrics_delta.size(); ++j) {
-      if (j > 0) {
-        out << ",";
-      }
-      out << '"' << EscapeJsonString(record.metrics_delta[j].first) << "\":"
-          << record.metrics_delta[j].second;
-    }
-    out << "}}";
-  }
-  out << "]";
-  return out.str();
 }
 
 }  // namespace tyche

@@ -6,14 +6,16 @@
 // comes back through Recover() -- the interesting state is what happened
 // JUST BEFORE: the last few trace entries and how the counters moved since
 // the previous incident. The flight recorder captures exactly that into a
-// fixed ring of records, atomically under one mutex, dumpable as JSON for
-// bug reports and CI artifacts.
+// fixed ring of records, atomically under one mutex. It keeps values, not
+// text: libtyche's ExportFlightJson (src/tyche/observe.h) renders the
+// records as JSON for bug reports and CI artifacts.
 //
 // Hot-path discipline: dispatch errors are routine (an empty interrupt
 // queue returns kNotFound thousands of times per second in the benches), so
 // OnDispatchError() deduplicates by (op, error): the FIRST occurrence of
-// each distinct failure is captured, repeats cost two relaxed loads and a
-// compare. Fault-site and recovery captures are rare and always recorded.
+// each distinct failure is captured, repeats cost two relaxed loads, a
+// multiply and a compare. Fault-site and recovery captures are rare and
+// always recorded.
 
 #ifndef SRC_SUPPORT_FLIGHT_RECORDER_H_
 #define SRC_SUPPORT_FLIGHT_RECORDER_H_
@@ -22,7 +24,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -34,6 +35,13 @@
 
 namespace tyche {
 
+// How far one native series moved between two captures.
+struct MetricDelta {
+  std::string name;     // family name
+  MetricLabels labels;  // the series' labels, in registration order
+  int64_t delta = 0;
+};
+
 struct FlightRecord {
   uint64_t id = 0;            // capture sequence number, from 0
   std::string reason;         // "dispatch_error" | "fault_site" | "recovery"
@@ -42,9 +50,9 @@ struct FlightRecord {
   uint64_t error = 0;         // ErrorCode surfaced (0 for recovery captures)
   std::string detail;         // fault site name, recovery summary, ...
   std::vector<TraceEntry> trace;  // last-N ring entries at capture, oldest first
-  // Scalar metrics that CHANGED since the previous capture (or since the
-  // recorder was created/cleared), as (series name, delta).
-  std::vector<std::pair<std::string, int64_t>> metrics_delta;
+  // Native series that CHANGED since the previous capture (or since the
+  // recorder was created/cleared), in MetricsRegistry::Collect() order.
+  std::vector<MetricDelta> metrics_delta;
 };
 
 class FlightRecorder {
@@ -77,9 +85,6 @@ class FlightRecorder {
   // Drops all records and resets the dispatch-error dedup filter.
   void Clear();
 
-  // JSON array of record objects (trace entries inline), for artifacts.
-  std::string DumpJson(const std::function<std::string(uint16_t)>& op_name) const;
-
  private:
   void CaptureLocked(const std::string& reason, uint16_t op, uint64_t span,
                      uint64_t error, const std::string& detail);
@@ -91,14 +96,16 @@ class FlightRecorder {
   std::atomic<bool> enabled_{true};
   std::atomic<uint64_t> captures_{0};
 
-  // Dedup filter: slot = hash(op, error) % size, holding key+1 (0 = empty).
+  // Dedup filter: slot = top bits of a multiplicative hash of the (op,
+  // error) key, holding the key (never 0, which marks an empty slot).
   // Collisions only mean an extra capture -- correctness is unaffected.
   static constexpr size_t kDedupSlots = 256;
   std::array<std::atomic<uint64_t>, kDedupSlots> seen_{};
 
   mutable std::mutex mu_;
   std::deque<FlightRecord> records_;
-  std::map<std::string, uint64_t> last_values_;  // scalar baseline for deltas
+  // Scalar baseline for deltas, keyed by (family name, labels).
+  std::map<std::pair<std::string, MetricLabels>, uint64_t> last_values_;
 };
 
 }  // namespace tyche

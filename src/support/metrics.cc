@@ -3,8 +3,6 @@
 #include "src/support/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
 
 namespace tyche {
 
@@ -20,111 +18,6 @@ size_t AssignThisThreadStripe() {
 }
 
 }  // namespace metrics_internal
-
-std::string PromEscapeHelp(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-std::string EscapeJsonString(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string PromEscapeLabelValue(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-std::string RenderSeriesName(const std::string& name, const MetricLabels& labels) {
-  if (labels.empty()) {
-    return name;
-  }
-  std::string out = name;
-  out += '{';
-  bool first = true;
-  for (const auto& [key, value] : labels) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += key;
-    out += "=\"";
-    out += PromEscapeLabelValue(value);
-    out += '"';
-  }
-  out += '}';
-  return out;
-}
-
-namespace {
-
-// Renders a label set with one extra label appended (for histogram "le").
-std::string RenderWithExtraLabel(const std::string& name, const MetricLabels& labels,
-                                 const std::string& key, const std::string& value) {
-  MetricLabels extended = labels;
-  extended.emplace_back(key, value);
-  return RenderSeriesName(name, extended);
-}
-
-}  // namespace
 
 void HistogramSnapshot::Merge(const HistogramSnapshot& other) {
   if (buckets.size() < other.buckets.size()) {
@@ -186,7 +79,7 @@ void Log2Histogram::Reset() {
 }
 
 MetricsRegistry::Child* MetricsRegistry::FindOrAddChild(const std::string& name,
-                                                        const std::string& help, Type type,
+                                                        const std::string& help, MetricType type,
                                                         const MetricLabels& labels) {
   Family& family = families_[name];
   if (family.children.empty()) {
@@ -206,21 +99,11 @@ MetricsRegistry::Child* MetricsRegistry::FindOrAddChild(const std::string& name,
 StripedCounter* MetricsRegistry::AddCounter(const std::string& name, const std::string& help,
                                             const MetricLabels& labels) {
   std::lock_guard<std::mutex> lock(mu_);
-  Child* child = FindOrAddChild(name, help, Type::kCounter, labels);
+  Child* child = FindOrAddChild(name, help, MetricType::kCounter, labels);
   if (child->counter == nullptr) {
     child->counter = std::make_unique<StripedCounter>();
   }
   return child->counter.get();
-}
-
-MetricGauge* MetricsRegistry::AddGauge(const std::string& name, const std::string& help,
-                                       const MetricLabels& labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Child* child = FindOrAddChild(name, help, Type::kGauge, labels);
-  if (child->gauge == nullptr) {
-    child->gauge = std::make_unique<MetricGauge>();
-  }
-  return child->gauge.get();
 }
 
 void MetricsRegistry::AddCallback(const std::string& name, const std::string& help,
@@ -228,7 +111,7 @@ void MetricsRegistry::AddCallback(const std::string& name, const std::string& he
                                   std::function<uint64_t()> read) {
   std::lock_guard<std::mutex> lock(mu_);
   Child* child =
-      FindOrAddChild(name, help, counter ? Type::kCounter : Type::kGauge, labels);
+      FindOrAddChild(name, help, counter ? MetricType::kCounter : MetricType::kGauge, labels);
   child->read = std::move(read);
 }
 
@@ -236,77 +119,41 @@ void MetricsRegistry::AddHistogram(const std::string& name, const std::string& h
                                    const MetricLabels& labels,
                                    std::function<HistogramSnapshot()> read) {
   std::lock_guard<std::mutex> lock(mu_);
-  Child* child = FindOrAddChild(name, help, Type::kHistogram, labels);
+  Child* child = FindOrAddChild(name, help, MetricType::kHistogram, labels);
   child->histogram = std::move(read);
 }
 
-std::string MetricsRegistry::ExportPrometheus() const {
+std::vector<MetricFamily> MetricsRegistry::Collect(bool include_callbacks) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream out;
+  std::vector<MetricFamily> families;
+  families.reserve(families_.size());
   for (const auto& [name, family] : families_) {
-    const char* type_name = family.type == Type::kCounter    ? "counter"
-                            : family.type == Type::kGauge    ? "gauge"
-                                                             : "histogram";
-    out << "# HELP " << name << " " << PromEscapeHelp(family.help) << "\n";
-    out << "# TYPE " << name << " " << type_name << "\n";
+    if (!include_callbacks && family.type == MetricType::kHistogram) {
+      continue;
+    }
+    MetricFamily collected{name, family.help, family.type, {}};
     for (const Child& child : family.children) {
-      if (family.type == Type::kHistogram) {
+      MetricSeries series{child.labels, 0, {}};
+      if (family.type == MetricType::kHistogram) {
         if (!child.histogram) {
           continue;
         }
-        const HistogramSnapshot snapshot = child.histogram();
-        uint64_t cumulative = 0;
-        for (const auto& [bound, count] : snapshot.buckets) {
-          cumulative += count;
-          out << RenderWithExtraLabel(name + "_bucket", child.labels, "le",
-                                      std::to_string(bound))
-              << " " << cumulative << "\n";
-        }
-        out << RenderWithExtraLabel(name + "_bucket", child.labels, "le", "+Inf") << " "
-            << snapshot.count << "\n";
-        out << RenderSeriesName(name + "_sum", child.labels) << " " << snapshot.sum << "\n";
-        out << RenderSeriesName(name + "_count", child.labels) << " " << snapshot.count
-            << "\n";
-        continue;
-      }
-      uint64_t value = 0;
-      if (child.counter != nullptr) {
-        value = child.counter->Value();
-      } else if (child.gauge != nullptr) {
-        value = static_cast<uint64_t>(child.gauge->Value());
-      } else if (child.read) {
-        value = child.read();
-      }
-      out << RenderSeriesName(name, child.labels) << " " << value << "\n";
-    }
-  }
-  return out.str();
-}
-
-std::vector<std::pair<std::string, uint64_t>> MetricsRegistry::ScalarValues(
-    bool include_callbacks) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, uint64_t>> values;
-  for (const auto& [name, family] : families_) {
-    if (family.type == Type::kHistogram) {
-      continue;
-    }
-    for (const Child& child : family.children) {
-      uint64_t value = 0;
-      if (child.counter != nullptr) {
-        value = child.counter->Value();
-      } else if (child.gauge != nullptr) {
-        value = static_cast<uint64_t>(child.gauge->Value());
+        series.histogram = child.histogram();
+      } else if (child.counter != nullptr) {
+        series.value = child.counter->Value();
       } else if (child.read) {
         if (!include_callbacks) {
           continue;
         }
-        value = child.read();
+        series.value = child.read();
       }
-      values.emplace_back(RenderSeriesName(name, child.labels), value);
+      collected.series.push_back(std::move(series));
+    }
+    if (include_callbacks || !collected.series.empty()) {
+      families.push_back(std::move(collected));
     }
   }
-  return values;
+  return families;
 }
 
 }  // namespace tyche

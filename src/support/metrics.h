@@ -5,8 +5,8 @@
 // The fleet-observability contract: every signal the monitor produces --
 // per-op call counts, transition/revocation totals, backend projection
 // counters, journal chain length, lock contention, fault-injection hits --
-// must be scrapeable as a Prometheus-style text snapshot without the
-// instrumentation itself serializing cores. Two pieces deliver that:
+// must be scrapeable without the instrumentation itself serializing cores.
+// Three pieces deliver that:
 //
 //  - StripedCounter: a monotonic counter spread over kMetricStripes
 //    cache-line-aligned cells. Each thread picks a stripe once (round-robin
@@ -16,13 +16,17 @@
 //  - Log2Histogram: the monitor's one live latency histogram -- 64 relaxed
 //    atomic log2 bucket cells plus sum and max, so recording never takes a
 //    lock. Snapshot() turns it into the HistogramSnapshot value type the
-//    registry exports and callers compute percentiles on.
+//    registry collects and callers compute percentiles on.
 //  - MetricsRegistry: named families of counters, gauges, and histogram
-//    views, each with optional labels. Native counters/gauges live in the
+//    views, each with optional labels. Native counters live in the
 //    registry; signals owned elsewhere (backend stats, journal sizes, fault
-//    hits) register PULL CALLBACKS so the registry never duplicates state.
-//    ExportPrometheus() renders the whole surface in deterministic (sorted)
-//    order with proper HELP/label escaping.
+//    hits, every gauge) register PULL CALLBACKS so the registry never
+//    duplicates state.
+//
+// Collection ends here and rendering starts outside the monitor:
+// MetricsRegistry::Collect() hands out plain values (MetricFamily), and
+// libtyche's src/tyche/observe.h turns them into Prometheus text. No text
+// format lives in this file.
 //
 // Everything here is independent of the monitor's types: histogram views
 // are exported through the plain HistogramSnapshot struct below, so
@@ -118,23 +122,11 @@ class StripedCounter {
   std::array<Cell, kMetricStripes> cells_;
 };
 
-// A settable instantaneous value. Gauges are off the hot path (domain
-// counts, config state), so a single atomic cell is enough.
-class MetricGauge {
- public:
-  void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
-  void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  int64_t Value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> value_{0};
-};
-
 // A histogram value: bucket upper bounds with per-bucket counts, plus
 // count/sum/max. Log2Histogram::Snapshot() produces it; the registry
-// renders it, and callers merge it and read percentiles from it.
+// collects it, and callers merge it and read percentiles from it.
 struct HistogramSnapshot {
-  // (inclusive upper bound, count in bucket) pairs, ascending. The exporter
+  // (inclusive upper bound, count in bucket) pairs, ascending. The renderer
   // emits cumulative counts and appends the +Inf bucket itself.
   std::vector<std::pair<uint64_t, uint64_t>> buckets;
   uint64_t count = 0;
@@ -193,17 +185,26 @@ class Log2Histogram {
   std::atomic<uint64_t> max_{0};
 };
 
-// label key/value pairs, rendered in the order given.
+// label key/value pairs, kept in the order given.
 using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 
-// Prometheus text-format escaping (exposed for tests).
-std::string PromEscapeHelp(const std::string& text);
-std::string PromEscapeLabelValue(const std::string& text);
+enum class MetricType { kCounter, kGauge, kHistogram };
 
-// Escapes a string for use inside a JSON string literal: quotes, backslash,
-// and every control character (\n, \r, \t, otherwise \uXXXX), so no byte is
-// lost. The one JSON escaper of every exporter.
-std::string EscapeJsonString(const std::string& text);
+// One child series as collected: its labels and, by family type, either a
+// scalar value or a histogram snapshot.
+struct MetricSeries {
+  MetricLabels labels;
+  uint64_t value = 0;
+  HistogramSnapshot histogram;
+};
+
+// One family as collected: children in registration order.
+struct MetricFamily {
+  std::string name;
+  std::string help;
+  MetricType type = MetricType::kCounter;
+  std::vector<MetricSeries> series;
+};
 
 class MetricsRegistry {
  public:
@@ -211,13 +212,11 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // Get-or-create a native striped counter / gauge child. The returned
-  // pointer is stable for the registry's lifetime; hot paths cache it and
-  // never touch the registry again.
+  // Get-or-create a native striped counter child. The returned pointer is
+  // stable for the registry's lifetime; hot paths cache it and never touch
+  // the registry again.
   StripedCounter* AddCounter(const std::string& name, const std::string& help,
                              const MetricLabels& labels = {});
-  MetricGauge* AddGauge(const std::string& name, const std::string& help,
-                        const MetricLabels& labels = {});
 
   // Registers a pull callback for a signal owned elsewhere. `counter`
   // controls the TYPE line (counter vs gauge).
@@ -225,46 +224,37 @@ class MetricsRegistry {
                    const MetricLabels& labels, std::function<uint64_t()> read);
 
   // Registers a histogram view; the callback snapshots the source histogram
-  // at export time.
+  // at collection time.
   void AddHistogram(const std::string& name, const std::string& help,
                     const MetricLabels& labels, std::function<HistogramSnapshot()> read);
 
-  // Prometheus text exposition: families sorted by name, children in
-  // registration order, HELP/TYPE once per family.
-  std::string ExportPrometheus() const;
-
-  // Every scalar series (histograms excluded) as (rendered series name,
-  // value). `include_callbacks = false` restricts to native counters and
-  // gauges, whose cells are atomic; the flight recorder uses that form
-  // because it samples from dispatch threads while callback-backed state
-  // (domain table, backend stats) may be mid-mutation under another lock.
-  std::vector<std::pair<std::string, uint64_t>> ScalarValues(
-      bool include_callbacks = true) const;
+  // The one collection walk: families sorted by name, children in
+  // registration order. `include_callbacks = false` keeps native counters
+  // only (callback scalars and histograms are dropped, and so is a family
+  // left with no series); the flight recorder uses that form because it
+  // samples from dispatch threads while callback-backed state (domain table,
+  // backend stats) may be mid-mutation under another lock.
+  std::vector<MetricFamily> Collect(bool include_callbacks = true) const;
 
  private:
   struct Child {
     MetricLabels labels;
     std::unique_ptr<StripedCounter> counter;     // native counter
-    std::unique_ptr<MetricGauge> gauge;          // native gauge
     std::function<uint64_t()> read;              // callback scalar
     std::function<HistogramSnapshot()> histogram;  // callback histogram
   };
-  enum class Type { kCounter, kGauge, kHistogram };
   struct Family {
     std::string help;
-    Type type = Type::kCounter;
+    MetricType type = MetricType::kCounter;
     std::vector<Child> children;
   };
 
-  Child* FindOrAddChild(const std::string& name, const std::string& help, Type type,
+  Child* FindOrAddChild(const std::string& name, const std::string& help, MetricType type,
                         const MetricLabels& labels);
 
   mutable std::mutex mu_;  // guards families_ shape; cell updates are atomic
   std::map<std::string, Family> families_;
 };
-
-// Renders "name{k=\"v\",...}" (no labels -> bare name).
-std::string RenderSeriesName(const std::string& name, const MetricLabels& labels);
 
 }  // namespace tyche
 

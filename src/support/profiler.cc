@@ -2,11 +2,6 @@
 
 #include "src/support/profiler.h"
 
-#include <algorithm>
-#include <iomanip>
-#include <sstream>
-#include <vector>
-
 namespace tyche {
 
 namespace profiler_internal {
@@ -175,75 +170,6 @@ void DispatchProfiler::Reset() {
     exemplars_[i].span = 0;
     exemplars_[i].ts_ns = 0;
   }
-}
-
-namespace {
-
-struct AttributionCell {
-  uint16_t op = 0;
-  DispatchPhase phase = DispatchPhase::kOther;
-  uint64_t count = 0;
-  uint64_t sum_ns = 0;
-};
-
-std::vector<AttributionCell> CollectCells(const DispatchProfiler& profiler) {
-  std::vector<AttributionCell> cells;
-  for (size_t op = 0; op < profiler.op_count(); ++op) {
-    for (size_t phase = 0; phase < kDispatchPhaseCount; ++phase) {
-      const auto snapshot = profiler.PhaseSnapshot(static_cast<uint16_t>(op),
-                                                   static_cast<DispatchPhase>(phase));
-      if (snapshot.count == 0) {
-        continue;
-      }
-      cells.push_back({static_cast<uint16_t>(op), static_cast<DispatchPhase>(phase),
-                       snapshot.count, snapshot.sum});
-    }
-  }
-  return cells;
-}
-
-}  // namespace
-
-std::string ExportFoldedStacks(const DispatchProfiler& profiler,
-                               const std::function<std::string(uint16_t)>& op_name) {
-  std::ostringstream out;
-  for (const AttributionCell& cell : CollectCells(profiler)) {
-    out << op_name(cell.op) << ";" << DispatchPhaseName(cell.phase) << " "
-        << cell.sum_ns << "\n";
-  }
-  return out.str();
-}
-
-std::string ExportAttributionTable(const DispatchProfiler& profiler,
-                                   const std::function<std::string(uint16_t)>& op_name,
-                                   size_t top_n) {
-  std::vector<AttributionCell> cells = CollectCells(profiler);
-  uint64_t grand_total = 0;
-  for (const AttributionCell& cell : cells) {
-    grand_total += cell.sum_ns;
-  }
-  std::sort(cells.begin(), cells.end(),
-            [](const AttributionCell& a, const AttributionCell& b) {
-              return a.sum_ns > b.sum_ns;
-            });
-  if (cells.size() > top_n) {
-    cells.resize(top_n);
-  }
-  std::ostringstream out;
-  out << "op;phase                                count     total_ns      mean_ns  share\n";
-  for (const AttributionCell& cell : cells) {
-    std::ostringstream label;
-    label << op_name(cell.op) << ";" << DispatchPhaseName(cell.phase);
-    const double share =
-        grand_total == 0 ? 0.0
-                         : 100.0 * static_cast<double>(cell.sum_ns) /
-                               static_cast<double>(grand_total);
-    out << std::left << std::setw(36) << label.str() << std::right << std::setw(9)
-        << cell.count << std::setw(13) << cell.sum_ns << std::setw(13)
-        << (cell.count == 0 ? 0 : cell.sum_ns / cell.count) << std::setw(6)
-        << std::fixed << std::setprecision(1) << share << "%\n";
-  }
-  return out.str();
 }
 
 }  // namespace tyche

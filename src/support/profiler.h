@@ -42,10 +42,8 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 
 #include "src/support/metrics.h"
 
@@ -214,18 +212,6 @@ class DispatchProfiler {
   std::unique_ptr<ExemplarCell[]> exemplars_;
   mutable std::mutex exemplar_mu_;  // guards ExemplarCell span/ts pairs
 };
-
-// Folded-stack rendering for flamegraph.pl: one "op;phase weight" line per
-// (op, phase) with samples, weight = accumulated nanoseconds. Deterministic
-// order (op index, then phase index).
-std::string ExportFoldedStacks(const DispatchProfiler& profiler,
-                               const std::function<std::string(uint16_t)>& op_name);
-
-// Human-readable attribution table: the top `top_n` (op, phase) cells by
-// accumulated time, with count, total, mean, and share of all profiled time.
-std::string ExportAttributionTable(const DispatchProfiler& profiler,
-                                   const std::function<std::string(uint16_t)>& op_name,
-                                   size_t top_n);
 
 }  // namespace tyche
 

@@ -3,7 +3,6 @@
 #include "src/support/telemetry.h"
 
 #include <algorithm>
-#include <sstream>
 
 namespace tyche {
 
@@ -60,30 +59,6 @@ void TraceRing::Clear() {
   std::fill(ring_.begin(), ring_.end(), TraceEntry{});
 }
 
-std::string TraceRing::DumpJson(
-    const std::function<std::string(uint16_t)>& op_name) const {
-  std::ostringstream out;
-  out << "[";
-  bool first = true;
-  for (const TraceEntry& entry : Snapshot()) {
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    out << "{\"seq\":" << entry.seq << ",\"op\":\"" << op_name(entry.op)
-        << "\",\"core\":" << entry.core << ",\"domain\":";
-    if (entry.domain == kTraceNoDomain) {
-      out << "null";
-    } else {
-      out << entry.domain;
-    }
-    out << ",\"span\":" << entry.span << ",\"args_digest\":" << entry.args_digest
-        << ",\"error\":" << entry.error << ",\"duration_ns\":" << entry.duration_ns << "}";
-  }
-  out << "]";
-  return out.str();
-}
-
 Telemetry::Telemetry(size_t op_count, size_t ring_capacity)
     : op_count_(op_count),
       per_op_(std::make_unique<Log2Histogram[]>(op_count)),
@@ -120,27 +95,6 @@ void Telemetry::ClearHistograms() {
   for (size_t op = 0; op < op_count_; ++op) {
     per_op_[op].Reset();
   }
-}
-
-std::string Telemetry::SummaryText(
-    const std::function<std::string(uint16_t)>& op_name) const {
-  std::ostringstream out;
-  out << "op                         calls       p50(ns)     p99(ns)     max(ns)\n";
-  for (size_t op = 0; op < op_count_; ++op) {
-    const HistogramSnapshot histogram = OpHistogram(op);
-    if (histogram.count == 0) {
-      continue;
-    }
-    std::string name = op_name(static_cast<uint16_t>(op));
-    name.resize(24, ' ');
-    out << name << " " << histogram.count;
-    for (const uint64_t value :
-         {histogram.Percentile(50), histogram.Percentile(99), histogram.max}) {
-      out << "  " << value;
-    }
-    out << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace tyche

@@ -17,8 +17,10 @@
 //    production hot paths.
 //
 // Everything here is deliberately independent of the monitor's types: the
-// per-op dimension is just an index, named via a caller-provided callback
-// when dumping. This keeps src/support free of upward dependencies.
+// per-op dimension is just an index, which libtyche's renderers
+// (src/tyche/observe.h, src/tyche/trace_export.h) name via a caller-provided
+// callback. This keeps src/support free of upward dependencies and of text
+// formats.
 
 #ifndef SRC_SUPPORT_TELEMETRY_H_
 #define SRC_SUPPORT_TELEMETRY_H_
@@ -26,10 +28,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "src/support/metrics.h"
@@ -80,9 +80,6 @@ class TraceRing {
   uint64_t dropped() const;   // of those, how many overwrote an older entry
   void Clear();
 
-  // JSON array of entry objects.
-  std::string DumpJson(const std::function<std::string(uint16_t)>& op_name) const;
-
  private:
   const size_t capacity_;
   std::atomic<bool> enabled_{true};
@@ -123,10 +120,6 @@ class Telemetry {
   // All per-op histograms merged into one.
   HistogramSnapshot MergedHistogram() const;
   void ClearHistograms();
-
-  // Per-op latency table: "op  count  p50  p99  max  total_ns" lines for
-  // ops with at least one sample.
-  std::string SummaryText(const std::function<std::string(uint16_t)>& op_name) const;
 
   // Lock-contention counters for concurrent dispatch: bumped by the monitor's
   // conditional guards whenever a try_lock fails and the thread has to block

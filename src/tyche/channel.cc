@@ -75,17 +75,14 @@ bool DecodeFrame(std::span<const uint8_t> frame, DecodedFrame* out) {
 Result<std::vector<uint8_t>> Transfer(Machine* machine, LossyChannel* channel,
                                       std::span<const uint8_t> payload,
                                       const Digest& payload_digest,
-                                      const MigrationOptions& options,
                                       MigrationTransferReport* report) {
   const uint32_t total = static_cast<uint32_t>((payload.size() + kChunkSize - 1) / kChunkSize);
   std::map<uint32_t, std::vector<uint8_t>> received;
-  // Jittered exponential backoff between retry rounds. The seed defaults to
-  // a per-migration value (payload digest prefix) so two migrations that
+  // Jittered exponential backoff between retry rounds. The seed is a
+  // per-migration value (payload digest prefix) so two migrations that
   // failed against the same congested channel at the same instant do NOT
-  // re-send in lockstep every round.
-  Prng backoff_prng(options.backoff_seed != 0
-                        ? options.backoff_seed
-                        : payload_digest.Prefix64() ^ 0x6261636b6f6666ULL);
+  // re-send in lockstep every round, and one payload replays one schedule.
+  Prng backoff_prng(payload_digest.Prefix64() ^ 0x6261636b6f6666ULL);
   const BackoffPolicy backoff{/*base=*/CostModel::Default().vmcall_round_trip,
                               /*cap=*/CostModel::Default().vmcall_round_trip
                                   << 10};
@@ -259,11 +256,10 @@ Result<std::vector<uint8_t>> LossyChannel::Recv() {
 
 Result<MigrationTransferReport> MigrateOver(Monitor* source, Monitor* dest, DomainId domain,
                                             LossyChannel* channel,
-                                            const SchnorrPublicKey& source_key,
-                                            const MigrationOptions& options) {
+                                            const SchnorrPublicKey& source_key) {
   MigrationTransferReport report;
   const auto carrier = [&](std::span<const uint8_t> payload, const Digest& payload_digest) {
-    return Transfer(source->machine(), channel, payload, payload_digest, options, &report);
+    return Transfer(source->machine(), channel, payload, payload_digest, &report);
   };
   TYCHE_ASSIGN_OR_RETURN(report.migration,
                          MigrateDomain(source, dest, domain, carrier, source_key));

@@ -111,14 +111,6 @@ class LossyChannel {
   uint64_t max_pending_duplicates_ = 8;
 };
 
-struct MigrationOptions {
-  // Seed for the jittered retry backoff (src/support/backoff.h). 0 derives a
-  // per-migration seed from the payload digest, so concurrent migrations
-  // against one congested channel de-synchronize by default; a fixed nonzero
-  // seed pins the schedule for reproducibility.
-  uint64_t backoff_seed = 0;
-};
-
 // What MigrateOver adds to the monitor's report: the transfer counters.
 struct MigrationTransferReport {
   MigrationReport migration;  // the monitor's own report
@@ -126,8 +118,8 @@ struct MigrationTransferReport {
   uint64_t retries = 0;       // transfer rounds beyond the first
   // Total jittered backoff charged to the source machine across retry
   // rounds, in sim cycles. Exposed so tests can assert the schedule is
-  // jittered (two seeds => different totals) yet reproducible (same seed =>
-  // same total).
+  // jittered (two payloads => different totals) yet reproducible (same
+  // payload => same total).
   uint64_t backoff_cycles = 0;
 };
 
@@ -139,8 +131,7 @@ struct MigrationTransferReport {
 // point before it sends.
 Result<MigrationTransferReport> MigrateOver(Monitor* source, Monitor* dest, DomainId domain,
                                             LossyChannel* channel,
-                                            const SchnorrPublicKey& source_key,
-                                            const MigrationOptions& options = {});
+                                            const SchnorrPublicKey& source_key);
 
 }  // namespace tyche
 

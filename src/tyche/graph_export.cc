@@ -4,7 +4,7 @@
 
 #include <sstream>
 
-#include "src/support/metrics.h"
+#include "src/tyche/observe.h"
 
 namespace tyche {
 

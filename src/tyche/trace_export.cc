@@ -9,7 +9,7 @@
 #include <map>
 #include <sstream>
 
-#include "src/support/metrics.h"
+#include "src/tyche/observe.h"
 
 namespace tyche {
 

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "src/support/flight_recorder.h"
-#include "src/support/metrics.h"
+#include "src/tyche/observe.h"
 
 namespace tyche {
 namespace {
@@ -43,7 +43,7 @@ TEST(GraphEscapeTest, JsonStringEscaping) {
 TEST(GraphEscapeTest, FlightRecorderJsonEscapesControlCharacters) {
   FlightRecorder recorder(nullptr, nullptr);
   recorder.Capture("fault_site", 0, 0, 0, std::string("site\x01\"name\"\n"));
-  const std::string json = recorder.DumpJson(nullptr);
+  const std::string json = ExportFlightJson(recorder, nullptr);
   EXPECT_NE(json.find("\"detail\":\"site\\u0001\\\"name\\\"\\n\""), std::string::npos)
       << json;
 }

@@ -17,6 +17,7 @@
 #include "src/support/backoff.h"
 #include "src/support/faults.h"
 #include "src/tyche/channel.h"
+#include "src/tyche/observe.h"
 #include "src/tyche/verifier.h"
 
 namespace tyche {
@@ -68,29 +69,29 @@ TEST(Backoff, SeedsDesynchronizeSchedulesDeterministically) {
 
 // Regression for the migration retry schedule: before the fix every retry
 // round waited exactly vmcall_round_trip << round, so concurrent migrations
-// hammered a congested channel in lockstep. Now the wait is seed-jittered:
-// different seeds give different totals, the same seed replays exactly.
+// hammered a congested channel in lockstep. Now the wait is jittered from a
+// seed the payload digest derives: two services' payloads differ and give
+// different totals, and migrating the same service again replays exactly.
 TEST(Backoff, MigrationRetryBackoffIsJitteredPerSeed) {
-  const auto run = [](uint64_t backoff_seed) -> uint64_t {
+  const auto run = [](uint32_t service) -> uint64_t {
     auto fleet = MakeFleet(/*nodes=*/2);
     if (fleet == nullptr) {
       ADD_FAILURE() << "fleet boot failed";
       return 0;
     }
-    // Two dropped frames force two retry rounds, each charged with backoff.
+    // Two dropped frames force a retry round, charged with backoff.
     FaultPlan plan;
     plan.Add({std::string(faults::kChannelDrop), 1,
               DefaultFaultCode(faults::kChannelDrop), false});
     plan.Add({std::string(faults::kChannelDrop), 2,
               DefaultFaultCode(faults::kChannelDrop), false});
     ScopedFaultPlan scoped(std::move(plan));
-    const ServiceRecord svc = fleet->service(0);
+    const ServiceRecord svc = fleet->service(service);
+    Monitor* source = fleet->node(svc.node)->monitor();
     LossyChannel wire;
-    MigrationOptions options;
-    options.backoff_seed = backoff_seed;
-    const auto report = MigrateOver(
-        fleet->node(0)->monitor(), fleet->node(1)->monitor(), svc.domain, &wire,
-        fleet->node(0)->monitor()->public_key(), options);
+    const auto report =
+        MigrateOver(source, fleet->node(fleet->replica_of(svc.node))->monitor(), svc.domain,
+                    &wire, source->public_key());
     if (!report.ok()) {
       ADD_FAILURE() << "migration failed: " << report.status().ToString();
       return 0;
@@ -99,11 +100,11 @@ TEST(Backoff, MigrationRetryBackoffIsJitteredPerSeed) {
     EXPECT_GT(report->backoff_cycles, 0u);
     return report->backoff_cycles;
   };
-  const uint64_t seed11 = run(11);
-  const uint64_t seed22 = run(22);
-  const uint64_t seed11_again = run(11);
-  EXPECT_NE(seed11, seed22) << "backoff schedules are synchronized";
-  EXPECT_EQ(seed11, seed11_again) << "backoff schedule is not reproducible";
+  const uint64_t service0 = run(0);
+  const uint64_t service1 = run(1);
+  const uint64_t service0_again = run(0);
+  EXPECT_NE(service0, service1) << "backoff schedules are synchronized";
+  EXPECT_EQ(service0, service0_again) << "backoff schedule is not reproducible";
 }
 
 // --- LossyChannel duplicate storm (satellite 2) ---------------------------
@@ -349,7 +350,7 @@ TEST(FrontEnd, VerifiesThenServesFromCache) {
   EXPECT_EQ(second->measurement, fleet->service(0).measurement);
   EXPECT_EQ(frontend.cache().hits(), 1u);
 
-  const std::string scrape = frontend.metrics().ExportPrometheus();
+  const std::string scrape = RenderPrometheus(frontend.metrics().Collect());
   for (const char* family :
        {"tyche_fleet_verifications_total", "tyche_fleet_retries_total",
         "tyche_fleet_hedged_total", "tyche_fleet_hedged_wins_total",
@@ -647,7 +648,7 @@ TEST(FrontEnd, QuotaExceededIsTypedPerTenant) {
     EXPECT_TRUE(item.result.ok()) << item.result.status().ToString();
   }
 
-  const std::string scrape = frontend.metrics().ExportPrometheus();
+  const std::string scrape = RenderPrometheus(frontend.metrics().Collect());
   for (const char* family :
        {"tyche_fleet_tenant_admitted_total",
         "tyche_fleet_tenant_quota_exceeded_total", "tyche_fleet_tenant_tokens"}) {
@@ -689,7 +690,7 @@ TEST(FrontEnd, DrainQueueBatchesSameNodeRequests) {
   ASSERT_TRUE(repeat->verdict.has_value());
   EXPECT_TRUE(repeat->verdict->from_cache);
 
-  const std::string scrape = frontend.metrics().ExportPrometheus();
+  const std::string scrape = RenderPrometheus(frontend.metrics().Collect());
   for (const char* family :
        {"tyche_fleet_batch_verifies_total", "tyche_fleet_batch_quotes_total",
         "tyche_fleet_batch_forged_total", "tyche_fleet_batch_fallback_total",

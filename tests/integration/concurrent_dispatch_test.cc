@@ -25,6 +25,7 @@
 #include "src/monitor/recovery.h"
 #include "src/support/faults.h"
 #include "src/tyche/graph_export.h"
+#include "src/tyche/observe.h"
 #include "src/tyche/verifier.h"
 #include "tests/testing/booted_machine.h"
 
@@ -154,7 +155,7 @@ TEST_F(ConcurrentDispatchTest, StressedMonitorStillReplaysAndVerifies) {
   EXPECT_GT(stats.batches, 0u);
   EXPECT_EQ(stats.batched_records, monitor_->audit().journal().size());
   EXPECT_GE(stats.max_batch, 1u);
-  const std::string scrape = monitor_->ExportMetrics();
+  const std::string scrape = RenderPrometheus(monitor_->CollectMetrics());
   EXPECT_NE(scrape.find("tyche_journal_group_commit_batches_total " +
                         std::to_string(stats.batches) + "\n"),
             std::string::npos);

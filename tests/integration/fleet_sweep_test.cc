@@ -26,6 +26,7 @@
 #include "src/fleet/frontend.h"
 #include "src/fleet/zipf.h"
 #include "src/support/faults.h"
+#include "src/tyche/observe.h"
 #include "src/tyche/verifier.h"
 #include "tests/testing/sweep_driver.h"
 
@@ -205,7 +206,7 @@ TEST(FleetSweep, CleanWorkloadFailsOverAndSettles) {
   EXPECT_GT(world->frontend->retries(), 0u);
   EXPECT_GT(world->frontend->cache().hits(), 0u);
   EXPECT_GT(world->frontend->shed(), 0u);
-  const std::string scrape = world->frontend->metrics().ExportPrometheus();
+  const std::string scrape = RenderPrometheus(world->frontend->metrics().Collect());
   EXPECT_NE(scrape.find("tyche_fleet_failover_total"), std::string::npos);
 }
 
@@ -280,7 +281,7 @@ TEST(FleetSweep, QuotaFairnessZipfSoak) {
 
   EXPECT_EQ(frontend.quota_rejections(), total_rejected);
   EXPECT_EQ(frontend.shed(), 0u) << "quota exhaustion must never read as overload";
-  const std::string scrape = frontend.metrics().ExportPrometheus();
+  const std::string scrape = RenderPrometheus(frontend.metrics().Collect());
   for (const char* family :
        {"tyche_fleet_tenant_admitted_total",
         "tyche_fleet_tenant_quota_exceeded_total", "tyche_fleet_tenant_tokens"}) {

@@ -1,10 +1,11 @@
 // Copyright 2026 The Tyche Reproduction Authors.
 // Fleet observability end-to-end: every signal the monitor's typed views
 // report (stats(), backend().stats(), the trace ring, the journal) must be
-// reachable through Monitor::ExportMetrics() (the Prometheus scrape), the
-// flight recorder must capture fault-injected dispatch failures with the
-// causal span id of the failing call, and the counter kill switch must
-// freeze accounting without breaking the scrape.
+// reachable through Monitor::CollectMetrics() (rendered as the Prometheus
+// scrape by RenderPrometheus), the flight recorder must capture
+// fault-injected dispatch failures with the causal span id of the failing
+// call, and the counter kill switch must freeze accounting without breaking
+// the scrape.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 
 #include "src/monitor/dispatch.h"
 #include "src/support/faults.h"
+#include "src/tyche/observe.h"
 #include "tests/testing/booted_machine.h"
 
 namespace tyche {
@@ -62,7 +64,7 @@ class MetricsExportTest : public BootedMachineTest {
 TEST_F(MetricsExportTest, ExportCoversEveryTypedStatsSignal) {
   RunWorkload();
   const MonitorStats stats = monitor_->stats();
-  const std::string text = monitor_->ExportMetrics();
+  const std::string text = RenderPrometheus(monitor_->CollectMetrics());
 
   // Every family the registry promises (and CI's check_metrics_format.py
   // requires) is present with its TYPE line.
@@ -171,11 +173,13 @@ TEST_F(MetricsExportTest, FaultInjectedDispatchErrorCapturesFlightRecord) {
   EXPECT_FALSE(record.metrics_delta.empty());
 
   // The lifetime injection counter is visible on the scrape.
-  EXPECT_NE(monitor_->ExportMetrics().find("tyche_fault_injections_fired_total"),
+  EXPECT_NE(RenderPrometheus(monitor_->CollectMetrics())
+                .find("tyche_fault_injections_fired_total"),
             std::string::npos);
 
   // JSON dump renders the record for artifacts.
-  const std::string json = monitor_->flight_recorder().DumpJson(
+  const std::string json = ExportFlightJson(
+      monitor_->flight_recorder(),
       [](uint16_t op) { return std::string(ApiOpName(static_cast<ApiOp>(op))); });
   EXPECT_NE(json.find("\"reason\":\"fault_site\""), std::string::npos);
   EXPECT_NE(json.find("share_memory"), std::string::npos);
@@ -213,7 +217,8 @@ TEST_F(MetricsExportTest, CounterKillSwitchFreezesAccounting) {
   ASSERT_EQ(Call(0, ApiOp::kCreateDomain).error, 0u);
   EXPECT_EQ(monitor_->stats().api_calls[static_cast<size_t>(ApiOp::kCreateDomain)],
             before + 1);
-  EXPECT_NE(monitor_->ExportMetrics().find("tyche_api_calls_total"), std::string::npos);
+  EXPECT_NE(RenderPrometheus(monitor_->CollectMetrics()).find("tyche_api_calls_total"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "src/monitor/dispatch.h"
 #include "src/support/log.h"
 #include "src/tyche/graph_export.h"
+#include "src/tyche/observe.h"
 #include "tests/testing/booted_machine.h"
 
 namespace tyche {
@@ -94,7 +95,8 @@ TEST_F(TelemetryObservabilityTest, TraceMatchesIssuedOps) {
   EXPECT_GE(backend.pages_unmapped, window.size / kPageSize);
 
   // The summary is printable and names the ops.
-  const std::string text = monitor_->telemetry().SummaryText(
+  const std::string text = ExportOpSummary(
+      monitor_->telemetry(),
       [](uint16_t op) { return std::string(ApiOpName(static_cast<ApiOp>(op))); });
   EXPECT_NE(text.find("share_memory"), std::string::npos);
   EXPECT_NE(text.find("revoke"), std::string::npos);

@@ -20,6 +20,7 @@
 #include "src/support/faults.h"
 #include "src/support/flight_recorder.h"
 #include "src/support/journal.h"
+#include "src/tyche/observe.h"
 
 namespace tyche {
 namespace {
@@ -223,7 +224,7 @@ TEST(WatchdogDispatchTest, ChainTamperCaughtByViolatingDispatchAtIntervalOne) {
   EXPECT_NE(watchdog_captures[0].detail.find("journal_chain"), std::string::npos);
 
   // The health gauge is exported and flipped.
-  const std::string metrics = monitor.ExportMetrics();
+  const std::string metrics = RenderPrometheus(monitor.CollectMetrics());
   EXPECT_NE(metrics.find("tyche_watchdog_healthy"), std::string::npos);
   bool saw_flipped_gauge = false;
   std::istringstream lines(metrics);
@@ -290,7 +291,7 @@ TEST(WatchdogDispatchTest, HealthyWorkloadExportsCleanGauges) {
   EXPECT_EQ(monitor.watchdog().violations(), 0u);
   EXPECT_TRUE(CapturesWithReason(monitor, "watchdog").empty());
 
-  const std::string metrics = monitor.ExportMetrics();
+  const std::string metrics = RenderPrometheus(monitor.CollectMetrics());
   EXPECT_NE(metrics.find("tyche_watchdog_checks_total"), std::string::npos);
 }
 

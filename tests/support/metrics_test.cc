@@ -1,6 +1,7 @@
 // Copyright 2026 The Tyche Reproduction Authors.
-// Metrics registry: striped counters under concurrency, and the Prometheus
-// text exposition format (golden strings for escaping and label syntax).
+// Metrics registry: striped counters under concurrency, the Collect() walk,
+// and the Prometheus text exposition of what it collects (golden strings for
+// escaping and label syntax).
 
 #include "src/support/metrics.h"
 
@@ -9,10 +10,28 @@
 #include <algorithm>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include "src/tyche/observe.h"
 
 namespace tyche {
 namespace {
+
+// Every scalar series Collect() returns, as (rendered series name, value).
+std::vector<std::pair<std::string, uint64_t>> Scalars(const MetricsRegistry& registry,
+                                                      bool include_callbacks) {
+  std::vector<std::pair<std::string, uint64_t>> values;
+  for (const MetricFamily& family : registry.Collect(include_callbacks)) {
+    if (family.type == MetricType::kHistogram) {
+      continue;
+    }
+    for (const MetricSeries& series : family.series) {
+      values.emplace_back(RenderSeriesName(family.name, series.labels), series.value);
+    }
+  }
+  return values;
+}
 
 TEST(StripedCounterTest, AddAndValue) {
   StripedCounter counter;
@@ -103,9 +122,10 @@ TEST(MetricsRegistryTest, PrometheusGoldenFormat) {
   MetricsRegistry registry;
   registry.AddCounter("tyche_calls_total", "ABI calls", {{"op", "create"}})->Add(3);
   registry.AddCounter("tyche_calls_total", "ABI calls", {{"op", "revoke"}})->Add(1);
-  registry.AddGauge("tyche_alive", "live domains")->Set(2);
+  registry.AddCallback("tyche_alive", "live domains", /*counter=*/false, {},
+                       [] { return 2; });
 
-  const std::string text = registry.ExportPrometheus();
+  const std::string text = RenderPrometheus(registry.Collect());
   // Families render sorted by name, HELP/TYPE once, children in
   // registration order. This is the exact scrape contract.
   const std::string expected =
@@ -126,7 +146,7 @@ TEST(MetricsRegistryTest, EscapingGolden) {
   MetricsRegistry registry;
   registry.AddCounter("tyche_esc_total", "help with \\ and\nbreak",
                       {{"site", "a\"b\\c"}});
-  const std::string text = registry.ExportPrometheus();
+  const std::string text = RenderPrometheus(registry.Collect());
   EXPECT_NE(text.find("# HELP tyche_esc_total help with \\\\ and\\nbreak\n"),
             std::string::npos);
   EXPECT_NE(text.find("tyche_esc_total{site=\"a\\\"b\\\\c\"} 0\n"), std::string::npos);
@@ -141,7 +161,7 @@ TEST(MetricsRegistryTest, HistogramRendersCumulativeBuckets) {
     snapshot.sum = 14;
     return snapshot;
   });
-  const std::string text = registry.ExportPrometheus();
+  const std::string text = RenderPrometheus(registry.Collect());
   const std::string expected =
       "# HELP tyche_lat_ns latency\n"
       "# TYPE tyche_lat_ns histogram\n"
@@ -154,14 +174,14 @@ TEST(MetricsRegistryTest, HistogramRendersCumulativeBuckets) {
   EXPECT_EQ(text, expected);
 }
 
-TEST(MetricsRegistryTest, CallbacksAndScalarValues) {
+TEST(MetricsRegistryTest, CallbacksAndCollectedScalars) {
   MetricsRegistry registry;
   registry.AddCounter("tyche_native_total", "native")->Add(7);
   uint64_t source = 99;
   registry.AddCallback("tyche_pulled", "pulled", /*counter=*/false, {},
                        [&source] { return source; });
 
-  auto all = registry.ScalarValues();
+  auto all = Scalars(registry, /*include_callbacks=*/true);
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0].first, "tyche_native_total");
   EXPECT_EQ(all[0].second, 7u);
@@ -169,9 +189,42 @@ TEST(MetricsRegistryTest, CallbacksAndScalarValues) {
   EXPECT_EQ(all[1].second, 99u);
 
   // Native-only view (what the flight recorder samples) skips callbacks.
-  auto native = registry.ScalarValues(/*include_callbacks=*/false);
+  auto native = Scalars(registry, /*include_callbacks=*/false);
   ASSERT_EQ(native.size(), 1u);
   EXPECT_EQ(native[0].first, "tyche_native_total");
+}
+
+TEST(MetricsRegistryTest, CollectHandsOutValuesNotText) {
+  MetricsRegistry registry;
+  registry.AddCounter("tyche_b_total", "b", {{"op", "x"}})->Add(4);
+  registry.AddCallback("tyche_a", "a", /*counter=*/false, {}, [] { return 5; });
+  registry.AddHistogram("tyche_c_ns", "c", {{"op", "y"}}, [] {
+    HistogramSnapshot snapshot;
+    snapshot.buckets = {{2, 1}};
+    snapshot.count = 1;
+    snapshot.sum = 2;
+    return snapshot;
+  });
+
+  const std::vector<MetricFamily> all = registry.Collect();
+  ASSERT_EQ(all.size(), 3u);  // sorted by name
+  EXPECT_EQ(all[0].name, "tyche_a");
+  EXPECT_EQ(all[0].type, MetricType::kGauge);
+  EXPECT_EQ(all[0].series.at(0).value, 5u);
+  EXPECT_EQ(all[1].name, "tyche_b_total");
+  EXPECT_EQ(all[1].help, "b");
+  EXPECT_EQ(all[1].type, MetricType::kCounter);
+  EXPECT_EQ(all[1].series.at(0).labels, (MetricLabels{{"op", "x"}}));
+  EXPECT_EQ(all[1].series.at(0).value, 4u);
+  EXPECT_EQ(all[2].type, MetricType::kHistogram);
+  EXPECT_EQ(all[2].series.at(0).histogram.count, 1u);
+  EXPECT_EQ(all[2].series.at(0).histogram.sum, 2u);
+
+  // Native-only: the callback gauge and the histogram view go, and so do
+  // the families they leave empty.
+  const std::vector<MetricFamily> native = registry.Collect(/*include_callbacks=*/false);
+  ASSERT_EQ(native.size(), 1u);
+  EXPECT_EQ(native[0].name, "tyche_b_total");
 }
 
 TEST(RenderSeriesNameTest, LabelOrderIsPreserved) {

@@ -1,6 +1,7 @@
 // Copyright 2026 The Tyche Reproduction Authors.
 // Dispatch phase profiler (src/support/profiler.h): window accounting,
-// phase nesting, exemplars, the folded-stack/attribution exports, and --
+// phase nesting, exemplars, the folded-stack/attribution exports
+// (src/tyche/observe.h), and --
 // the property the striped storage must hold -- no lost or double-counted
 // samples when recording threads are created and destroyed repeatedly
 // (thread churn re-assigns TLS stripes; the cells must outlive any thread).
@@ -13,6 +14,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "src/tyche/observe.h"
 
 namespace tyche {
 namespace {

@@ -2,7 +2,8 @@
 // TraceRing and Log2Histogram/HistogramSnapshot: capacity/overwrite
 // semantics, percentile math, merge, enable gating, and multi-threaded
 // recording with a concurrent lock-free reader (the concurrency the
-// ASan/UBSan and TSan CI jobs gate).
+// ASan/UBSan and TSan CI jobs gate); and the flight recorder's
+// dispatch-error dedup filter.
 
 #include "src/support/telemetry.h"
 
@@ -12,6 +13,9 @@
 #include <initializer_list>
 #include <thread>
 #include <vector>
+
+#include "src/support/flight_recorder.h"
+#include "src/tyche/observe.h"
 
 namespace tyche {
 namespace {
@@ -67,15 +71,6 @@ TEST(TraceRingTest, ClearResets) {
   ring.Clear();
   EXPECT_TRUE(ring.Snapshot().empty());
   EXPECT_EQ(ring.recorded(), 0u);
-}
-
-TEST(TraceRingTest, DumpFormatsContainOpNames) {
-  TraceRing ring(4);
-  ring.Record(MakeEntry(3, 42));
-  const auto name = [](uint16_t op) { return std::string("op") + std::to_string(op); };
-  const std::string json = ring.DumpJson(name);
-  EXPECT_NE(json.find("\"op\":\"op3\""), std::string::npos);
-  EXPECT_NE(json.find("\"duration_ns\":42"), std::string::npos);
 }
 
 // Count in the snapshot bucket whose inclusive upper bound is `bound`.
@@ -226,11 +221,11 @@ TEST(TelemetryTest, EnableSwitchesAreIndependent) {
   EXPECT_EQ(telemetry.OpHistogram(0).count, 1u);
 }
 
-TEST(TelemetryTest, SummaryTextListsOpsWithSamples) {
+TEST(TelemetryTest, OpSummaryListsOpsWithSamples) {
   Telemetry telemetry(3);
   telemetry.RecordCall(MakeEntry(1, 50));
-  const std::string summary = telemetry.SummaryText(
-      [](uint16_t op) { return std::string("op") + std::to_string(op); });
+  const std::string summary = ExportOpSummary(
+      telemetry, [](uint16_t op) { return std::string("op") + std::to_string(op); });
   EXPECT_NE(summary.find("op1"), std::string::npos);
   EXPECT_EQ(summary.find("op0"), std::string::npos);
 }
@@ -294,6 +289,26 @@ TEST(TelemetryTest, ConcurrentRecordingIsConsistent) {
   for (size_t i = 1; i < snapshot.size(); ++i) {
     EXPECT_EQ(snapshot[i].seq, snapshot[i - 1].seq + 1);
   }
+}
+
+// Two ops failing alternately with one error are two failure shapes: each is
+// captured once. The filter used to take its slot from the key's low bits,
+// which hold only the error, so the two evicted each other and every call
+// became a full capture (ring and registry copied under the mutex).
+TEST(FlightRecorderTest, DedupKeepsOpsWithTheSameErrorApart) {
+  TraceRing ring;
+  MetricsRegistry registry;
+  registry.AddCounter("tyche_x_total", "x")->Add(1);
+  FlightRecorder recorder(&ring, &registry);
+  for (int i = 0; i < 1000; ++i) {
+    ring.Record(MakeEntry(static_cast<uint16_t>(i), 1));
+    recorder.OnDispatchError(i % 2 == 0 ? 7 : 12, /*span=*/0, /*error=*/5);
+  }
+  EXPECT_EQ(recorder.captures(), 2u);
+  const auto records = recorder.Snapshot();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].op, 7u);
+  EXPECT_EQ(records[1].op, 12u);
 }
 
 TEST(Fnv1aDigestTest, DistinguishesArguments) {

@@ -51,10 +51,10 @@
 #include "src/monitor/dispatch.h"
 #include "src/monitor/recovery.h"
 #include "src/os/testbed.h"
-#include "src/support/metrics.h"
 #include "src/tyche/channel.h"
 #include "src/tyche/graph_export.h"
 #include "src/tyche/loader.h"
+#include "src/tyche/observe.h"
 #include "src/tyche/verifier.h"
 #include "tools/journal_reseal.h"
 

@@ -35,7 +35,7 @@
 
 #include "src/monitor/dispatch.h"
 #include "src/os/testbed.h"
-#include "src/support/profiler.h"
+#include "src/tyche/observe.h"
 
 namespace tyche {
 namespace {

@@ -36,7 +36,7 @@
 
 #include "src/monitor/dispatch.h"
 #include "src/os/testbed.h"
-#include "src/support/profiler.h"
+#include "src/tyche/observe.h"
 #include "src/tyche/trace_export.h"
 
 namespace tyche {
@@ -174,7 +174,7 @@ int Run(const char* out_path, const char* metrics_path, const char* flight_path,
   }
 
   if (metrics_path != nullptr) {
-    const std::string metrics = monitor.ExportMetrics();
+    const std::string metrics = RenderPrometheus(monitor.CollectMetrics());
     if (!WriteFile(metrics_path, metrics)) {
       std::fprintf(stderr, "cannot write %s\n", metrics_path);
       return 2;
@@ -182,7 +182,8 @@ int Run(const char* out_path, const char* metrics_path, const char* flight_path,
     std::printf("wrote %zu bytes of metrics to %s\n", metrics.size(), metrics_path);
   }
   if (flight_path != nullptr) {
-    const std::string flight = monitor.flight_recorder().DumpJson(
+    const std::string flight = ExportFlightJson(
+        monitor.flight_recorder(),
         [](uint16_t op) { return std::string(ApiOpName(static_cast<ApiOp>(op))); });
     if (!WriteFile(flight_path, flight)) {
       std::fprintf(stderr, "cannot write %s\n", flight_path);
