@@ -4,6 +4,7 @@
 
 #include <cstring>
 
+#include "src/crypto/encode.h"
 #include "src/support/faults.h"
 
 namespace tyche {
@@ -46,20 +47,12 @@ Digest ComputeTag(const Digest& key_mac, uint64_t nonce,
                     std::span<const uint8_t>(digest.bytes.data(), digest.bytes.size()));
 }
 
-void PutU64(std::vector<uint8_t>* out, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(value >> (8 * i)));
-  }
-}
-
 }  // namespace
 
 std::vector<uint8_t> SealedBlob::Serialize() const {
-  std::vector<uint8_t> out;
-  PutU64(&out, nonce);
-  PutU64(&out, ciphertext.size());
-  out.insert(out.end(), ciphertext.begin(), ciphertext.end());
-  out.insert(out.end(), tag.bytes.begin(), tag.bytes.end());
+  std::vector<uint8_t> out(16 + ciphertext.size() + 32);
+  uint8_t* at = Put(Put(out.data(), nonce), static_cast<uint64_t>(ciphertext.size()));
+  PutDigest(std::copy(ciphertext.begin(), ciphertext.end(), at), tag);
   return out;
 }
 

@@ -5,9 +5,37 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/crypto/encode.h"
+
 namespace tyche {
 
 namespace {
+
+// Batches up to this many items verify without touching the heap; larger
+// ones spill their scratch arrays to it.
+constexpr size_t kBatchInline = 16;
+
+// Stack storage for up to N elements, heap beyond.
+template <typename T, size_t N>
+class InlineBuffer {
+ public:
+  explicit InlineBuffer(size_t n) {
+    if (n > N) {
+      heap_.resize(n);
+      data_ = heap_.data();
+    }
+  }
+  InlineBuffer(const InlineBuffer&) = delete;
+  InlineBuffer& operator=(const InlineBuffer&) = delete;
+
+  T* data() { return data_; }
+  T& operator[](size_t i) { return data_[i]; }
+
+ private:
+  T inline_[N];
+  std::vector<T> heap_;
+  T* data_ = inline_;
+};
 
 // Reduces a digest to an exponent modulo m (uses the first 8 bytes, which is
 // plenty of entropy relative to the 62-bit toy group).
@@ -146,6 +174,9 @@ SchnorrKeyPair DeriveKeyPair(std::span<const uint8_t> seed) {
   SchnorrKeyPair pair;
   pair.priv.x = DigestToScalar(d, params.q);
   pair.pub.y = PowG(pair.priv.x);
+  uint8_t key_bytes[8];
+  Put(key_bytes, pair.priv.x);
+  pair.nonce_key = HmacSha256Key(key_bytes);
   return pair;
 }
 
@@ -153,13 +184,7 @@ SchnorrSignature SchnorrSign(const SchnorrKeyPair& key, const Digest& message_di
   const SchnorrParams& params = SchnorrParams::Default();
 
   // Deterministic nonce: k = HMAC(x, digest) reduced mod q (RFC 6979 spirit).
-  uint8_t key_bytes[8];
-  std::memcpy(key_bytes, &key.priv.x, sizeof(key_bytes));
-  const Digest k_digest =
-      HmacSha256(std::span<const uint8_t>(key_bytes, sizeof(key_bytes)),
-                 std::span<const uint8_t>(message_digest.bytes.data(),
-                                          message_digest.bytes.size()));
-  const uint64_t k = DigestToScalar(k_digest, params.q);
+  const uint64_t k = DigestToScalar(key.nonce_key.Mac(message_digest.bytes), params.q);
 
   const uint64_t r = PowG(k);
   const Digest e = ChallengeHash(r, key.pub, message_digest);
@@ -228,19 +253,15 @@ uint64_t MultiExpMod(std::span<const uint64_t> bases, std::span<const uint64_t> 
   };
   auto to_mont = [&](uint64_t x) { return mont != nullptr ? mont->Mul(x % m, mont->r2) : x % m; };
 
+  // A batch of kBatchInline items with distinct keys has 2 * kBatchInline + 1
+  // bases: g, one per key and one per commitment.
+  constexpr size_t kInline = 2 * kBatchInline + 1;
   const size_t n = bases.size();
-  constexpr size_t kInline = 24;
-  size_t order_buf[kInline];
-  std::vector<size_t> order_heap;
-  size_t* order = order_buf;
-  if (n > kInline) {
-    order_heap.resize(n);
-    order = order_heap.data();
-  }
+  InlineBuffer<size_t, kInline> order(n);
   for (size_t i = 0; i < n; ++i) {
     order[i] = i;
   }
-  std::sort(order, order + n, [&](size_t a, size_t b) {
+  std::sort(order.data(), order.data() + n, [&](size_t a, size_t b) {
     return top_bit(exps[a]) > top_bit(exps[b]);
   });
 
@@ -255,13 +276,7 @@ uint64_t MultiExpMod(std::span<const uint64_t> bases, std::span<const uint64_t> 
     int top;
   };
   const size_t num_pairs = (n + 1) / 2;
-  ShamirPair pair_buf[kInline / 2 + 1];
-  std::vector<ShamirPair> pair_heap;
-  ShamirPair* pairs = pair_buf;
-  if (num_pairs > kInline / 2 + 1) {
-    pair_heap.resize(num_pairs);
-    pairs = pair_heap.data();
-  }
+  InlineBuffer<ShamirPair, kInline / 2 + 1> pairs(num_pairs);
   for (size_t p = 0; p < num_pairs; ++p) {
     const uint64_t b0 = to_mont(bases[order[2 * p]]);
     const uint64_t e0 = exps[order[2 * p]];
@@ -335,28 +350,22 @@ SchnorrBatchOutcome BatchFallback(std::span<const SchnorrBatchItem> items) {
 }
 
 // Random combiners derived by hashing the entire batch, so no signer can
-// choose a signature as a function of its own combiner.
-std::vector<uint64_t> BatchCombiners(std::span<const SchnorrBatchItem> items) {
+// choose a signature as a function of its own combiner. Writes one per item.
+void BatchCombiners(std::span<const SchnorrBatchItem> items, uint64_t* combiners) {
   // Transcript = tag || (s, r, e[0:16]) per item, assembled contiguously so
   // the hash runs at block speed instead of through per-field Update
   // buffering. The public key and message digest are deliberately absent:
   // e = H(r, y, m) binds both, so committing to e commits to them
   // transitively, and 128 bits of e is far past the toy group's 62-bit
   // security level.
-  std::vector<uint8_t> transcript;
-  transcript.reserve(8 + items.size() * 32);
-  const char* tag = "tyBatch2";
-  transcript.insert(transcript.end(), tag, tag + 8);
+  InlineBuffer<uint8_t, 8 + 32 * kBatchInline> transcript(8 + 32 * items.size());
+  uint8_t* at = std::copy_n("tyBatch2", 8, transcript.data());
   for (const SchnorrBatchItem& item : items) {
-    const uint8_t* s = reinterpret_cast<const uint8_t*>(&item.sig.s);
-    const uint8_t* r = reinterpret_cast<const uint8_t*>(&item.sig.r);
-    transcript.insert(transcript.end(), s, s + 8);
-    transcript.insert(transcript.end(), r, r + 8);
-    transcript.insert(transcript.end(), item.sig.e.bytes.begin(),
-                      item.sig.e.bytes.begin() + 16);
+    std::memcpy(at, &item.sig.s, 8);
+    std::memcpy(at + 8, &item.sig.r, 8);
+    at = std::copy_n(item.sig.e.bytes.begin(), 16, at + 16);
   }
-  const Digest seed = Sha256::Hash(
-      std::span<const uint8_t>(transcript.data(), transcript.size()));
+  const Digest seed = Sha256::Hash(std::span<const uint8_t>(transcript.data(), at));
 
   // Expand the transcript digest into per-item 32-bit combiners with a
   // splitmix-style permutation. The security requirement is only that no
@@ -367,8 +376,6 @@ std::vector<uint64_t> BatchCombiners(std::span<const SchnorrBatchItem> items) {
   for (int i = 0; i < 8; ++i) {
     state = (state << 8) | seed.bytes[i];
   }
-  std::vector<uint64_t> combiners;
-  combiners.reserve(items.size());
   for (size_t i = 0; i < items.size(); ++i) {
     state += 0x9e3779b97f4a7c15ULL;
     uint64_t x = state;
@@ -376,9 +383,8 @@ std::vector<uint64_t> BatchCombiners(std::span<const SchnorrBatchItem> items) {
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     x ^= x >> 31;
     const uint64_t z = x >> 32;
-    combiners.push_back(z == 0 ? 1 : z);
+    combiners[i] = z == 0 ? 1 : z;
   }
-  return combiners;
 }
 
 }  // namespace
@@ -409,46 +415,46 @@ SchnorrBatchOutcome SchnorrBatchVerify(std::span<const SchnorrBatchItem> items) 
     }
   }
 
-  const std::vector<uint64_t> z = BatchCombiners(items);
+  const size_t n = items.size();
+  InlineBuffer<uint64_t, kBatchInline> z(n);
+  BatchCombiners(items, z.data());
 
   // Combined equation, folded to a product-equals-one test:
   //   g^{q - sum z_i s_i} * prod_y y^{sum_{i: y_i=y} z_i e_i} * prod_i r_i^{z_i} == 1
   // Exponents on g and y may be reduced mod q because g (a system constant)
   // and any honest y, r lie in the order-q subgroup; an adversarial value
   // outside the subgroup merely fails this check and drops to the fallback.
+  // Bases: g, then one per distinct key, then one per commitment.
+  InlineBuffer<uint64_t, 2 * kBatchInline + 1> bases(2 * n + 1);
+  InlineBuffer<uint64_t, 2 * kBatchInline + 1> exps(2 * n + 1);
+  size_t count = 1;
   uint64_t s_acc = 0;
-  std::vector<uint64_t> bases;
-  std::vector<uint64_t> exps;
-  bases.reserve(items.size() + 2);
-  exps.reserve(items.size() + 2);
-  bases.push_back(params.g);
-  exps.push_back(0);  // patched below once s_acc is known
-  for (size_t i = 0; i < items.size(); ++i) {
+  bases[0] = params.g;
+  for (size_t i = 0; i < n; ++i) {
     s_acc = (s_acc + MulMod(z[i], items[i].sig.s, params.q)) % params.q;
     const uint64_t e_scalar = DigestToScalar(items[i].sig.e, params.q);
     const uint64_t weighted_e = MulMod(z[i], e_scalar, params.q);
     // Same-key grouping: quotes from one monitor share y, so their challenge
     // exponents collapse onto a single base.
-    size_t slot = 0;
-    for (slot = 1; slot < bases.size(); ++slot) {
-      if (bases[slot] == items[i].pub.y) {
-        break;
-      }
+    size_t slot = 1;
+    while (slot < count && bases[slot] != items[i].pub.y) {
+      ++slot;
     }
-    if (slot == bases.size()) {
-      bases.push_back(items[i].pub.y);
-      exps.push_back(weighted_e);
+    if (slot == count) {
+      bases[count] = items[i].pub.y;
+      exps[count++] = weighted_e;
     } else {
       exps[slot] = (exps[slot] + weighted_e) % params.q;
     }
   }
   exps[0] = (params.q - s_acc) % params.q;
-  for (size_t i = 0; i < items.size(); ++i) {
-    bases.push_back(items[i].sig.r);
-    exps.push_back(z[i]);
+  for (size_t i = 0; i < n; ++i) {
+    bases[count] = items[i].sig.r;
+    exps[count++] = z[i];
   }
 
-  if (MultiExpMod(bases, exps, params.p) == 1 % params.p) {
+  if (MultiExpMod(std::span<const uint64_t>(bases.data(), count),
+                  std::span<const uint64_t>(exps.data(), count), params.p) == 1 % params.p) {
     return SchnorrBatchOutcome{};  // whole batch vouched for at once
   }
   return BatchFallback(items);

@@ -56,19 +56,25 @@ struct SchnorrSignature {
   bool operator==(const SchnorrSignature& other) const = default;
 };
 
+// Every key pair comes from DeriveKeyPair, which fills all three fields
+// from one secret: signing trusts `pub` and `nonce_key` to belong to `priv`.
 struct SchnorrKeyPair {
   SchnorrPrivateKey priv;
   SchnorrPublicKey pub;
+  // HMAC keyed with priv.x's 8 little-endian bytes, pads hashed once: the
+  // deterministic-nonce key of every signature.
+  HmacSha256Key nonce_key{};
 };
 
 // Derives a key pair deterministically from seed material (e.g. the TPM's
 // endorsement seed, or the monitor's measurement-bound identity seed).
 SchnorrKeyPair DeriveKeyPair(std::span<const uint8_t> seed);
 
-// Deterministic signing (nonce derived via HMAC from key and message, in the
-// spirit of RFC 6979). The challenge hashes the stored `key.pub` instead of
-// recomputing g^x, so the pair must be one DeriveKeyPair produced: a pair
-// whose halves disagree yields a signature that verifies under neither key.
+// Deterministic signing (nonce k = HMAC(x, digest) mod q, in the spirit of
+// RFC 6979). The challenge hashes the stored `key.pub` instead of
+// recomputing g^x, and the nonce comes from the stored `key.nonce_key`, so
+// the pair must be one DeriveKeyPair produced: a pair whose halves disagree
+// yields a signature that verifies under neither key.
 SchnorrSignature SchnorrSign(const SchnorrKeyPair& key, const Digest& message_digest);
 
 bool SchnorrVerify(const SchnorrPublicKey& pub, std::span<const uint8_t> message,

@@ -305,7 +305,7 @@ Digest Sha256::Hash(std::string_view data) {
   return ctx.Finalize();
 }
 
-Digest HmacSha256(std::span<const uint8_t> key, std::span<const uint8_t> message) {
+HmacSha256Key::HmacSha256Key(std::span<const uint8_t> key) {
   uint8_t key_block[64] = {};
   if (key.size() > 64) {
     const Digest hashed = Sha256::Hash(key);
@@ -313,23 +313,27 @@ Digest HmacSha256(std::span<const uint8_t> key, std::span<const uint8_t> message
   } else if (!key.empty()) {
     std::memcpy(key_block, key.data(), key.size());
   }
-
   uint8_t ipad[64];
   uint8_t opad[64];
   for (int i = 0; i < 64; ++i) {
     ipad[i] = key_block[i] ^ 0x36;
     opad[i] = key_block[i] ^ 0x5c;
   }
+  inner_.Update(std::span<const uint8_t>(ipad, 64));
+  outer_.Update(std::span<const uint8_t>(opad, 64));
+}
 
-  Sha256 inner;
-  inner.Update(std::span<const uint8_t>(ipad, 64));
+Digest HmacSha256Key::Mac(std::span<const uint8_t> message) const {
+  Sha256 inner = inner_;
   inner.Update(message);
   const Digest inner_digest = inner.Finalize();
-
-  Sha256 outer;
-  outer.Update(std::span<const uint8_t>(opad, 64));
-  outer.Update(std::span<const uint8_t>(inner_digest.bytes.data(), inner_digest.bytes.size()));
+  Sha256 outer = outer_;
+  outer.Update(inner_digest.bytes);
   return outer.Finalize();
+}
+
+Digest HmacSha256(std::span<const uint8_t> key, std::span<const uint8_t> message) {
+  return HmacSha256Key(key).Mac(message);
 }
 
 }  // namespace tyche

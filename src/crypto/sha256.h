@@ -73,8 +73,23 @@ class Sha256 {
   size_t buffer_len_;
 };
 
-// HMAC-SHA256 (RFC 2104). Used to derive deterministic nonces and as the MAC
-// inside sealed storage.
+// HMAC-SHA256 (RFC 2104) under one fixed key. The key's inner and outer pad
+// blocks are hashed once, at construction (RFC 2104 §4), so each Mac() pays
+// only for the message and the outer digest: two compressions fewer than
+// keying from scratch. Default-constructed, it holds the empty key.
+class HmacSha256Key {
+ public:
+  explicit HmacSha256Key(std::span<const uint8_t> key = {});
+
+  Digest Mac(std::span<const uint8_t> message) const;
+
+ private:
+  Sha256 inner_;  // after the ipad block
+  Sha256 outer_;  // after the opad block
+};
+
+// HMAC-SHA256 (RFC 2104) keyed for one message. Used to derive deterministic
+// nonces and as the MAC inside sealed storage.
 Digest HmacSha256(std::span<const uint8_t> key, std::span<const uint8_t> message);
 
 }  // namespace tyche

@@ -12,8 +12,13 @@
 namespace tyche {
 namespace {
 
-// Responses whose stale request died are swept out past this bound.
+// Responses whose stale request died are swept out past this bound, oldest
+// request first.
 constexpr size_t kInboxCap = 64;
+
+bool ByRequestId(const FleetResponse& a, const FleetResponse& b) {
+  return a.request_id < b.request_id;
+}
 
 // Outcomes that say "this monitor (or the path to it) is unhealthy" and feed
 // its breaker. kNotFound (stale route, fixed by re-routing) and kOverloaded
@@ -144,19 +149,30 @@ void VerificationFrontEnd::PumpAndDrain() {
         continue;
       }
       if (inbox_.size() >= kInboxCap) {
-        inbox_.erase(inbox_.begin());
+        inbox_.erase(std::min_element(inbox_.begin(), inbox_.end(), ByRequestId));
       }
-      inbox_[response.request_id] = std::move(response);
+      const auto held = FindResponse(response.request_id);
+      if (held != inbox_.end()) {
+        *held = std::move(response);  // a duplicated frame replaces its twin
+      } else {
+        inbox_.push_back(std::move(response));
+      }
     }
   }
 }
 
+std::vector<FleetResponse>::iterator VerificationFrontEnd::FindResponse(uint64_t request_id) {
+  return std::find_if(inbox_.begin(), inbox_.end(), [request_id](const FleetResponse& held) {
+    return held.request_id == request_id;
+  });
+}
+
 std::optional<FleetResponse> VerificationFrontEnd::TakeResponse(uint64_t request_id) {
-  auto it = inbox_.find(request_id);
+  const auto it = FindResponse(request_id);
   if (it == inbox_.end()) {
     return std::nullopt;
   }
-  FleetResponse response = std::move(it->second);
+  FleetResponse response = std::move(*it);
   inbox_.erase(it);
   return response;
 }
@@ -191,7 +207,7 @@ Result<FleetResponse> VerificationFrontEnd::Await(uint64_t request_id,
       if (t >= overall_deadline) {
         return Error(ErrorCode::kDeadlineExceeded, "response arrived after the deadline");
       }
-      return *response;
+      return std::move(*response);
     }
     if (t >= overall_deadline) {
       return Error(ErrorCode::kDeadlineExceeded, "deadline while awaiting response");
@@ -345,7 +361,7 @@ Status VerificationFrontEnd::AttemptResume(const ServiceRecord& route,
   // session secret: fresh (our nonce), from the right instance (epoch), and
   // unforgeable in transit — a tampered payload dies here, exactly like a
   // tampered report dies at signature verification.
-  if (!(ack == FleetSessionAck(session.secret, route.node, session.epoch,
+  if (!(ack == FleetSessionAck(session.key, route.node, session.epoch,
                                route.domain, request.nonce, measurement))) {
     return Error(ErrorCode::kAttestationMismatch, "resume ack MAC mismatch");
   }
@@ -376,8 +392,8 @@ void VerificationFrontEnd::MaybeEstablishSession(const VerifyVerdict& verdict) {
   }
   Session session;
   session.epoch = verdict.epoch;
-  session.secret = DhSharedSecret(client_key_.priv, key->second);
-  session.token = FleetSessionToken(session.secret, verdict.node, verdict.epoch);
+  session.key = HmacSha256Key(DhSharedSecret(client_key_.priv, key->second).bytes);
+  session.token = FleetSessionToken(session.key, verdict.node, verdict.epoch);
   sessions_[verdict.node] = session;
   session_established_->Add();
 }

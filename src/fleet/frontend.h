@@ -179,6 +179,7 @@ class VerificationFrontEnd {
   // The fleet.verify_timeout fault site lives here: an injected hit
   // blackholes one received response, indistinguishable from a drop.
   void PumpAndDrain();
+  std::vector<FleetResponse>::iterator FindResponse(uint64_t request_id);
   std::optional<FleetResponse> TakeResponse(uint64_t request_id);
   uint64_t SendRequest(MonitorNode* node, FleetRequestKind kind,
                        uint32_t domain, uint64_t nonce,
@@ -204,12 +205,12 @@ class VerificationFrontEnd {
   void AdvanceBackoff(uint32_t attempt, uint64_t overall_deadline);
 
   // An established resumption session with one monitor instance: the DH
-  // shared secret and the epoch-bound token derived from it. Dropped on
-  // failover (we trigger it) or on a node-side kFailedPrecondition (someone
-  // else bumped the epoch).
+  // shared secret, keyed for HMAC once, and the epoch-bound token derived
+  // from it. Dropped on failover (we trigger it) or on a node-side
+  // kFailedPrecondition (someone else bumped the epoch).
   struct Session {
     uint64_t epoch = 0;
-    Digest secret;
+    HmacSha256Key key;
     Digest token;
   };
 
@@ -239,7 +240,9 @@ class VerificationFrontEnd {
   std::vector<CircuitBreaker> breakers_;
   Prng prng_;
   uint64_t next_request_id_ = 0;
-  std::map<uint64_t, FleetResponse> inbox_;
+  // Responses not yet taken, at most kInboxCap; a handful at a time, so a
+  // scan beats a tree that allocates a node per response.
+  std::vector<FleetResponse> inbox_;
   // (node, epoch) -> verified monitor report-signing key.
   std::map<std::pair<uint32_t, uint64_t>, SchnorrPublicKey> verified_monitors_;
   std::deque<VerifyRequest> queue_;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/crypto/encode.h"
 #include "src/monitor/attestation.h"
 #include "src/monitor/recovery.h"
 #include "src/support/align.h"
@@ -27,46 +28,57 @@ constexpr uint64_t kWindowStride = 2 * kMiB;
 
 namespace {
 
-Digest SessionMac(const Digest& secret, std::string_view label,
+// Frame sizes: magic, request id and kind, then the fixed request fields or
+// the response's code and length-prefixed payload.
+constexpr size_t kRequestFrameSize = 4 + 8 + 1 + 4 + 8 + 8 + 32;
+constexpr size_t kResponseHeaderSize = 4 + 8 + 1 + 4;
+// The longest session MAC input: the ack's 19-byte label, four fields and
+// the measurement.
+constexpr size_t kSessionMacMax = 19 + 4 * 8 + 32;
+
+Digest SessionMac(const HmacSha256Key& key, std::string_view label,
                   std::span<const uint64_t> fields, const Digest* trailer) {
-  SectionWriter writer;
-  for (const char c : label) {
-    writer.Append<uint8_t>(static_cast<uint8_t>(c));
-  }
+  uint8_t message[kSessionMacMax];
+  uint8_t* at = std::copy(label.begin(), label.end(), message);
   for (const uint64_t field : fields) {
-    writer.Append<uint64_t>(field);
+    at = Put(at, field);
   }
   if (trailer != nullptr) {
-    writer.AppendDigest(*trailer);
+    at = PutDigest(at, *trailer);
   }
-  const std::vector<uint8_t> message = writer.Take();
-  return HmacSha256(
-      std::span<const uint8_t>(secret.bytes.data(), secret.bytes.size()), message);
+  return key.Mac(std::span<const uint8_t>(message, at));
 }
 
 }  // namespace
 
-Digest FleetSessionToken(const Digest& secret, uint32_t node, uint64_t epoch) {
+Digest FleetSessionToken(const HmacSha256Key& key, uint32_t node, uint64_t epoch) {
   const uint64_t fields[] = {node, epoch};
-  return SessionMac(secret, "tyche-resume-v1", fields, nullptr);
+  return SessionMac(key, "tyche-resume-v1", fields, nullptr);
+}
+
+Digest FleetSessionAck(const HmacSha256Key& key, uint32_t node, uint64_t epoch,
+                       uint32_t domain, uint64_t nonce, const Digest& measurement) {
+  const uint64_t fields[] = {node, epoch, domain, nonce};
+  return SessionMac(key, "tyche-resume-ack-v1", fields, &measurement);
+}
+
+Digest FleetSessionToken(const Digest& secret, uint32_t node, uint64_t epoch) {
+  return FleetSessionToken(HmacSha256Key(secret.bytes), node, epoch);
 }
 
 Digest FleetSessionAck(const Digest& secret, uint32_t node, uint64_t epoch,
                        uint32_t domain, uint64_t nonce, const Digest& measurement) {
-  const uint64_t fields[] = {node, epoch, domain, nonce};
-  return SessionMac(secret, "tyche-resume-ack-v1", fields, &measurement);
+  return FleetSessionAck(HmacSha256Key(secret.bytes), node, epoch, domain, nonce,
+                         measurement);
 }
 
 std::vector<uint8_t> EncodeFleetRequest(const FleetRequest& request) {
-  SectionWriter writer;
-  writer.Append<uint32_t>(kRequestMagic);
-  writer.Append<uint64_t>(request.request_id);
-  writer.Append<uint8_t>(static_cast<uint8_t>(request.kind));
-  writer.Append<uint32_t>(request.domain);
-  writer.Append<uint64_t>(request.nonce);
-  writer.Append<uint64_t>(request.client_pub);
-  writer.AppendDigest(request.token);
-  return writer.Take();
+  std::vector<uint8_t> frame(kRequestFrameSize);
+  uint8_t* at = Put(Put(frame.data(), kRequestMagic), request.request_id);
+  at = Put(Put(at, static_cast<uint8_t>(request.kind)), request.domain);
+  at = Put(Put(at, request.nonce), request.client_pub);
+  PutDigest(at, request.token);
+  return frame;
 }
 
 bool DecodeFleetRequest(std::span<const uint8_t> bytes, FleetRequest* out) {
@@ -86,26 +98,27 @@ bool DecodeFleetRequest(std::span<const uint8_t> bytes, FleetRequest* out) {
 }
 
 std::vector<uint8_t> EncodeFleetResponse(const FleetResponse& response) {
-  SectionWriter writer;
-  writer.Append<uint32_t>(kResponseMagic);
-  writer.Append<uint64_t>(response.request_id);
-  writer.Append<uint8_t>(static_cast<uint8_t>(response.code));
-  writer.AppendString(std::string(response.payload.begin(), response.payload.end()));
-  return writer.Take();
+  std::vector<uint8_t> frame(kResponseHeaderSize + response.payload.size());
+  uint8_t* at = Put(Put(frame.data(), kResponseMagic), response.request_id);
+  at = Put(Put(at, static_cast<uint8_t>(response.code)),
+           static_cast<uint32_t>(response.payload.size()));
+  std::copy(response.payload.begin(), response.payload.end(), at);
+  return frame;
 }
 
 bool DecodeFleetResponse(std::span<const uint8_t> bytes, FleetResponse* out) {
   SectionReader reader(bytes);
   uint32_t magic = 0;
   uint8_t code = 0;
-  std::string payload;
+  uint32_t length = 0;
+  // The payload is the rest of the frame, exactly `length` bytes of it.
   if (!reader.Read(&magic) || magic != kResponseMagic ||
-      !reader.Read(&out->request_id) || !reader.Read(&code) ||
-      !reader.ReadString(&payload) || reader.remaining() != 0) {
+      !reader.Read(&out->request_id) || !reader.Read(&code) || !reader.Read(&length) ||
+      reader.remaining() != length) {
     return false;
   }
   out->code = static_cast<ErrorCode>(code);
-  out->payload.assign(payload.begin(), payload.end());
+  out->payload.assign(bytes.end() - length, bytes.end());
   return true;
 }
 
@@ -223,10 +236,10 @@ void MonitorNode::HandleRequest(std::span<const uint8_t> frame) {
       slot.valid = true;
       slot.client_pub = request.client_pub;
       slot.epoch = epoch_;
-      slot.secret = monitor_->SessionSecret(SchnorrPublicKey{request.client_pub});
-      slot.expected_token = FleetSessionToken(slot.secret, id_, epoch_);
+      slot.key = HmacSha256Key(
+          monitor_->SessionSecret(SchnorrPublicKey{request.client_pub}).bytes);
+      slot.expected_token = FleetSessionToken(slot.key, id_, epoch_);
     }
-    const Digest& secret = slot.secret;
     if (request.token != slot.expected_token) {
       Respond(request.request_id, ErrorCode::kFailedPrecondition, {});
       return;
@@ -243,10 +256,10 @@ void MonitorNode::HandleRequest(std::span<const uint8_t> frame) {
     // Fast path: the sealed measurement plus a MAC binding it to (node,
     // epoch, domain, nonce) — no report serialization, no signature.
     const Digest& measurement = (*domain)->measurement;
-    const Digest ack = FleetSessionAck(secret, id_, epoch_, request.domain,
+    const Digest ack = FleetSessionAck(slot.key, id_, epoch_, request.domain,
                                        request.nonce, measurement);
-    payload.insert(payload.end(), measurement.bytes.begin(), measurement.bytes.end());
-    payload.insert(payload.end(), ack.bytes.begin(), ack.bytes.end());
+    payload.resize(kResumePayloadSize);
+    PutDigest(PutDigest(payload.data(), measurement), ack);
   } else {
     const auto handle =
         FindUnitCap(*monitor_, os_domain_, ResourceKind::kDomain, request.domain);

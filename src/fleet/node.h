@@ -82,7 +82,12 @@ bool DecodeFleetResponse(std::span<const uint8_t> bytes, FleetResponse* out);
 
 // Session-resumption MACs (DESIGN.md §13). Both sides derive `secret` via
 // DhSharedSecret, so both can compute — and neither can forge to a third
-// party — the epoch-bound token and the per-response ack.
+// party — the epoch-bound token and the per-response ack. Both sides keep
+// the secret as an HmacSha256Key, so a MAC costs no pad-block hashing; the
+// Digest forms key it for one call and give the same bytes.
+Digest FleetSessionToken(const HmacSha256Key& key, uint32_t node, uint64_t epoch);
+Digest FleetSessionAck(const HmacSha256Key& key, uint32_t node, uint64_t epoch,
+                       uint32_t domain, uint64_t nonce, const Digest& measurement);
 Digest FleetSessionToken(const Digest& secret, uint32_t node, uint64_t epoch);
 Digest FleetSessionAck(const Digest& secret, uint32_t node, uint64_t epoch,
                        uint32_t domain, uint64_t nonce, const Digest& measurement);
@@ -169,7 +174,7 @@ class MonitorNode {
     bool valid = false;  // an empty slot must never match a crafted request
     uint64_t client_pub = 0;
     uint64_t epoch = 0;
-    Digest secret;
+    HmacSha256Key key;  // the DH session secret, pads hashed once
     Digest expected_token;
   };
   static constexpr size_t kResumeSecretSlots = 8;

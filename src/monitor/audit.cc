@@ -102,15 +102,7 @@ void PackSealDigest(JournalRecord* record, const Digest& digest) {
 
 Digest PackedSealDigest(const JournalRecord& record) {
   Digest digest;
-  auto unpack = [&digest](size_t offset, uint64_t value) {
-    for (size_t i = 0; i < 8; ++i) {
-      digest.bytes[offset + i] = static_cast<uint8_t>(value >> (8 * i));
-    }
-  };
-  unpack(0, record.cap);
-  unpack(8, record.parent);
-  unpack(16, record.base);
-  unpack(24, record.size);
+  Put(Put(Put(Put(digest.bytes.data(), record.cap), record.parent), record.base), record.size);
   return digest;
 }
 

@@ -58,11 +58,7 @@ void FlightRecorder::CaptureLocked(const std::string& reason, uint16_t op, uint6
   record.error = error;
   record.detail = detail;
   if (ring_ != nullptr) {
-    record.trace = ring_->Snapshot();
-    if (record.trace.size() > last_n_) {
-      record.trace.erase(record.trace.begin(),
-                         record.trace.end() - static_cast<ptrdiff_t>(last_n_));
-    }
+    record.trace = ring_->Snapshot(last_n_);
   }
   if (registry_ != nullptr) {
     // Native series only: captures run on dispatch threads, and callback

@@ -2,7 +2,10 @@
 
 #include "src/support/snapshot.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "src/crypto/encode.h"
 
 namespace tyche {
 
@@ -10,12 +13,6 @@ namespace {
 
 constexpr char kMagic[4] = {'T', 'Y', 'S', 'N'};
 constexpr uint32_t kVersion = 1;
-
-void AppendU32(std::vector<uint8_t>* out, uint32_t value) {
-  for (size_t i = 0; i < sizeof(uint32_t); ++i) {
-    out->push_back(static_cast<uint8_t>(value >> (8 * i)));
-  }
-}
 
 }  // namespace
 
@@ -47,24 +44,18 @@ void SnapshotWriter::AddSection(uint32_t tag, std::vector<uint8_t> body) {
 }
 
 std::vector<uint8_t> SnapshotWriter::Finish() const {
-  std::vector<uint8_t> out;
   size_t total = sizeof(kMagic) + 2 * sizeof(uint32_t) + 32;
   for (const Section& section : sections_) {
     total += 2 * sizeof(uint32_t) + section.body.size();
   }
-  out.reserve(total);
-  for (const char c : kMagic) {
-    out.push_back(static_cast<uint8_t>(c));
-  }
-  AppendU32(&out, kVersion);
-  AppendU32(&out, static_cast<uint32_t>(sections_.size()));
+  std::vector<uint8_t> out(total);
+  uint8_t* at = std::copy(std::begin(kMagic), std::end(kMagic), out.data());
+  at = Put(Put(at, kVersion), static_cast<uint32_t>(sections_.size()));
   for (const Section& section : sections_) {
-    AppendU32(&out, section.tag);
-    AppendU32(&out, static_cast<uint32_t>(section.body.size()));
-    out.insert(out.end(), section.body.begin(), section.body.end());
+    at = Put(Put(at, section.tag), static_cast<uint32_t>(section.body.size()));
+    at = std::copy(section.body.begin(), section.body.end(), at);
   }
-  const Digest commitment = Sha256::Hash(std::span<const uint8_t>(out.data(), out.size()));
-  out.insert(out.end(), commitment.bytes.begin(), commitment.bytes.end());
+  PutDigest(at, Sha256::Hash(std::span<const uint8_t>(out.data(), at)));
   return out;
 }
 

@@ -32,10 +32,10 @@ void TraceRing::Record(TraceEntry entry) {
   ring_[entry.seq % capacity_] = entry;
 }
 
-std::vector<TraceEntry> TraceRing::Snapshot() const {
+std::vector<TraceEntry> TraceRing::Snapshot(size_t last_n) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<TraceEntry> out;
-  const uint64_t held = std::min<uint64_t>(next_seq_, capacity_);
+  const uint64_t held = std::min<uint64_t>({next_seq_, capacity_, last_n});
   out.reserve(held);
   for (uint64_t seq = next_seq_ - held; seq < next_seq_; ++seq) {
     out.push_back(ring_[seq % capacity_]);

@@ -72,8 +72,8 @@ class TraceRing {
   // entry when full.
   void Record(TraceEntry entry);
 
-  // Entries currently held, oldest first.
-  std::vector<TraceEntry> Snapshot() const;
+  // Entries currently held, oldest first: the newest `last_n` of them.
+  std::vector<TraceEntry> Snapshot(size_t last_n = SIZE_MAX) const;
 
   size_t capacity() const { return capacity_; }
   uint64_t recorded() const;  // total Record() calls that took effect

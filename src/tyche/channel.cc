@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 
+#include "src/crypto/encode.h"
 #include "src/hw/cost_model.h"
 #include "src/support/backoff.h"
 #include "src/support/faults.h"
@@ -32,17 +33,11 @@ std::vector<uint8_t> EncodeFrame(std::span<const uint8_t> payload, uint32_t seq,
   const uint64_t offset = static_cast<uint64_t>(seq) * kChunkSize;
   const uint64_t length = std::min<uint64_t>(kChunkSize, payload.size() - offset);
   const std::span<const uint8_t> body = payload.subspan(offset, length);
-  SectionWriter w;
-  w.Append<uint32_t>(kFrameMagic);
-  w.Append<uint32_t>(seq);
-  w.Append<uint32_t>(total);
-  w.Append<uint32_t>(static_cast<uint32_t>(length));
-  std::vector<uint8_t> frame = w.Take();
-  frame.insert(frame.end(), body.begin(), body.end());
-  SectionWriter tail;
-  tail.Append<uint64_t>(Sha256::Hash(body).Prefix64());
-  const std::vector<uint8_t> checksum = tail.Take();
-  frame.insert(frame.end(), checksum.begin(), checksum.end());
+  std::vector<uint8_t> frame(4 * sizeof(uint32_t) + length + sizeof(uint64_t));
+  uint8_t* at = Put(Put(frame.data(), kFrameMagic), seq);
+  at = Put(Put(at, total), static_cast<uint32_t>(length));
+  at = std::copy(body.begin(), body.end(), at);
+  Put(at, Sha256::Hash(body).Prefix64());
   return frame;
 }
 
@@ -197,14 +192,11 @@ Result<std::vector<uint8_t>> Channel::Recv(CoreId core) {
   return message;
 }
 
-void LossyChannel::Enqueue(std::span<const uint8_t> frame, bool duplicate) {
-  Frame entry;
-  entry.bytes.assign(frame.begin(), frame.end());
-  entry.duplicate = duplicate;
-  queue_.push_back(std::move(entry));
+void LossyChannel::Enqueue(std::vector<uint8_t> frame, bool duplicate) {
+  queue_.push_back(Frame{std::move(frame), duplicate});
 }
 
-Status LossyChannel::Send(std::span<const uint8_t> frame) {
+Status LossyChannel::Send(std::vector<uint8_t> frame) {
   if (FaultInjector::active()) {
     // Each site CONSUMES its trigger: the injected status is the signal that
     // the loss mode fires for THIS frame; nothing propagates to the caller.
@@ -227,16 +219,16 @@ Status LossyChannel::Send(std::span<const uint8_t> frame) {
     if (!FaultInjector::Instance().Check(faults::kChannelReorder).ok()) {
       if (stashed_) {
         // The delay line is single-slot; release the earlier straggler.
-        Enqueue(*stashed_, /*duplicate=*/false);
+        Enqueue(std::move(*stashed_), /*duplicate=*/false);
       }
-      stashed_.emplace(frame.begin(), frame.end());
+      stashed_ = std::move(frame);
       ++reordered_;
       return OkStatus();
     }
   }
-  Enqueue(frame, /*duplicate=*/false);
+  Enqueue(std::move(frame), /*duplicate=*/false);
   if (stashed_) {
-    Enqueue(*stashed_, /*duplicate=*/false);
+    Enqueue(std::move(*stashed_), /*duplicate=*/false);
     stashed_.reset();
   }
   return OkStatus();

@@ -70,7 +70,9 @@ class Channel {
 // straight to MigrateDomain.
 class LossyChannel {
  public:
-  Status Send(std::span<const uint8_t> frame);
+  // Takes the frame and moves it into the receive queue; only an injected
+  // duplicate is a copy.
+  Status Send(std::vector<uint8_t> frame);
   Result<std::vector<uint8_t>> Recv();
 
   // Telemetry for tests: how often each loss mode actually fired.
@@ -96,7 +98,7 @@ class LossyChannel {
     bool duplicate = false;  // injected copy, counted against the dup bound
   };
 
-  void Enqueue(std::span<const uint8_t> frame, bool duplicate);
+  void Enqueue(std::vector<uint8_t> frame, bool duplicate);
 
   std::deque<Frame> queue_;
   // A reordered frame waits here and is delivered AFTER the next frame that

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -179,6 +180,56 @@ TEST(HmacTest, EmptyKey) {
                            reinterpret_cast<const uint8_t*>(message.data()), message.size()))
                 .ToHex(),
             "e48411262715c8370cd5e7bf8e82bef53bd53712d007f3429351843b77c7bb9b");
+}
+
+// RFC 2104 spelled out over Sha256, with no midstates: the reference the
+// keyed form must match byte for byte.
+Digest ReferenceHmac(std::span<const uint8_t> key, std::span<const uint8_t> message) {
+  uint8_t key_block[64] = {};
+  if (key.size() > 64) {
+    const Digest hashed = Sha256::Hash(key);
+    std::copy(hashed.bytes.begin(), hashed.bytes.end(), key_block);
+  } else {
+    std::copy(key.begin(), key.end(), key_block);
+  }
+  uint8_t ipad[64];
+  uint8_t opad[64];
+  for (int i = 0; i < 64; ++i) {
+    ipad[i] = key_block[i] ^ 0x36;
+    opad[i] = key_block[i] ^ 0x5c;
+  }
+  Sha256 inner;
+  inner.Update(std::span<const uint8_t>(ipad));
+  inner.Update(message);
+  const Digest inner_digest = inner.Finalize();
+  Sha256 outer;
+  outer.Update(std::span<const uint8_t>(opad));
+  outer.Update(inner_digest.bytes);
+  return outer.Finalize();
+}
+
+// Key lengths cover empty, short, one pad block exactly and past it (hashed
+// first); message lengths cover the one- and two-block padding edges and the
+// 83-byte session ack. One key object serves every message, so a Mac() that
+// disturbed the stored midstates would show on the second message.
+TEST(HmacTest, KeyedMidstatesMatchRfc2104) {
+  for (const size_t key_len : {0, 8, 32, 64, 65, 131}) {
+    std::vector<uint8_t> key(key_len);
+    for (size_t i = 0; i < key_len; ++i) {
+      key[i] = static_cast<uint8_t>(0x5a + 3 * i);
+    }
+    const HmacSha256Key keyed(key);
+    for (const size_t message_len : {0, 55, 56, 64, 83, 200}) {
+      std::vector<uint8_t> message(message_len);
+      for (size_t i = 0; i < message_len; ++i) {
+        message[i] = static_cast<uint8_t>(0xc3 ^ (7 * i));
+      }
+      const Digest expected = ReferenceHmac(key, message);
+      EXPECT_EQ(keyed.Mac(message), expected) << key_len << "/" << message_len;
+      EXPECT_EQ(HmacSha256(key, message), expected) << key_len << "/" << message_len;
+    }
+  }
+  EXPECT_EQ(HmacSha256Key().Mac({}), ReferenceHmac({}, {}));
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 
 #include <memory>
 #include <set>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "src/fleet/frontend.h"
@@ -134,6 +136,35 @@ TEST(LossyChannel, DuplicateStormIsBounded) {
   const std::vector<uint8_t> extra = {0xFF};
   ASSERT_TRUE(channel.Send(extra).ok());
   EXPECT_EQ(channel.duplicated(), 5u);
+}
+
+// Send() moves the frame into the queue, so the duplicate must be a copy
+// taken before the move and the delay line must hold the frame itself: no
+// delivered frame may be a moved-from, empty one.
+TEST(LossyChannel, DuplicatedAndReorderedFramesKeepTheirBytes) {
+  LossyChannel channel;
+  FaultPlan plan;
+  plan.Add({std::string(faults::kChannelDup), 1, DefaultFaultCode(faults::kChannelDup),
+            /*repeat=*/false});
+  plan.Add({std::string(faults::kChannelReorder), 1,
+            DefaultFaultCode(faults::kChannelReorder), /*repeat=*/false});
+  ScopedFaultPlan scoped(std::move(plan));
+  const std::vector<uint8_t> first = {0xA1, 0xA2, 0xA3};
+  const std::vector<uint8_t> second = {0xB1, 0xB2};
+  ASSERT_TRUE(channel.Send(first).ok());   // duplicated, then delayed
+  ASSERT_TRUE(channel.Send(second).ok());  // releases the delayed frame
+  EXPECT_EQ(channel.duplicated(), 1u);
+  EXPECT_EQ(channel.reordered(), 1u);
+  std::vector<std::vector<uint8_t>> received;
+  while (true) {
+    auto frame = channel.Recv();
+    if (!frame.ok()) {
+      break;
+    }
+    received.push_back(std::move(*frame));
+  }
+  const std::vector<std::vector<uint8_t>> expected = {first, second, first};
+  EXPECT_EQ(received, expected);
 }
 
 // --- Circuit breaker ------------------------------------------------------
@@ -800,6 +831,101 @@ TEST(FrontEnd, StaleSessionTokenRejectedAfterEpochBump) {
   ASSERT_TRUE(resumed.ok());
   EXPECT_TRUE(resumed->resumed);
   EXPECT_EQ(resumed->epoch, 1u);
+}
+
+// --- Wire format known answers --------------------------------------------
+
+// The fleet frames and session MACs are wire formats: a codec change that
+// alters one byte breaks every deployed peer. Values captured from the
+// byte-at-a-time SectionWriter codec the exact-size encoders replaced.
+
+std::string HexBytes(std::span<const uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xf]);
+  }
+  return out;
+}
+
+Digest PatternDigest(uint8_t start) {
+  Digest digest;
+  for (size_t i = 0; i < digest.bytes.size(); ++i) {
+    digest.bytes[i] = static_cast<uint8_t>(start + 7 * i);
+  }
+  return digest;
+}
+
+FleetRequest PinnedRequest() {
+  FleetRequest request;
+  request.request_id = 0x0123456789ABCDEFull;
+  request.kind = FleetRequestKind::kResume;
+  request.domain = 0xA1B2C3D4;
+  request.nonce = 0x1122334455667788ull;
+  request.client_pub = 0x0FEDCBA987654321ull;
+  request.token = PatternDigest(0x40);
+  return request;
+}
+
+FleetResponse PinnedResponse() {
+  FleetResponse response;
+  response.request_id = 0x00000000DEADBEEFull;
+  response.code = ErrorCode::kFailedPrecondition;
+  response.payload = {0x01, 0x02, 0x03, 0xFE, 0xFF};
+  return response;
+}
+
+TEST(FleetWire, RequestBytesArePinned) {
+  const std::vector<uint8_t> frame = EncodeFleetRequest(PinnedRequest());
+  EXPECT_EQ(HexBytes(frame),
+            "0170e3f1efcdab896745230102d4c3b2a1887766554433221121436587a9cbed0f"
+            "40474e555c636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd040b1219");
+  FleetRequest decoded;
+  ASSERT_TRUE(DecodeFleetRequest(frame, &decoded));
+  EXPECT_EQ(HexBytes(EncodeFleetRequest(decoded)), HexBytes(frame));
+}
+
+TEST(FleetWire, ResponseBytesArePinned) {
+  const std::vector<uint8_t> frame = EncodeFleetResponse(PinnedResponse());
+  EXPECT_EQ(HexBytes(frame), "0270e3f1efbeadde000000000605000000010203feff");
+  FleetResponse decoded;
+  ASSERT_TRUE(DecodeFleetResponse(frame, &decoded));
+  EXPECT_EQ(decoded.request_id, PinnedResponse().request_id);
+  EXPECT_EQ(decoded.code, PinnedResponse().code);
+  EXPECT_EQ(decoded.payload, PinnedResponse().payload);
+  FleetResponse empty;
+  empty.request_id = 7;
+  EXPECT_EQ(HexBytes(EncodeFleetResponse(empty)), "0270e3f107000000000000000000000000");
+}
+
+TEST(FleetWire, SessionMacsArePinned) {
+  const Digest secret = PatternDigest(0x11);
+  EXPECT_EQ(FleetSessionToken(secret, 2, 0x0102030405060708ull).ToHex(),
+            "e6bc12b6da51def440d89ab650ca3378009fb1bdd0b822ba867bf20af4e203af");
+  EXPECT_EQ(FleetSessionAck(secret, 2, 0x0102030405060708ull, 0xA1B2C3D4,
+                            0x1122334455667788ull, PatternDigest(0x80))
+                .ToHex(),
+            "7cfcee7748db66183b2ea09cd0d92a8459159d1a9d052cd2d3ddb65f68cc42d4");
+}
+
+// The length field must name exactly the bytes that follow it.
+TEST(FleetWire, ResponseDecodeRefusesALengthThatDisagreesWithTheFrame) {
+  const std::vector<uint8_t> frame = EncodeFleetResponse(PinnedResponse());
+  constexpr size_t kLengthAt = 4 + 8 + 1;  // magic, request id, code
+  FleetResponse out;
+  for (const int delta : {-1, +1}) {
+    std::vector<uint8_t> edited = frame;
+    edited[kLengthAt] = static_cast<uint8_t>(edited[kLengthAt] + delta);
+    EXPECT_FALSE(DecodeFleetResponse(edited, &out)) << "length off by " << delta;
+  }
+  std::vector<uint8_t> trailing = frame;
+  trailing.push_back(0x00);
+  EXPECT_FALSE(DecodeFleetResponse(trailing, &out));
+  const std::vector<uint8_t> truncated(frame.begin(), frame.end() - 1);
+  EXPECT_FALSE(DecodeFleetResponse(truncated, &out));
+  const std::vector<uint8_t> header_only(frame.begin(), frame.begin() + kLengthAt);
+  EXPECT_FALSE(DecodeFleetResponse(header_only, &out));
 }
 
 // Node-side token validation is STATELESS: the node derives the shared

@@ -311,6 +311,41 @@ TEST(FlightRecorderTest, DedupKeepsOpsWithTheSameErrorApart) {
   EXPECT_EQ(records[1].op, 12u);
 }
 
+// A capture keeps the newest `last_n` trace entries, oldest first: the same
+// entries, in the same order, as the tail of a full ring snapshot. A ring that
+// holds fewer than `last_n` hands over all of them.
+TEST(FlightRecorderTest, CaptureKeepsTheRingsLastEntriesInOrder) {
+  constexpr size_t kLastN = 64;
+  TraceRing ring;
+  FlightRecorder recorder(&ring, /*registry=*/nullptr, /*capacity=*/8, kLastN);
+  for (uint16_t i = 0; i < 10; ++i) {
+    ring.Record(MakeEntry(i, i));
+  }
+  recorder.Capture("partial", 0, 0, 0, "");
+  for (size_t i = 0; i < TraceRing::kDefaultCapacity + 1000; ++i) {
+    ring.Record(MakeEntry(static_cast<uint16_t>(i), i));
+  }
+  recorder.Capture("full", 0, 0, 0, "");
+
+  const auto records = recorder.Snapshot();
+  ASSERT_EQ(records.size(), 2u);
+  ASSERT_EQ(records[0].trace.size(), 10u);
+  for (size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(records[0].trace[i].seq, i);
+  }
+  const std::vector<TraceEntry> full = ring.Snapshot();
+  ASSERT_EQ(full.size(), TraceRing::kDefaultCapacity);
+  const std::vector<TraceEntry>& kept = records[1].trace;
+  ASSERT_EQ(kept.size(), kLastN);
+  for (size_t i = 0; i < kLastN; ++i) {
+    const TraceEntry& want = full[full.size() - kLastN + i];
+    EXPECT_EQ(kept[i].seq, want.seq);
+    EXPECT_EQ(kept[i].op, want.op);
+    EXPECT_EQ(kept[i].duration_ns, want.duration_ns);
+  }
+  EXPECT_EQ(kept.back().seq, ring.recorded() - 1);
+}
+
 TEST(Fnv1aDigestTest, DistinguishesArguments) {
   const uint64_t a[] = {1, 2, 3, 4, 5, 6};
   const uint64_t b[] = {1, 2, 3, 4, 5, 7};

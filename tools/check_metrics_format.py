@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""CI check: Monitor::ExportMetrics() output must be valid Prometheus text.
+"""CI check: a metrics scrape must be valid Prometheus text.
+
+The monitor's scrape is Monitor::CollectMetrics() rendered by libtyche's
+RenderPrometheus (src/tyche/observe.h); the fleet's is the verification
+front end's registry rendered the same way.
 
 Validates the text exposition format line by line -- HELP/TYPE headers,
 metric-name and label syntax, numeric sample values, histogram structure
@@ -15,7 +19,7 @@ Usage:
     check_metrics_format.py fleet.prom --profile fleet
 
 `--profile` selects which family checklist applies: `monitor` (default) is
-the Monitor::ExportMetrics() contract, `fleet` is the verification
+the rendered Monitor::CollectMetrics() contract, `fleet` is the verification
 front end's registry (tyche_fleet_* families).
 """
 
