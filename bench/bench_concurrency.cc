@@ -143,9 +143,9 @@ void BM_Dispatch_ReadHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_Dispatch_ReadHeavy)->Threads(1)->Threads(2)->Threads(4)->Threads(8)->UseRealTime();
 
-// Striped-counter scaling control: the identical mix with the registry's
+// Striped-counter scaling control: the identical mix with the monitor's
 // stat counters disabled. Comparing 8-thread throughput against
-// BM_Dispatch_ReadHeavy bounds the registry's concurrency tax -- striping
+// BM_Dispatch_ReadHeavy bounds the counters' concurrency tax -- striping
 // should make the two indistinguishable (a shared-line counter would show
 // up here as a scaling gap).
 void BM_Dispatch_ReadHeavyCountersOff(benchmark::State& state) {

@@ -121,7 +121,7 @@ inline void PrintJournalSummary(const Journal& journal) {
   std::printf("\n\n");
 }
 
-// Prints the per-op latency table, every nonzero registry scalar, and the
+// Prints the per-op latency table, every nonzero monitor scalar, and the
 // audit-journal summary, then closes the loop: exports the journal and
 // verifies it offline (hash chain, checkpoint signatures, shadow replay
 // against the live capability graph), the same path a remote verifier would
@@ -133,7 +133,7 @@ inline void DumpObservability(Monitor& monitor) {
   const std::vector<TraceEntry> trace = monitor.telemetry().ring().Snapshot();
   const auto op_name = [](uint16_t op) { return std::string(ApiOpName(static_cast<ApiOp>(op))); };
   std::printf("%s", ExportOpSummary(monitor.telemetry(), op_name).c_str());
-  for (const MetricFamily& family : monitor.CollectMetrics()) {
+  for (const MetricFamily& family : MonitorMetrics(monitor)) {
     for (const MetricSeries& series : family.series) {
       if (family.type != MetricType::kHistogram && series.value != 0) {
         std::printf("%s %llu\n", RenderSeriesName(family.name, series.labels).c_str(),
@@ -189,7 +189,7 @@ inline void DumpObservability(Monitor& monitor) {
     std::printf("wrote %s to %s (%zu bytes)\n", what, path, body.size());
     DEMO_CHECK(out.good());
   };
-  write_artifact("TYCHE_METRICS_OUT", RenderPrometheus(monitor.CollectMetrics()),
+  write_artifact("TYCHE_METRICS_OUT", RenderPrometheus(MonitorMetrics(monitor)),
                  "metrics snapshot");
   write_artifact(
       "TYCHE_TRACE_OUT",
@@ -200,7 +200,7 @@ inline void DumpObservability(Monitor& monitor) {
             return std::string(JournalEventName(static_cast<JournalEvent>(event)));
           }),
       "chrome trace");
-  write_artifact("TYCHE_FLIGHT_OUT", ExportFlightJson(monitor.flight_recorder(), op_name),
+  write_artifact("TYCHE_FLIGHT_OUT", ExportFlightJson(monitor.flight_recorder(), op_name, MonitorCounterName),
                  "flight-recorder dump");
   write_artifact("TYCHE_PROF_OUT", ExportFoldedStacks(monitor.profiler(), op_name),
                  "folded phase stacks");

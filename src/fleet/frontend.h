@@ -45,8 +45,8 @@
 #include "src/fleet/node.h"
 #include "src/fleet/quota.h"
 #include "src/support/backoff.h"
-#include "src/support/metrics.h"
 #include "src/support/prng.h"
+#include "src/tyche/metrics_registry.h"
 
 namespace tyche {
 

@@ -18,9 +18,9 @@
 namespace tyche {
 
 // What the enforcement hardware actually did on the monitor's behalf.
-// Maintained by every backend; scraped as tyche_backend_ops_total by
-// Monitor::CollectMetrics() so the cost of projecting policy onto hardware
-// is observable per deployment.
+// Maintained by every backend and sampled by Monitor::stats(); libtyche
+// scrapes it as tyche_backend_ops_total so the cost of projecting policy onto
+// hardware is observable per deployment.
 struct BackendStats {
   uint64_t memory_syncs = 0;      // SyncMemory invocations
   uint64_t pages_mapped = 0;      // EPT pages installed (VT-x)

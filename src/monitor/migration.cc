@@ -524,7 +524,7 @@ Status MigrationInternal::CommitSourceTeardown(Monitor* source, DomainId domain,
   if (!purged.ok()) {
     for (const auto& [root, committed] : partial) {
       source->audit_.Revoke(span, domain, root, committed, source->engine_);
-      source->Count(source->counters_.revocations_cascaded, committed.revoked_count);
+      source->Count(kStatRevocationsCascaded, committed.revoked_count);
       const Status projected = source->ApplyEffects(committed.effects);
       if (!projected.ok()) {
         TYCHE_LOG(kWarn) << "migration: partial-purge effects degraded to fail-safe: "
@@ -534,7 +534,7 @@ Status MigrationInternal::CommitSourceTeardown(Monitor* source, DomainId domain,
     first = purged.status();
   } else {
     source->audit_.PurgeDomain(span, domain, *purged);
-    source->Count(source->counters_.revocations_cascaded, purged->revoked_count);
+    source->Count(kStatRevocationsCascaded, purged->revoked_count);
     first = source->ApplyEffects(purged->effects);
   }
   const Status context = source->backend_->DestroyDomainContext(domain);

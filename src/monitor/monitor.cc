@@ -8,7 +8,6 @@
 #include "src/crypto/authenticated.h"
 #include "src/monitor/pmp_backend.h"
 #include "src/monitor/vtx_backend.h"
-#include "src/support/faults.h"
 #include "src/support/locking.h"
 #include "src/support/log.h"
 
@@ -64,24 +63,6 @@ const char* ApiOpName(ApiOp op) {
   return "?";
 }
 
-const char* CapEffectKindName(CapEffect::Kind kind) {
-  switch (kind) {
-    case CapEffect::Kind::kMapMemory:
-      return "map";
-    case CapEffect::Kind::kUnmapMemory:
-      return "unmap";
-    case CapEffect::Kind::kZeroMemory:
-      return "zero";
-    case CapEffect::Kind::kFlushCache:
-      return "flush";
-    case CapEffect::Kind::kAttachUnit:
-      return "attach";
-    case CapEffect::Kind::kDetachUnit:
-      return "detach";
-  }
-  return "?";
-}
-
 Monitor::Monitor(Machine* machine, AddrRange monitor_range, FrameAllocator metadata_pool,
                  SchnorrKeyPair key)
     : machine_(machine),
@@ -113,255 +94,53 @@ Monitor::Monitor(Machine* machine, AddrRange monitor_range, FrameAllocator metad
       std::span<const uint8_t>(key_bytes, sizeof(key_bytes)),
       std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(label.data()),
                                label.size()));
-
-  RegisterMetrics();
-}
-
-void Monitor::RegisterMetrics() {
-  // Native striped counters: the hot-path signals the dispatcher bumps.
-  for (size_t op = 0; op < static_cast<size_t>(ApiOp::kOpCount); ++op) {
-    const MetricLabels labels = {{"op", ApiOpName(static_cast<ApiOp>(op))}};
-    counters_.api_calls[op] = metrics_.AddCounter(
-        "tyche_api_calls_total", "ABI calls dispatched, by operation", labels);
-    metrics_.AddHistogram(
-        "tyche_dispatch_latency_ns",
-        "Monitor-side wall-clock latency per ABI call (log2 buckets)", labels,
-        [this, op] { return telemetry_.OpHistogram(op); });
-  }
-  counters_.transitions = metrics_.AddCounter(
-      "tyche_transitions_total", "Inter-domain control transfers, by path",
-      {{"path", "trap"}});
-  counters_.fast_transitions = metrics_.AddCounter(
-      "tyche_transitions_total", "Inter-domain control transfers, by path",
-      {{"path", "fast"}});
-  counters_.shares =
-      metrics_.AddCounter("tyche_capability_ops_total",
-                          "Successful capability-graph mutations", {{"kind", "share"}});
-  counters_.grants =
-      metrics_.AddCounter("tyche_capability_ops_total",
-                          "Successful capability-graph mutations", {{"kind", "grant"}});
-  counters_.revokes =
-      metrics_.AddCounter("tyche_capability_ops_total",
-                          "Successful capability-graph mutations", {{"kind", "revoke"}});
-  counters_.revocations_cascaded = metrics_.AddCounter(
-      "tyche_revocations_cascaded_total",
-      "Capabilities revoked transitively by cascading revocation");
-  counters_.recoveries = metrics_.AddCounter(
-      "tyche_recoveries_total",
-      "Crash recoveries survived; the only counter that crosses Recover()");
-  constexpr CapEffect::Kind kKinds[] = {
-      CapEffect::Kind::kMapMemory,  CapEffect::Kind::kUnmapMemory,
-      CapEffect::Kind::kZeroMemory, CapEffect::Kind::kFlushCache,
-      CapEffect::Kind::kAttachUnit, CapEffect::Kind::kDetachUnit,
-  };
-  for (const CapEffect::Kind kind : kKinds) {
-    counters_.effects_by_kind[static_cast<size_t>(kind)] = metrics_.AddCounter(
-        "tyche_effects_total",
-        "Hardware obligations produced by capability operations, by effect kind",
-        {{"kind", CapEffectKindName(kind)}});
-  }
-
-  // Pull callbacks for signals owned elsewhere. All of these are read under
-  // the api lock at collection time (CollectMetrics quiesces dispatchers), so
-  // plain-field sources (backend stats, domain table) are safe.
-  struct BackendField {
-    const char* op;
-    uint64_t BackendStats::*field;
-  };
-  static constexpr BackendField kBackendFields[] = {
-      {"memory_syncs", &BackendStats::memory_syncs},
-      {"pages_mapped", &BackendStats::pages_mapped},
-      {"pages_unmapped", &BackendStats::pages_unmapped},
-      {"pages_protected", &BackendStats::pages_protected},
-      {"pmp_recompiles", &BackendStats::pmp_recompiles},
-      {"pmp_entry_writes", &BackendStats::pmp_entry_writes},
-      {"tlb_shootdowns", &BackendStats::tlb_shootdowns},
-      {"iommu_updates", &BackendStats::iommu_updates},
-      {"core_binds", &BackendStats::core_binds},
-      {"fast_binds", &BackendStats::fast_binds},
-  };
-  for (const BackendField& field : kBackendFields) {
-    metrics_.AddCallback(
-        "tyche_backend_ops_total",
-        "Hardware projection operations performed by the platform backend", true,
-        {{"backend", backend_->name()}, {"op", field.op}},
-        [this, ptr = field.field] { return backend_->stats().*ptr; });
-  }
-  metrics_.AddCallback("tyche_journal_records", "Audit-journal chain length (records)",
-                       false, {}, [this] { return audit_.journal().size(); });
-  metrics_.AddCallback("tyche_journal_checkpoints",
-                       "Signed checkpoints in the audit journal", false, {},
-                       [this] { return audit_.journal().checkpoint_count(); });
-  metrics_.AddCallback(
-      "tyche_journal_group_commit_batches_total",
-      "Journal commits (one per Append or AppendGroup call)", true, {},
-      [this] { return audit_.journal().group_commit_stats().batches; });
-  metrics_.AddCallback(
-      "tyche_journal_group_commit_records_total",
-      "Records appended through journal commits", true, {},
-      [this] { return audit_.journal().group_commit_stats().batched_records; });
-  metrics_.AddCallback(
-      "tyche_journal_group_commit_max_batch", "Most records appended by one journal commit",
-      false, {}, [this] { return audit_.journal().group_commit_stats().max_batch; });
-  metrics_.AddCallback("tyche_trace_recorded_total",
-                       "ABI calls recorded into the trace ring", true, {},
-                       [this] { return telemetry_.ring().recorded(); });
-  metrics_.AddCallback("tyche_trace_dropped_total",
-                       "Trace entries overwritten by ring wrap-around", true, {},
-                       [this] { return telemetry_.ring().dropped(); });
-  metrics_.AddCallback("tyche_lock_contention_total",
-                       "Conditional-guard acquisitions that had to block", true,
-                       {{"class", "exclusive"}},
-                       [this] { return telemetry_.exclusive_contention_count(); });
-  metrics_.AddCallback("tyche_lock_contention_total",
-                       "Conditional-guard acquisitions that had to block", true,
-                       {{"class", "shared"}},
-                       [this] { return telemetry_.shared_contention_count(); });
-  metrics_.AddCallback(
-      "tyche_fault_injections_fired_total",
-      "Deterministic fault injections delivered over the process lifetime", true, {},
-      [] { return FaultInjector::Instance().lifetime_fired_count(); });
-  metrics_.AddCallback(
-      "tyche_fault_injection_active",
-      "1 while a fault plan is armed or occurrence counting is on", false, {},
-      [] { return FaultInjector::active() ? 1u : 0u; });
-  metrics_.AddCallback("tyche_domains_alive", "Trust domains currently alive", false, {},
-                       [this] { return num_domains_alive(); });
-  // Capability state size, read only at scrape time. Revoked nodes are
-  // reclaimed, so every node is active or donated; a leak shows up here as a
-  // gauge that climbs with the op count.
-  metrics_.AddCallback("tyche_caps", "Capabilities held by the engine, by state", false,
-                       {{"state", "active"}}, [this] { return engine_.active_caps(); });
-  metrics_.AddCallback("tyche_caps", "Capabilities held by the engine, by state", false,
-                       {{"state", "donated"}},
-                       [this] { return engine_.total_caps() - engine_.active_caps(); });
-  // captures() is a bare atomic, so this callback never touches the flight
-  // recorder's mutex (a size() callback would deadlock against a capture
-  // that is concurrently collecting from the registry).
-  metrics_.AddCallback("tyche_flight_captures_total",
-                       "Post-mortem flight records captured", true, {},
-                       [this] { return flight_.captures(); });
-
-  // Phase-attribution profiler (DESIGN.md §6): per (op, phase) latency
-  // histograms plus the slowest sample's size / span / timestamp, so a
-  // histogram outlier is joinable into the Chrome trace. All empty until
-  // the profiler is enabled.
-  for (size_t op = 0; op < static_cast<size_t>(ApiOp::kOpCount); ++op) {
-    for (size_t phase = 0; phase < kDispatchPhaseCount; ++phase) {
-      const auto p = static_cast<DispatchPhase>(phase);
-      const uint16_t op16 = static_cast<uint16_t>(op);
-      const MetricLabels labels = {{"op", ApiOpName(static_cast<ApiOp>(op))},
-                                   {"phase", DispatchPhaseName(p)}};
-      metrics_.AddHistogram(
-          "tyche_dispatch_phase_latency_ns",
-          "Per-phase dispatch latency (log2 buckets)", labels,
-          [this, op16, p] { return profiler_.PhaseSnapshot(op16, p); });
-      metrics_.AddCallback(
-          "tyche_dispatch_phase_slowest_ns",
-          "Slowest sample recorded for this (op, phase)", false, labels,
-          [this, op16, p] { return profiler_.Exemplar(op16, p).ns; });
-      metrics_.AddCallback(
-          "tyche_dispatch_phase_slowest_span",
-          "Dispatch span id of the slowest sample (joins the Chrome trace)", false,
-          labels, [this, op16, p] { return profiler_.Exemplar(op16, p).span; });
-      metrics_.AddCallback(
-          "tyche_dispatch_phase_slowest_ts_ns",
-          "Steady-clock timestamp of the slowest sample", false, labels,
-          [this, op16, p] { return profiler_.Exemplar(op16, p).ts_ns; });
-    }
-  }
-  metrics_.AddCallback("tyche_profiler_samples_total",
-                       "Phase samples recorded by the dispatch profiler", true, {},
-                       [this] { return profiler_.TotalSamples(); });
-
-  // Attributed lock-wait time: measured at the guards (src/support/locking.h)
-  // and the journal's chain lock, not inferred from counts.
-  metrics_.AddCallback("tyche_lock_wait_ns_total",
-                       "Nanoseconds spent blocked on contended conditional guards",
-                       true, {{"class", "exclusive"}},
-                       [this] { return telemetry_.exclusive_wait_ns_total(); });
-  metrics_.AddCallback("tyche_lock_wait_ns_total",
-                       "Nanoseconds spent blocked on contended conditional guards",
-                       true, {{"class", "shared"}},
-                       [this] { return telemetry_.shared_wait_ns_total(); });
-  metrics_.AddCallback("tyche_lock_wait_ns_total",
-                       "Nanoseconds spent blocked on contended conditional guards",
-                       true, {{"class", "shard"}},
-                       [this] { return telemetry_.shard_wait_ns_total(); });
-  metrics_.AddCallback(
-      "tyche_journal_commit_waits_total",
-      "Journal appends that blocked on the chain lock", true, {},
-      [this] { return audit_.journal().commit_wait_stats().waits; });
-  metrics_.AddCallback(
-      "tyche_journal_commit_wait_ns_total",
-      "Nanoseconds journal appends spent blocked on the chain lock", true, {},
-      [this] { return audit_.journal().commit_wait_stats().wait_ns; });
-
-  // Invariant watchdog: per-invariant health (1 = holds), check/violation
-  // totals, and the backend fail-safe occupancy the dirtiness check reads.
-  metrics_.AddCallback("tyche_watchdog_healthy",
-                       "1 while the named invariant holds, 0 after a violation",
-                       false, {{"invariant", "journal_chain"}},
-                       [this] { return watchdog_.chain_healthy() ? 1u : 0u; });
-  metrics_.AddCallback("tyche_watchdog_healthy",
-                       "1 while the named invariant holds, 0 after a violation",
-                       false, {{"invariant", "owned_index"}},
-                       [this] { return watchdog_.index_healthy() ? 1u : 0u; });
-  metrics_.AddCallback("tyche_watchdog_healthy",
-                       "1 while the named invariant holds, 0 after a violation",
-                       false, {{"invariant", "backend_sync"}},
-                       [this] { return watchdog_.backend_healthy() ? 1u : 0u; });
-  metrics_.AddCallback("tyche_watchdog_checks_total",
-                       "Invariant check rounds run by the watchdog", true, {},
-                       [this] { return watchdog_.checks(); });
-  metrics_.AddCallback("tyche_watchdog_violations_total",
-                       "Invariant violations detected by the watchdog", true, {},
-                       [this] { return watchdog_.violations(); });
-  metrics_.AddCallback("tyche_backend_failsafe_active",
-                       "Domains currently parked in the backend's fail-safe state",
-                       false, {}, [this] { return backend_->failsafe_active(); });
 }
 
 MonitorStats Monitor::stats() const {
+  // Quiesce dispatchers: backend stats and the domain table are plain
+  // fields that must not be mid-mutation.
+  ConditionalUniqueLock api(api_mu_, concurrent_dispatch(), nullptr);
   MonitorStats stats;
   for (size_t op = 0; op < static_cast<size_t>(ApiOp::kOpCount); ++op) {
-    stats.api_calls[op] = counters_.api_calls[op]->Value();
+    stats.api_calls[op] = counters_[kStatApiCalls + op].Value();
   }
-  stats.transitions = counters_.transitions->Value();
-  stats.fast_transitions = counters_.fast_transitions->Value();
-  stats.revocations_cascaded = counters_.revocations_cascaded->Value();
-  stats.recoveries = counters_.recoveries->Value();
-  stats.shares = counters_.shares->Value();
-  stats.grants = counters_.grants->Value();
-  stats.revokes = counters_.revokes->Value();
+  stats.transitions = counters_[kStatTransitions].Value();
+  stats.fast_transitions = counters_[kStatFastTransitions].Value();
+  stats.revocations_cascaded = counters_[kStatRevocationsCascaded].Value();
+  stats.recoveries = counters_[kStatRecoveries].Value();
+  stats.shares = counters_[kStatShares].Value();
+  stats.grants = counters_[kStatGrants].Value();
+  stats.revokes = counters_[kStatRevokes].Value();
   for (size_t kind = 0; kind < MonitorStats::kEffectKinds; ++kind) {
-    stats.effects_by_kind[kind] = counters_.effects_by_kind[kind]->Value();
+    stats.effects_by_kind[kind] = counters_[kStatEffects + kind].Value();
   }
+
+  stats.backend_name = backend_->name();
+  stats.backend = backend_->stats();
+  stats.backend_failsafe_active = backend_->failsafe_active();
+  const Journal& journal = audit_.journal();
+  stats.journal_records = journal.size();
+  stats.journal_checkpoints = journal.checkpoint_count();
+  stats.journal_commits = journal.group_commit_stats();
+  stats.journal_commit_waits = journal.commit_wait_stats();
+  stats.trace_recorded = telemetry_.ring().recorded();
+  stats.trace_dropped = telemetry_.ring().dropped();
+  stats.lock_contention_exclusive = telemetry_.exclusive_contention_count();
+  stats.lock_contention_shared = telemetry_.shared_contention_count();
+  stats.lock_wait_ns_exclusive = telemetry_.exclusive_wait_ns_total();
+  stats.lock_wait_ns_shared = telemetry_.shared_wait_ns_total();
+  stats.lock_wait_ns_shard = telemetry_.shard_wait_ns_total();
+  stats.domains_alive = num_domains_alive();
+  stats.caps_active = engine_.active_caps();
+  stats.caps_donated = engine_.total_caps() - engine_.active_caps();
+  stats.flight_captures = flight_.captures();
+  stats.profiler_samples = profiler_.TotalSamples();
+  stats.watchdog_chain_healthy = watchdog_.chain_healthy();
+  stats.watchdog_index_healthy = watchdog_.index_healthy();
+  stats.watchdog_backend_healthy = watchdog_.backend_healthy();
+  stats.watchdog_checks = watchdog_.checks();
+  stats.watchdog_violations = watchdog_.violations();
   return stats;
-}
-
-void Monitor::ResetStatCounters() {
-  for (StripedCounter* counter : counters_.api_calls) {
-    counter->Reset();
-  }
-  counters_.transitions->Reset();
-  counters_.fast_transitions->Reset();
-  counters_.revocations_cascaded->Reset();
-  counters_.recoveries->Reset();
-  counters_.shares->Reset();
-  counters_.grants->Reset();
-  counters_.revokes->Reset();
-  for (StripedCounter* counter : counters_.effects_by_kind) {
-    counter->Reset();
-  }
-}
-
-std::vector<MetricFamily> Monitor::CollectMetrics() const {
-  // Quiesce dispatchers: callback metrics read plain fields (backend stats,
-  // domain table) that must not be mid-mutation. Rendering happens after
-  // the lock is released, in the caller.
-  ConditionalUniqueLock api(api_mu_, concurrent_dispatch(), nullptr);
-  return metrics_.Collect(/*include_callbacks=*/true);
 }
 
 uint64_t Monitor::TrapCost() const {
@@ -372,7 +151,7 @@ uint64_t Monitor::TrapCost() const {
 
 Status Monitor::ChargeCall(ApiOp op) {
   machine_->cycles().Charge(TrapCost());
-  Count(counters_.api_calls[static_cast<size_t>(op)]);
+  Count(kStatApiCalls + static_cast<size_t>(op));
   return OkStatus();
 }
 
@@ -562,7 +341,7 @@ Status Monitor::ApplyEffects(const CapEffects& effects) {
   for (const CapEffect& effect : effects.effects) {
     const auto kind_index = static_cast<size_t>(effect.kind);
     if (kind_index < MonitorStats::kEffectKinds) {
-      Count(counters_.effects_by_kind[kind_index]);
+      Count(kStatEffects + kind_index);
     }
     switch (effect.kind) {
       case CapEffect::Kind::kMapMemory:
@@ -641,7 +420,7 @@ Status Monitor::RollbackTransfer(ApiOp op, uint64_t span, DomainId requester,
                       << " failed: " << comp.status().ToString();
   } else {
     audit_.Revoke(span, owner, created, *comp, engine_);
-    Count(counters_.revocations_cascaded, comp->revoked_count);
+    Count(kStatRevocationsCascaded, comp->revoked_count);
     const Status reverted = ApplyEffects(comp->effects);
     if (!reverted.ok()) {
       // The compensation itself could not be fully projected: the failing
@@ -861,7 +640,7 @@ Status Monitor::DestroyDomain(CoreId core, CapId domain_handle) {
     // kPurgeDomain record then replays against the same remainder.
     for (const auto& [root, committed] : partial) {
       audit_.Revoke(span, target, root, committed, engine_);
-      Count(counters_.revocations_cascaded, committed.revoked_count);
+      Count(kStatRevocationsCascaded, committed.revoked_count);
       const Status projected = ApplyEffects(committed.effects);
       if (!projected.ok()) {
         TYCHE_LOG(kWarn) << "destroy: partial-purge effects degraded to fail-safe: "
@@ -874,7 +653,7 @@ Status Monitor::DestroyDomain(CoreId core, CapId domain_handle) {
   }
   const RevokeOutcome& outcome = *purged;
   audit_.PurgeDomain(span, target, outcome);
-  Count(counters_.revocations_cascaded, outcome.revoked_count);
+  Count(kStatRevocationsCascaded, outcome.revoked_count);
   // The engine purge is the commit point: teardown is never rolled back,
   // because a dead domain with live hardware state would be the worst torn
   // state of all. Push through every cleanup step (failed projections have
@@ -913,7 +692,7 @@ Result<CapId> Monitor::ShareMemory(CoreId core, CapId src_cap, CapId dst_domain_
     // PMP exhaustion); roll the capability back so tree and hardware agree.
     return RollbackTransfer(ApiOp::kShareMemory, span, caller, dst, child, applied);
   }
-  Count(counters_.shares);
+  Count(kStatShares);
   return child;
 }
 
@@ -937,7 +716,7 @@ Result<GrantResult> Monitor::GrantMemory(CoreId core, CapId src_cap, CapId dst_d
     return RollbackTransfer(ApiOp::kGrantMemory, span, caller, dst, outcome.granted,
                             applied);
   }
-  Count(counters_.grants);
+  Count(kStatGrants);
   return GrantResult{outcome.granted, outcome.remainders};
 }
 
@@ -959,7 +738,7 @@ Result<CapId> Monitor::ShareUnit(CoreId core, CapId src_cap, CapId dst_domain_ha
   if (!applied.ok()) {
     return RollbackTransfer(ApiOp::kShareUnit, span, caller, dst, child, applied);
   }
-  Count(counters_.shares);
+  Count(kStatShares);
   return child;
 }
 
@@ -980,7 +759,7 @@ Result<CapId> Monitor::GrantUnit(CoreId core, CapId src_cap, CapId dst_domain_ha
   if (!applied.ok()) {
     return RollbackTransfer(ApiOp::kGrantUnit, span, caller, dst, outcome.granted, applied);
   }
-  Count(counters_.grants);
+  Count(kStatGrants);
   return outcome.granted;
 }
 
@@ -990,8 +769,8 @@ Status Monitor::Revoke(CoreId core, CapId cap) {
   const uint64_t span = SpanForCore(core);
   TYCHE_ASSIGN_OR_RETURN(const RevokeOutcome outcome, engine_.Revoke(caller, cap));
   audit_.Revoke(span, caller, cap, outcome, engine_);
-  Count(counters_.revokes);
-  Count(counters_.revocations_cascaded, outcome.revoked_count);
+  Count(kStatRevokes);
+  Count(kStatRevocationsCascaded, outcome.revoked_count);
   const Status applied = ApplyEffects(outcome.effects);
   if (!applied.ok()) {
     // Revocation is never rolled back (§3.2: cleanups are guaranteed). The
@@ -1094,7 +873,7 @@ Status Monitor::Transition(CoreId core, CapId domain_handle) {
   TYCHE_RETURN_IF_ERROR(backend_->BindCore(target, core));
   call_stacks_[core].push_back(caller);
   machine_->cpu(core).set_current_domain(target);
-  Count(counters_.transitions);
+  Count(kStatTransitions);
   return OkStatus();
 }
 
@@ -1122,7 +901,7 @@ Status Monitor::ReturnFromDomain(CoreId core) {
   TYCHE_RETURN_IF_ERROR(backend_->BindCore(previous, core));
   call_stacks_[core].pop_back();
   machine_->cpu(core).set_current_domain(previous);
-  Count(counters_.transitions);
+  Count(kStatTransitions);
   return OkStatus();
 }
 
@@ -1162,12 +941,12 @@ Status Monitor::FastTransition(CoreId core, DomainId target) {
   // No trap: the hardware validates against the pre-armed EPTP list. Only
   // the VMFUNC-equivalent cost is charged.
   machine_->cycles().Charge(CostModel::Default().vmfunc_switch);
-  Count(counters_.api_calls[static_cast<size_t>(ApiOp::kFastTransition)]);
+  Count(kStatApiCalls + static_cast<size_t>(ApiOp::kFastTransition));
   const DomainId caller = machine_->cpu(core).current_domain();
   TYCHE_RETURN_IF_ERROR(backend_->FastBindCore(target, core));
   call_stacks_[core].push_back(caller);
   machine_->cpu(core).set_current_domain(target);
-  Count(counters_.fast_transitions);
+  Count(kStatFastTransitions);
   return OkStatus();
 }
 
@@ -1183,7 +962,7 @@ Status Monitor::FastReturn(CoreId core) {
   TYCHE_RETURN_IF_ERROR(backend_->FastBindCore(previous, core));
   call_stacks_[core].pop_back();
   machine_->cpu(core).set_current_domain(previous);
-  Count(counters_.fast_transitions);
+  Count(kStatFastTransitions);
   return OkStatus();
 }
 

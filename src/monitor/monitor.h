@@ -29,7 +29,6 @@
 #include "src/monitor/domain.h"
 #include "src/monitor/watchdog.h"
 #include "src/support/flight_recorder.h"
-#include "src/support/metrics.h"
 #include "src/support/profiler.h"
 #include "src/support/status.h"
 #include "src/support/telemetry.h"
@@ -79,10 +78,12 @@ struct GrantResult {
   std::vector<CapId> remainders;
 };
 
-// Aggregated view of the monitor's stat counters. Since PR 6 this is a
-// SNAPSHOT type: the live counters are per-core striped cells in the
-// metrics registry (src/support/metrics.h) so concurrent dispatchers never
-// bounce a shared cache line; Monitor::stats() sums the stripes on read.
+// The monitor's one stats sample (Monitor::stats()): typed values, no
+// names. The first block is the monitor's own striped counters, summed on
+// read; the rest is read from the subsystems that own each signal at sample
+// time. libtyche's MonitorMetrics (src/tyche/observe.h) names the sample as
+// metric families; histograms and exemplars stay behind their own typed
+// accessors (telemetry().OpHistogram, profiler().PhaseSnapshot/Exemplar).
 struct MonitorStats {
   uint64_t api_calls[static_cast<size_t>(ApiOp::kOpCount)] = {};
   uint64_t transitions = 0;
@@ -101,6 +102,39 @@ struct MonitorStats {
   static constexpr size_t kEffectKinds = 6;
   uint64_t effects_by_kind[kEffectKinds] = {};
 
+  // The platform backend: its name ("vtx", "pmp"), what it did, and how
+  // many domains sit in its fail-safe state.
+  const char* backend_name = "";
+  BackendStats backend;
+  uint64_t backend_failsafe_active = 0;
+  // The audit journal: chain length, signed checkpoints, commits and the
+  // appends that blocked on the chain lock.
+  uint64_t journal_records = 0;
+  uint64_t journal_checkpoints = 0;
+  Journal::GroupCommitStats journal_commits;
+  Journal::CommitWaitStats journal_commit_waits;
+  // The trace ring, and conditional-guard contention by lock class.
+  uint64_t trace_recorded = 0;
+  uint64_t trace_dropped = 0;
+  uint64_t lock_contention_exclusive = 0;
+  uint64_t lock_contention_shared = 0;
+  uint64_t lock_wait_ns_exclusive = 0;
+  uint64_t lock_wait_ns_shared = 0;
+  uint64_t lock_wait_ns_shard = 0;
+  // Live state: domains, and capabilities by state (every node is active
+  // or donated, since revoked nodes are reclaimed).
+  uint64_t domains_alive = 0;
+  uint64_t caps_active = 0;
+  uint64_t caps_donated = 0;
+  uint64_t flight_captures = 0;
+  uint64_t profiler_samples = 0;
+  // The invariant watchdog: per-invariant health and its totals.
+  bool watchdog_chain_healthy = true;
+  bool watchdog_index_healthy = true;
+  bool watchdog_backend_healthy = true;
+  uint64_t watchdog_checks = 0;
+  uint64_t watchdog_violations = 0;
+
   uint64_t TotalCalls() const {
     uint64_t total = 0;
     for (const uint64_t count : api_calls) {
@@ -118,8 +152,21 @@ struct MonitorStats {
   }
 };
 
-// The scrape label for each effect-kind counter slot.
-const char* CapEffectKindName(CapEffect::Kind kind);
+// The monitor's own stat counters live in one array of StripedCounters
+// (the first block of MonitorStats); these are their indices. The flight
+// recorder's deltas carry them and libtyche names them (MonitorCounterName).
+// The order is the scrape's -- families by name, then series -- so deltas
+// come out in scrape order.
+inline constexpr size_t kStatApiCalls = 0;  // + ApiOp
+inline constexpr size_t kStatShares = kStatApiCalls + static_cast<size_t>(ApiOp::kOpCount);
+inline constexpr size_t kStatGrants = kStatShares + 1;
+inline constexpr size_t kStatRevokes = kStatGrants + 1;
+inline constexpr size_t kStatEffects = kStatRevokes + 1;  // + CapEffect::Kind
+inline constexpr size_t kStatRecoveries = kStatEffects + MonitorStats::kEffectKinds;
+inline constexpr size_t kStatRevocationsCascaded = kStatRecoveries + 1;
+inline constexpr size_t kStatTransitions = kStatRevocationsCascaded + 1;
+inline constexpr size_t kStatFastTransitions = kStatTransitions + 1;
+inline constexpr size_t kStatCounters = kStatFastTransitions + 1;
 
 class Monitor {
  public:
@@ -131,17 +178,17 @@ class Monitor {
   Machine* machine() { return machine_; }
   const CapabilityEngine& engine() const { return engine_; }
   Backend& backend() { return *backend_; }
-  // Aggregates the striped registry counters into the legacy snapshot shape.
+  // The one stats sample. Safe against concurrent dispatchers: quiesces
+  // them via api_mu_ for the read only, since backend stats and the domain
+  // table are plain fields.
   MonitorStats stats() const;
   Telemetry& telemetry() { return telemetry_; }
   const Telemetry& telemetry() const { return telemetry_; }
-  MetricsRegistry& metrics() { return metrics_; }
-  const MetricsRegistry& metrics() const { return metrics_; }
   FlightRecorder& flight_recorder() { return flight_; }
   const FlightRecorder& flight_recorder() const { return flight_; }
   // Kill switch for the stat counters, mirroring the telemetry switches so
-  // bench_telemetry can cost the registry itself. Disabling freezes
-  // stats()/CollectMetrics() counter values; production leaves it on.
+  // bench_telemetry can cost the counters themselves. Disabling freezes the
+  // stats() counter values; production leaves it on.
   void set_counters_enabled(bool enabled) {
     counters_on_.store(enabled, std::memory_order_relaxed);
   }
@@ -253,14 +300,6 @@ class Monitor {
   Result<bool> AuditHardwareConsistency();
 
   // --- Introspection (tests, benches, examples) ---
-  // Values of every registered metric: stat counters, backend/journal/
-  // trace/contention signals, fault-injection hits, per-op latency
-  // histograms. The registry is the one source of stats; stats(),
-  // backend().stats(), telemetry().ring() and audit() are typed views of the
-  // same signals. Safe against concurrent dispatchers (quiesces via api_mu_
-  // for the collection only). libtyche's RenderPrometheus
-  // (src/tyche/observe.h) turns the result into the Prometheus scrape.
-  std::vector<MetricFamily> CollectMetrics() const;
   // Checkpoints and serializes the audit journal (wire format for
   // VerifyJournal in src/tyche/verifier.h / tools/journal_verify).
   std::vector<uint8_t> ExportJournal() { return audit_.Export(); }
@@ -378,21 +417,12 @@ class Monitor {
   Status ChargeCall(ApiOp op);
   uint64_t TrapCost() const;
 
-  // Registers every monitor signal with the registry: the native striped
-  // stat counters plus pull callbacks for backend, journal, trace ring,
-  // lock contention, fault injection, and per-op latency histograms.
-  void RegisterMetrics();
-  // Zeroes every MonitorStats-equivalent counter (recovery epoch reset).
-  // Contention counters and journal commit stats are NOT touched —
-  // the pre-PR-6 code never reset those either.
-  void ResetStatCounters();
-
-  // Stat-counter bump. Striped cells make this safe in both serial and
-  // concurrent mode; the flag is the bench kill switch (see
-  // set_counters_enabled).
-  void Count(StripedCounter* counter, uint64_t delta = 1) {
+  // Stat-counter bump (`index` is a kStat* constant). Striped cells make
+  // this safe in both serial and concurrent mode; the flag is the bench
+  // kill switch (see set_counters_enabled).
+  void Count(size_t index, uint64_t delta = 1) {
     if (counters_on_.load(std::memory_order_relaxed)) {
-      counter->Add(delta);
+      counters_[index].Add(delta);
     }
   }
 
@@ -429,30 +459,17 @@ class Monitor {
   // dispatch class: two concurrent seals must never reuse a nonce.
   std::atomic<uint64_t> seal_nonce_{1};
 
-  // The live stat counters (MonitorStats is now just the snapshot shape).
-  // Cached pointers into metrics_; the registry owns the cells.
-  struct StatCounters {
-    std::array<StripedCounter*, static_cast<size_t>(ApiOp::kOpCount)> api_calls{};
-    StripedCounter* transitions = nullptr;
-    StripedCounter* fast_transitions = nullptr;
-    StripedCounter* revocations_cascaded = nullptr;
-    StripedCounter* recoveries = nullptr;
-    StripedCounter* shares = nullptr;
-    StripedCounter* grants = nullptr;
-    StripedCounter* revokes = nullptr;
-    std::array<StripedCounter*, MonitorStats::kEffectKinds> effects_by_kind{};
-  };
-  MetricsRegistry metrics_;
-  StatCounters counters_;
+  // The live stat counters, indexed by the kStat* constants; stats() sums
+  // them into MonitorStats.
+  std::array<StripedCounter, kStatCounters> counters_;
   std::atomic<bool> counters_on_{true};
   Telemetry telemetry_{static_cast<size_t>(ApiOp::kOpCount)};
-  // Post-mortem ring: snapshots trace tail + metric deltas on dispatch
-  // errors, fault-site triggers, and recovery. Depends on telemetry_ and
-  // metrics_, so it is declared after both.
-  FlightRecorder flight_{&telemetry_.ring(), &metrics_};
+  // Post-mortem ring: snapshots trace tail + counter deltas on dispatch
+  // errors, fault-site triggers, and recovery. Borrows telemetry_'s ring and
+  // counters_, so it is declared after both.
+  FlightRecorder flight_{&telemetry_.ring(), counters_};
   AuditJournal audit_;
-  // Depends on telemetry/metrics only through the registry callbacks wired
-  // in RegisterMetrics(); storage is lazily allocated on first enable.
+  // Storage is lazily allocated on first enable.
   DispatchProfiler profiler_{static_cast<size_t>(ApiOp::kOpCount)};
   // Borrows the journal, engine, and flight recorder declared above; the
   // backend pointer is installed by the constructor (and re-installed by

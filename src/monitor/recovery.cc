@@ -505,9 +505,11 @@ Status Monitor::Recover(std::span<const uint8_t> snapshot_bytes,
   // 8. Telemetry reset-and-mark: only the recovery counter crosses the
   //    epoch, so post-recovery dumps never mix pre-crash samples -- the
   //    phase profiler included, whose exemplars would otherwise point at
-  //    trace entries that no longer exist. The
-  //    recovered-seq flight record is captured BEFORE the reset so its
-  //    metrics delta shows the pre-crash epoch draining to zero.
+  //    trace entries that no longer exist. The recovered-seq flight record
+  //    is captured BEFORE the reset, so its counter deltas are the last
+  //    pre-crash moves since the previous capture; the reset then re-bases
+  //    the recorder, so the next record's deltas count from the new epoch's
+  //    zero (and show this recovery as recoveries +1).
   const uint64_t recovered_seq =
       journal.records.empty()
           ? (journal.checkpoints.empty() ? 0 : journal.checkpoints.back().seq)
@@ -516,9 +518,13 @@ Status Monitor::Recover(std::span<const uint8_t> snapshot_bytes,
   flight_.Capture("recovery", static_cast<uint16_t>(ApiOp::kOpCount), recovery_span,
                   /*error=*/0,
                   "recovered to journal seq " + std::to_string(recovered_seq));
-  const uint64_t recoveries = counters_.recoveries->Value() + 1;
-  ResetStatCounters();
-  counters_.recoveries->Add(recoveries);
+  for (size_t i = 0; i < kStatCounters; ++i) {
+    if (i != kStatRecoveries) {
+      counters_[i].Reset();
+    }
+  }
+  flight_.Rebase();
+  counters_[kStatRecoveries].Add(1);
   telemetry_.ring().Clear();
   telemetry_.ClearHistograms();
   profiler_.Reset();
@@ -526,7 +532,7 @@ Status Monitor::Recover(std::span<const uint8_t> snapshot_bytes,
   audit_.Recovery(recovery_span, recovered_seq);
   TYCHE_LOG(kWarn) << "monitor recovered to journal seq " << recovered_seq << " ("
                    << (have_snapshot ? "snapshot + suffix replay" : "full replay")
-                   << ", recovery #" << recoveries << ")";
+                   << ", recovery #" << counters_[kStatRecoveries].Value() << ")";
   return OkStatus();
 }
 

@@ -75,8 +75,9 @@ class InvariantWatchdog {
   // Runs every check immediately (tests, shutdown sweeps).
   void CheckNow(uint16_t op, uint64_t span);
 
-  // Health gauges: 1 = invariant holds, 0 = violated. Exported through the
-  // metrics registry as tyche_watchdog_healthy{invariant=...}.
+  // Health gauges: 1 = invariant holds, 0 = violated. Sampled by
+  // Monitor::stats(); libtyche scrapes them as
+  // tyche_watchdog_healthy{invariant=...}.
   bool chain_healthy() const { return chain_healthy_.load(std::memory_order_relaxed); }
   bool index_healthy() const { return index_healthy_.load(std::memory_order_relaxed); }
   bool backend_healthy() const {

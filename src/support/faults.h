@@ -175,7 +175,7 @@ class FaultInjector {
   // Site occurrences observed in the current window (armed or counting).
   uint64_t total_hits() const;
   // Faults delivered over the process lifetime, across Arm()/Disarm()
-  // cycles. This is the counter the metrics registry scrapes: a fleet
+  // cycles. This is the counter the monitor's scrape reports: a fleet
   // dashboard wants "has injection ever fired here", not the per-plan view.
   uint64_t lifetime_fired_count() const {
     return lifetime_fired_.load(std::memory_order_relaxed);

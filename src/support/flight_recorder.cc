@@ -2,6 +2,8 @@
 
 #include "src/support/flight_recorder.h"
 
+#include <algorithm>
+
 namespace tyche {
 
 namespace {
@@ -13,9 +15,13 @@ uint64_t DedupKey(uint16_t op, uint64_t error) {
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(const TraceRing* ring, const MetricsRegistry* registry,
+FlightRecorder::FlightRecorder(const TraceRing* ring, std::span<const StripedCounter> counters,
                                size_t capacity, size_t last_n)
-    : ring_(ring), registry_(registry), capacity_(capacity), last_n_(last_n) {}
+    : ring_(ring),
+      counters_(counters),
+      capacity_(capacity),
+      last_n_(last_n),
+      last_values_(counters.size(), 0) {}
 
 bool FlightRecorder::OnDispatchError(uint16_t op, uint64_t span, uint64_t error) {
   if (!enabled()) {
@@ -60,20 +66,15 @@ void FlightRecorder::CaptureLocked(const std::string& reason, uint16_t op, uint6
   if (ring_ != nullptr) {
     record.trace = ring_->Snapshot(last_n_);
   }
-  if (registry_ != nullptr) {
-    // Native series only: captures run on dispatch threads, and callback
-    // metrics read state that another thread may be mutating under its own
-    // lock. Striped counters are atomic, so they are always safe.
-    for (MetricFamily& family : registry_->Collect(/*include_callbacks=*/false)) {
-      for (MetricSeries& series : family.series) {
-        uint64_t& last = last_values_[{family.name, series.labels}];
-        if (series.value != last) {
-          record.metrics_delta.push_back(
-              {family.name, std::move(series.labels),
-               static_cast<int64_t>(series.value) - static_cast<int64_t>(last)});
-        }
-        last = series.value;
-      }
+  // Striped counters are atomic, so a capture on a dispatch thread may read
+  // them while other threads count.
+  for (size_t i = 0; i < counters_.size(); ++i) {
+    const uint64_t value = counters_[i].Value();
+    if (value != last_values_[i]) {
+      record.metrics_delta.push_back(
+          {static_cast<uint32_t>(i),
+           static_cast<int64_t>(value) - static_cast<int64_t>(last_values_[i])});
+      last_values_[i] = value;
     }
   }
   records_.push_back(std::move(record));
@@ -95,9 +96,16 @@ size_t FlightRecorder::size() const {
 void FlightRecorder::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   records_.clear();
-  last_values_.clear();
+  std::fill(last_values_.begin(), last_values_.end(), 0);
   for (std::atomic<uint64_t>& slot : seen_) {
     slot.store(0, std::memory_order_relaxed);
+  }
+}
+
+void FlightRecorder::Rebase() {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (size_t i = 0; i < counters_.size(); ++i) {
+    last_values_[i] = counters_[i].Value();
   }
 }
 

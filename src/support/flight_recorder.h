@@ -7,8 +7,9 @@
 // JUST BEFORE: the last few trace entries and how the counters moved since
 // the previous incident. The flight recorder captures exactly that into a
 // fixed ring of records, atomically under one mutex. It keeps values, not
-// text: libtyche's ExportFlightJson (src/tyche/observe.h) renders the
-// records as JSON for bug reports and CI artifacts.
+// text: a counter delta is the counter's index in the borrowed array, and
+// libtyche's ExportFlightJson (src/tyche/observe.h) names the indices and
+// renders the records as JSON for bug reports and CI artifacts.
 //
 // Hot-path discipline: dispatch errors are routine (an empty interrupt
 // queue returns kNotFound thousands of times per second in the benches), so
@@ -24,10 +25,9 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <mutex>
+#include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/support/metrics.h"
@@ -35,10 +35,9 @@
 
 namespace tyche {
 
-// How far one native series moved between two captures.
-struct MetricDelta {
-  std::string name;     // family name
-  MetricLabels labels;  // the series' labels, in registration order
+// How far one borrowed counter moved between two captures.
+struct CounterDelta {
+  uint32_t index = 0;  // position in the recorder's counter array
   int64_t delta = 0;
 };
 
@@ -50,9 +49,9 @@ struct FlightRecord {
   uint64_t error = 0;         // ErrorCode surfaced (0 for recovery captures)
   std::string detail;         // fault site name, recovery summary, ...
   std::vector<TraceEntry> trace;  // last-N ring entries at capture, oldest first
-  // Native series that CHANGED since the previous capture (or since the
-  // recorder was created/cleared), in MetricsRegistry::Collect() order.
-  std::vector<MetricDelta> metrics_delta;
+  // Counters that CHANGED since the previous capture (or since the recorder
+  // was created, cleared or re-based), in index order.
+  std::vector<CounterDelta> metrics_delta;
 };
 
 class FlightRecorder {
@@ -60,9 +59,9 @@ class FlightRecorder {
   static constexpr size_t kDefaultCapacity = 16;  // post-mortem records kept
   static constexpr size_t kDefaultLastN = 64;     // trace entries per record
 
-  // Both sources are borrowed and must outlive the recorder. Either may be
-  // null (captures then omit that section).
-  FlightRecorder(const TraceRing* ring, const MetricsRegistry* registry,
+  // Both sources are borrowed and must outlive the recorder. The ring may be
+  // null and the counter array empty (captures then omit that section).
+  FlightRecorder(const TraceRing* ring, std::span<const StripedCounter> counters,
                  size_t capacity = kDefaultCapacity, size_t last_n = kDefaultLastN);
 
   void set_enabled(bool enabled) { enabled_.store(enabled, std::memory_order_relaxed); }
@@ -85,12 +84,17 @@ class FlightRecorder {
   // Drops all records and resets the dispatch-error dedup filter.
   void Clear();
 
+  // Takes the counters' current values as the baseline for the next
+  // capture's deltas. Whoever resets the counters calls this, so a delta
+  // never spans the reset.
+  void Rebase();
+
  private:
   void CaptureLocked(const std::string& reason, uint16_t op, uint64_t span,
                      uint64_t error, const std::string& detail);
 
   const TraceRing* ring_;
-  const MetricsRegistry* registry_;
+  const std::span<const StripedCounter> counters_;
   const size_t capacity_;
   const size_t last_n_;
   std::atomic<bool> enabled_{true};
@@ -104,8 +108,8 @@ class FlightRecorder {
 
   mutable std::mutex mu_;
   std::deque<FlightRecord> records_;
-  // Scalar baseline for deltas, keyed by (family name, labels).
-  std::map<std::pair<std::string, MetricLabels>, uint64_t> last_values_;
+  // Baseline for deltas, one value per borrowed counter.
+  std::vector<uint64_t> last_values_;
 };
 
 }  // namespace tyche

@@ -78,82 +78,4 @@ void Log2Histogram::Reset() {
   max_.store(0, std::memory_order_relaxed);
 }
 
-MetricsRegistry::Child* MetricsRegistry::FindOrAddChild(const std::string& name,
-                                                        const std::string& help, MetricType type,
-                                                        const MetricLabels& labels) {
-  Family& family = families_[name];
-  if (family.children.empty()) {
-    family.help = help;
-    family.type = type;
-  }
-  for (Child& child : family.children) {
-    if (child.labels == labels) {
-      return &child;
-    }
-  }
-  family.children.emplace_back();
-  family.children.back().labels = labels;
-  return &family.children.back();
-}
-
-StripedCounter* MetricsRegistry::AddCounter(const std::string& name, const std::string& help,
-                                            const MetricLabels& labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Child* child = FindOrAddChild(name, help, MetricType::kCounter, labels);
-  if (child->counter == nullptr) {
-    child->counter = std::make_unique<StripedCounter>();
-  }
-  return child->counter.get();
-}
-
-void MetricsRegistry::AddCallback(const std::string& name, const std::string& help,
-                                  bool counter, const MetricLabels& labels,
-                                  std::function<uint64_t()> read) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Child* child =
-      FindOrAddChild(name, help, counter ? MetricType::kCounter : MetricType::kGauge, labels);
-  child->read = std::move(read);
-}
-
-void MetricsRegistry::AddHistogram(const std::string& name, const std::string& help,
-                                   const MetricLabels& labels,
-                                   std::function<HistogramSnapshot()> read) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Child* child = FindOrAddChild(name, help, MetricType::kHistogram, labels);
-  child->histogram = std::move(read);
-}
-
-std::vector<MetricFamily> MetricsRegistry::Collect(bool include_callbacks) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<MetricFamily> families;
-  families.reserve(families_.size());
-  for (const auto& [name, family] : families_) {
-    if (!include_callbacks && family.type == MetricType::kHistogram) {
-      continue;
-    }
-    MetricFamily collected{name, family.help, family.type, {}};
-    for (const Child& child : family.children) {
-      MetricSeries series{child.labels, 0, {}};
-      if (family.type == MetricType::kHistogram) {
-        if (!child.histogram) {
-          continue;
-        }
-        series.histogram = child.histogram();
-      } else if (child.counter != nullptr) {
-        series.value = child.counter->Value();
-      } else if (child.read) {
-        if (!include_callbacks) {
-          continue;
-        }
-        series.value = child.read();
-      }
-      collected.series.push_back(std::move(series));
-    }
-    if (include_callbacks || !collected.series.empty()) {
-      families.push_back(std::move(collected));
-    }
-  }
-  return families;
-}
-
 }  // namespace tyche

@@ -1,12 +1,11 @@
 // Copyright 2026 The Tyche Reproduction Authors.
-// Zero-dependency metrics registry for the monitor stack (DESIGN.md §6
-// "Metrics & export").
+// The monitor's lock-free counting primitives (DESIGN.md §6 "Metrics &
+// export").
 //
-// The fleet-observability contract: every signal the monitor produces --
-// per-op call counts, transition/revocation totals, backend projection
-// counters, journal chain length, lock contention, fault-injection hits --
-// must be scrapeable without the instrumentation itself serializing cores.
-// Three pieces deliver that:
+// Every signal the monitor counts -- per-op call counts, transition and
+// revocation totals, lock contention, dispatch latency -- must be countable
+// without the instrumentation itself serializing cores. Two pieces deliver
+// that:
 //
 //  - StripedCounter: a monotonic counter spread over kMetricStripes
 //    cache-line-aligned cells. Each thread picks a stripe once (round-robin
@@ -15,23 +14,17 @@
 //    monotonic but not linearizable, which is exactly what a scraper needs.
 //  - Log2Histogram: the monitor's one live latency histogram -- 64 relaxed
 //    atomic log2 bucket cells plus sum and max, so recording never takes a
-//    lock. Snapshot() turns it into the HistogramSnapshot value type the
-//    registry collects and callers compute percentiles on.
-//  - MetricsRegistry: named families of counters, gauges, and histogram
-//    views, each with optional labels. Native counters live in the
-//    registry; signals owned elsewhere (backend stats, journal sizes, fault
-//    hits, every gauge) register PULL CALLBACKS so the registry never
-//    duplicates state.
+//    lock. Snapshot() turns it into the HistogramSnapshot value type callers
+//    compute percentiles on.
 //
-// Collection ends here and rendering starts outside the monitor:
-// MetricsRegistry::Collect() hands out plain values (MetricFamily), and
-// libtyche's src/tyche/observe.h turns them into Prometheus text. No text
-// format lives in this file.
+// Nothing here has a name. The monitor hands out typed values
+// (Monitor::stats(), the histogram accessors); libtyche names them as
+// metric families and renders them (src/tyche/observe.h), so no metric
+// name, help string or label lives in the trusted computing base.
 //
-// Everything here is independent of the monitor's types: histogram views
-// are exported through the plain HistogramSnapshot struct below, so
-// telemetry.h can include this header (for the striped contention counters
-// and Log2Histogram) without a cycle.
+// Everything here is independent of the monitor's types, so telemetry.h can
+// include this header (for the striped contention counters and
+// Log2Histogram) without a cycle.
 
 #ifndef SRC_SUPPORT_METRICS_H_
 #define SRC_SUPPORT_METRICS_H_
@@ -40,11 +33,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -123,8 +111,8 @@ class StripedCounter {
 };
 
 // A histogram value: bucket upper bounds with per-bucket counts, plus
-// count/sum/max. Log2Histogram::Snapshot() produces it; the registry
-// collects it, and callers merge it and read percentiles from it.
+// count/sum/max. Log2Histogram::Snapshot() produces it; callers merge it,
+// read percentiles from it, and libtyche renders it.
 struct HistogramSnapshot {
   // (inclusive upper bound, count in bucket) pairs, ascending. The renderer
   // emits cumulative counts and appends the +Inf bucket itself.
@@ -183,77 +171,6 @@ class Log2Histogram {
   std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> max_{0};
-};
-
-// label key/value pairs, kept in the order given.
-using MetricLabels = std::vector<std::pair<std::string, std::string>>;
-
-enum class MetricType { kCounter, kGauge, kHistogram };
-
-// One child series as collected: its labels and, by family type, either a
-// scalar value or a histogram snapshot.
-struct MetricSeries {
-  MetricLabels labels;
-  uint64_t value = 0;
-  HistogramSnapshot histogram;
-};
-
-// One family as collected: children in registration order.
-struct MetricFamily {
-  std::string name;
-  std::string help;
-  MetricType type = MetricType::kCounter;
-  std::vector<MetricSeries> series;
-};
-
-class MetricsRegistry {
- public:
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  // Get-or-create a native striped counter child. The returned pointer is
-  // stable for the registry's lifetime; hot paths cache it and never touch
-  // the registry again.
-  StripedCounter* AddCounter(const std::string& name, const std::string& help,
-                             const MetricLabels& labels = {});
-
-  // Registers a pull callback for a signal owned elsewhere. `counter`
-  // controls the TYPE line (counter vs gauge).
-  void AddCallback(const std::string& name, const std::string& help, bool counter,
-                   const MetricLabels& labels, std::function<uint64_t()> read);
-
-  // Registers a histogram view; the callback snapshots the source histogram
-  // at collection time.
-  void AddHistogram(const std::string& name, const std::string& help,
-                    const MetricLabels& labels, std::function<HistogramSnapshot()> read);
-
-  // The one collection walk: families sorted by name, children in
-  // registration order. `include_callbacks = false` keeps native counters
-  // only (callback scalars and histograms are dropped, and so is a family
-  // left with no series); the flight recorder uses that form because it
-  // samples from dispatch threads while callback-backed state (domain table,
-  // backend stats) may be mid-mutation under another lock.
-  std::vector<MetricFamily> Collect(bool include_callbacks = true) const;
-
- private:
-  struct Child {
-    MetricLabels labels;
-    std::unique_ptr<StripedCounter> counter;     // native counter
-    std::function<uint64_t()> read;              // callback scalar
-    std::function<HistogramSnapshot()> histogram;  // callback histogram
-  };
-  struct Family {
-    std::string help;
-    MetricType type = MetricType::kCounter;
-    std::vector<Child> children;
-  };
-
-  Child* FindOrAddChild(const std::string& name, const std::string& help, MetricType type,
-                        const MetricLabels& labels);
-
-  mutable std::mutex mu_;  // guards families_ shape; cell updates are atomic
-  std::map<std::string, Family> families_;
 };
 
 }  // namespace tyche

@@ -41,9 +41,9 @@ TEST(GraphEscapeTest, JsonStringEscaping) {
 // The flight recorder's JSON goes through the same escaper: a control
 // character in a fault detail survives as \u0001 instead of a space.
 TEST(GraphEscapeTest, FlightRecorderJsonEscapesControlCharacters) {
-  FlightRecorder recorder(nullptr, nullptr);
+  FlightRecorder recorder(nullptr, {});
   recorder.Capture("fault_site", 0, 0, 0, std::string("site\x01\"name\"\n"));
-  const std::string json = ExportFlightJson(recorder, nullptr);
+  const std::string json = ExportFlightJson(recorder, nullptr, nullptr);
   EXPECT_NE(json.find("\"detail\":\"site\\u0001\\\"name\\\"\\n\""), std::string::npos)
       << json;
 }

@@ -155,7 +155,7 @@ TEST_F(ConcurrentDispatchTest, StressedMonitorStillReplaysAndVerifies) {
   EXPECT_GT(stats.batches, 0u);
   EXPECT_EQ(stats.batched_records, monitor_->audit().journal().size());
   EXPECT_GE(stats.max_batch, 1u);
-  const std::string scrape = RenderPrometheus(monitor_->CollectMetrics());
+  const std::string scrape = RenderPrometheus(MonitorMetrics(*monitor_));
   EXPECT_NE(scrape.find("tyche_journal_group_commit_batches_total " +
                         std::to_string(stats.batches) + "\n"),
             std::string::npos);

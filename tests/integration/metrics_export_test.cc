@@ -1,8 +1,8 @@
 // Copyright 2026 The Tyche Reproduction Authors.
 // Fleet observability end-to-end: every signal the monitor's typed views
 // report (stats(), backend().stats(), the trace ring, the journal) must be
-// reachable through Monitor::CollectMetrics() (rendered as the Prometheus
-// scrape by RenderPrometheus), the flight recorder must capture
+// reachable through the scrape (MonitorMetrics, rendered by
+// RenderPrometheus), the flight recorder must capture
 // fault-injected dispatch failures with the causal span id of the failing
 // call, and the counter kill switch must freeze accounting without breaking
 // the scrape.
@@ -64,9 +64,9 @@ class MetricsExportTest : public BootedMachineTest {
 TEST_F(MetricsExportTest, ExportCoversEveryTypedStatsSignal) {
   RunWorkload();
   const MonitorStats stats = monitor_->stats();
-  const std::string text = RenderPrometheus(monitor_->CollectMetrics());
+  const std::string text = RenderPrometheus(MonitorMetrics(*monitor_));
 
-  // Every family the registry promises (and CI's check_metrics_format.py
+  // Every family the scrape promises (and CI's check_metrics_format.py
   // requires) is present with its TYPE line.
   const char* kFamilies[] = {
       "tyche_api_calls_total",
@@ -114,7 +114,7 @@ TEST_F(MetricsExportTest, ExportCoversEveryTypedStatsSignal) {
                              stats.revocations_cascaded)),
             std::string::npos);
 
-  // Pull callbacks agree with their owners: trace accounting, journal chain
+  // Sampled signals agree with their owners: trace accounting, journal chain
   // length, live-domain gauge, backend projection counters.
   EXPECT_NE(text.find(Sample("tyche_trace_recorded_total",
                              monitor_->telemetry().ring().recorded())),
@@ -135,6 +135,23 @@ TEST_F(MetricsExportTest, ExportCoversEveryTypedStatsSignal) {
             std::string::npos);
   EXPECT_NE(text.find("tyche_dispatch_latency_ns_bucket{op=\"share_memory\",le=\"+Inf\"} 1\n"),
             std::string::npos);
+}
+
+// Every native counter index names one series of the scrape, and the
+// indices run in scrape order, so flight-record deltas (which carry indices)
+// come out in the order the scrape lists them.
+TEST_F(MetricsExportTest, EveryCounterIndexNamesAScrapeSeriesInOrder) {
+  RunWorkload();
+  const std::string text = "\n" + RenderPrometheus(MonitorMetrics(*monitor_));
+  size_t previous = 0;
+  for (size_t index = 0; index < kStatCounters; ++index) {
+    const std::string name = MonitorCounterName(index);
+    const size_t at = text.find("\n" + name + " ");
+    ASSERT_NE(at, std::string::npos) << name;
+    EXPECT_GT(at, previous) << name;
+    previous = at;
+  }
+  EXPECT_EQ(MonitorCounterName(kStatCounters), std::to_string(kStatCounters));
 }
 
 TEST_F(MetricsExportTest, FaultInjectedDispatchErrorCapturesFlightRecord) {
@@ -173,14 +190,15 @@ TEST_F(MetricsExportTest, FaultInjectedDispatchErrorCapturesFlightRecord) {
   EXPECT_FALSE(record.metrics_delta.empty());
 
   // The lifetime injection counter is visible on the scrape.
-  EXPECT_NE(RenderPrometheus(monitor_->CollectMetrics())
+  EXPECT_NE(RenderPrometheus(MonitorMetrics(*monitor_))
                 .find("tyche_fault_injections_fired_total"),
             std::string::npos);
 
   // JSON dump renders the record for artifacts.
   const std::string json = ExportFlightJson(
       monitor_->flight_recorder(),
-      [](uint16_t op) { return std::string(ApiOpName(static_cast<ApiOp>(op))); });
+      [](uint16_t op) { return std::string(ApiOpName(static_cast<ApiOp>(op))); },
+      MonitorCounterName);
   EXPECT_NE(json.find("\"reason\":\"fault_site\""), std::string::npos);
   EXPECT_NE(json.find("share_memory"), std::string::npos);
 }
@@ -217,7 +235,7 @@ TEST_F(MetricsExportTest, CounterKillSwitchFreezesAccounting) {
   ASSERT_EQ(Call(0, ApiOp::kCreateDomain).error, 0u);
   EXPECT_EQ(monitor_->stats().api_calls[static_cast<size_t>(ApiOp::kCreateDomain)],
             before + 1);
-  EXPECT_NE(RenderPrometheus(monitor_->CollectMetrics()).find("tyche_api_calls_total"),
+  EXPECT_NE(RenderPrometheus(MonitorMetrics(*monitor_)).find("tyche_api_calls_total"),
             std::string::npos);
 }
 

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/monitor/attestation.h"
@@ -18,6 +20,7 @@
 #include "src/monitor/dispatch.h"
 #include "src/support/faults.h"
 #include "src/tyche/graph_export.h"
+#include "src/tyche/observe.h"
 #include "src/tyche/verifier.h"
 #include "tests/testing/booted_machine.h"
 
@@ -274,6 +277,48 @@ TEST(RecoveryTest, RecoveryResetsThePhaseProfiler) {
       EXPECT_EQ(exemplar.ts_ns, 0u) << "op " << op << " phase " << p;
     }
   }
+}
+
+// An in-place Recover() zeroes the stat counters, and the flight recorder
+// re-bases with them: the first post-recovery record counts from the new
+// epoch's zero. Without the re-base its baseline still held the pre-crash
+// values, so every counter read as a negative delta, and the failing call's
+// own revoke count (1 -> 0 -> 1) did not show at all.
+TEST(RecoveryTest, FlightDeltasAfterRecoveryCountFromTheNewEpoch) {
+  auto bed = RecoveryBed::Create();
+  ASSERT_NE(bed, nullptr);
+  RunWorkload(*bed);
+  ApiRegs create;
+  create.op = static_cast<uint64_t>(ApiOp::kCreateDomain);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_EQ(Dispatch(bed->monitor.get(), 0, create).error, 0u);
+  }
+
+  const auto snapshot = bed->store.Latest();
+  ASSERT_TRUE(snapshot.ok());
+  const auto parsed = Journal::Deserialize(bed->monitor->audit().journal().Serialize());
+  ASSERT_TRUE(parsed.ok());
+  const Status recovered = bed->monitor->Recover(snapshot->bytes, *parsed);
+  ASSERT_TRUE(recovered.ok()) << recovered.ToString();
+
+  ApiRegs revoke;
+  revoke.op = static_cast<uint64_t>(ApiOp::kRevoke);
+  revoke.arg0 = kInvalidCap;
+  ASSERT_NE(Dispatch(bed->monitor.get(), 0, revoke).error, 0u);
+
+  const std::vector<FlightRecord> records = bed->monitor->flight_recorder().Snapshot();
+  ASSERT_FALSE(records.empty());
+  const FlightRecord& failing = records.back();
+  ASSERT_EQ(failing.reason, "dispatch_error");
+  ASSERT_EQ(failing.op, static_cast<uint16_t>(ApiOp::kRevoke));
+  std::map<std::string, int64_t> deltas;
+  for (const CounterDelta& delta : failing.metrics_delta) {
+    const std::string name = MonitorCounterName(delta.index);
+    EXPECT_GE(delta.delta, 0) << name;
+    deltas[name] = delta.delta;
+  }
+  EXPECT_EQ(deltas["tyche_api_calls_total{op=\"revoke\"}"], 1);
+  EXPECT_EQ(deltas["tyche_recoveries_total"], 1);
 }
 
 TEST(RecoveryTest, RecoveredMonitorAttestsLikeTheOriginal) {

@@ -37,7 +37,7 @@ JournalRecord MakeRecord(uint64_t span, uint32_t domain) {
 
 class WatchdogUnitTest : public ::testing::Test {
  protected:
-  WatchdogUnitTest() : flight_(nullptr, nullptr), watchdog_(&journal_, &engine_, &flight_) {}
+  WatchdogUnitTest() : flight_(nullptr, {}), watchdog_(&journal_, &engine_, &flight_) {}
 
   std::vector<FlightRecord> WatchdogCaptures() {
     std::vector<FlightRecord> out;
@@ -224,7 +224,7 @@ TEST(WatchdogDispatchTest, ChainTamperCaughtByViolatingDispatchAtIntervalOne) {
   EXPECT_NE(watchdog_captures[0].detail.find("journal_chain"), std::string::npos);
 
   // The health gauge is exported and flipped.
-  const std::string metrics = RenderPrometheus(monitor.CollectMetrics());
+  const std::string metrics = RenderPrometheus(MonitorMetrics(monitor));
   EXPECT_NE(metrics.find("tyche_watchdog_healthy"), std::string::npos);
   bool saw_flipped_gauge = false;
   std::istringstream lines(metrics);
@@ -291,7 +291,7 @@ TEST(WatchdogDispatchTest, HealthyWorkloadExportsCleanGauges) {
   EXPECT_EQ(monitor.watchdog().violations(), 0u);
   EXPECT_TRUE(CapturesWithReason(monitor, "watchdog").empty());
 
-  const std::string metrics = RenderPrometheus(monitor.CollectMetrics());
+  const std::string metrics = RenderPrometheus(MonitorMetrics(monitor));
   EXPECT_NE(metrics.find("tyche_watchdog_checks_total"), std::string::npos);
 }
 

@@ -1,7 +1,7 @@
 // Copyright 2026 The Tyche Reproduction Authors.
-// Metrics registry: striped counters under concurrency, the Collect() walk,
-// and the Prometheus text exposition of what it collects (golden strings for
-// escaping and label syntax).
+// Striped counters under concurrency, and libtyche's metrics registry: the
+// Collect() walk and the Prometheus text exposition of what it collects
+// (golden strings for escaping and label syntax).
 
 #include "src/support/metrics.h"
 
@@ -19,10 +19,9 @@ namespace tyche {
 namespace {
 
 // Every scalar series Collect() returns, as (rendered series name, value).
-std::vector<std::pair<std::string, uint64_t>> Scalars(const MetricsRegistry& registry,
-                                                      bool include_callbacks) {
+std::vector<std::pair<std::string, uint64_t>> Scalars(const MetricsRegistry& registry) {
   std::vector<std::pair<std::string, uint64_t>> values;
-  for (const MetricFamily& family : registry.Collect(include_callbacks)) {
+  for (const MetricFamily& family : registry.Collect()) {
     if (family.type == MetricType::kHistogram) {
       continue;
     }
@@ -181,17 +180,12 @@ TEST(MetricsRegistryTest, CallbacksAndCollectedScalars) {
   registry.AddCallback("tyche_pulled", "pulled", /*counter=*/false, {},
                        [&source] { return source; });
 
-  auto all = Scalars(registry, /*include_callbacks=*/true);
+  auto all = Scalars(registry);
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0].first, "tyche_native_total");
   EXPECT_EQ(all[0].second, 7u);
   EXPECT_EQ(all[1].first, "tyche_pulled");
   EXPECT_EQ(all[1].second, 99u);
-
-  // Native-only view (what the flight recorder samples) skips callbacks.
-  auto native = Scalars(registry, /*include_callbacks=*/false);
-  ASSERT_EQ(native.size(), 1u);
-  EXPECT_EQ(native[0].first, "tyche_native_total");
 }
 
 TEST(MetricsRegistryTest, CollectHandsOutValuesNotText) {
@@ -219,12 +213,6 @@ TEST(MetricsRegistryTest, CollectHandsOutValuesNotText) {
   EXPECT_EQ(all[2].type, MetricType::kHistogram);
   EXPECT_EQ(all[2].series.at(0).histogram.count, 1u);
   EXPECT_EQ(all[2].series.at(0).histogram.sum, 2u);
-
-  // Native-only: the callback gauge and the histogram view go, and so do
-  // the families they leave empty.
-  const std::vector<MetricFamily> native = registry.Collect(/*include_callbacks=*/false);
-  ASSERT_EQ(native.size(), 1u);
-  EXPECT_EQ(native[0].name, "tyche_b_total");
 }
 
 TEST(RenderSeriesNameTest, LabelOrderIsPreserved) {

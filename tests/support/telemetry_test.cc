@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <initializer_list>
 #include <thread>
@@ -294,12 +295,12 @@ TEST(TelemetryTest, ConcurrentRecordingIsConsistent) {
 // Two ops failing alternately with one error are two failure shapes: each is
 // captured once. The filter used to take its slot from the key's low bits,
 // which hold only the error, so the two evicted each other and every call
-// became a full capture (ring and registry copied under the mutex).
+// became a full capture (ring and counters copied under the mutex).
 TEST(FlightRecorderTest, DedupKeepsOpsWithTheSameErrorApart) {
   TraceRing ring;
-  MetricsRegistry registry;
-  registry.AddCounter("tyche_x_total", "x")->Add(1);
-  FlightRecorder recorder(&ring, &registry);
+  std::array<StripedCounter, 1> counters;
+  counters[0].Add(1);
+  FlightRecorder recorder(&ring, counters);
   for (int i = 0; i < 1000; ++i) {
     ring.Record(MakeEntry(static_cast<uint16_t>(i), 1));
     recorder.OnDispatchError(i % 2 == 0 ? 7 : 12, /*span=*/0, /*error=*/5);
@@ -317,7 +318,7 @@ TEST(FlightRecorderTest, DedupKeepsOpsWithTheSameErrorApart) {
 TEST(FlightRecorderTest, CaptureKeepsTheRingsLastEntriesInOrder) {
   constexpr size_t kLastN = 64;
   TraceRing ring;
-  FlightRecorder recorder(&ring, /*registry=*/nullptr, /*capacity=*/8, kLastN);
+  FlightRecorder recorder(&ring, /*counters=*/{}, /*capacity=*/8, kLastN);
   for (uint16_t i = 0; i < 10; ++i) {
     ring.Record(MakeEntry(i, i));
   }

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 
 namespace tyche {
@@ -55,15 +56,19 @@ std::string RenderRegistry() {
 
 // Three captures (fault site with an escaped detail, a dispatch error, a
 // recovery with op ~0) over a ring trimmed to the last two entries; the
-// deltas cover a labelled native counter whose label needs escaping, and a
-// callback series that must not appear.
+// deltas cover a counter whose name carries a label that needs escaping, and
+// a counter that never moves and must not appear.
 std::string RenderFlight(const OpNamer& op_name) {
   TraceRing ring(8);
-  MetricsRegistry registry;
-  FlightRecorder recorder(&ring, &registry, /*capacity=*/4, /*last_n=*/2);
-  StripedCounter* calls = registry.AddCounter("tyche_calls_total", "calls", {{"op", "a\"b"}});
-  StripedCounter* errors = registry.AddCounter("tyche_errors_total", "errors");
-  registry.AddCallback("tyche_pulled", "pulled", /*counter=*/false, {}, [] { return 9; });
+  std::array<StripedCounter, 3> counters;
+  FlightRecorder recorder(&ring, counters, /*capacity=*/4, /*last_n=*/2);
+  StripedCounter* calls = &counters[0];
+  StripedCounter* errors = &counters[1];
+  const CounterNamer counter_name = [](size_t index) {
+    const MetricLabels labels[] = {{{"op", "a\"b"}}, {}, {}};
+    const char* names[] = {"tyche_calls_total", "tyche_errors_total", "tyche_idle_total"};
+    return RenderSeriesName(names[index], labels[index]);
+  };
   ring.Record(Entry(1, 0, 10, 0, 40));
   ring.Record(Entry(2, kTraceNoDomain, 11, 3, 55));
   calls->Add(2);
@@ -73,7 +78,7 @@ std::string RenderFlight(const OpNamer& op_name) {
   recorder.OnDispatchError(5, 12, 2);
   calls->Add(1);
   recorder.Capture("recovery", static_cast<uint16_t>(~0u), 0, 0, "replayed 3 records");
-  return ExportFlightJson(recorder, op_name);
+  return ExportFlightJson(recorder, op_name, counter_name);
 }
 
 void FillProfiler(DispatchProfiler& profiler) {

@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """CI check: a metrics scrape must be valid Prometheus text.
 
-The monitor's scrape is Monitor::CollectMetrics() rendered by libtyche's
-RenderPrometheus (src/tyche/observe.h); the fleet's is the verification
-front end's registry rendered the same way.
+The monitor's scrape is its one stats sample, Monitor::stats(), named as
+metric families by libtyche's MonitorMetrics and rendered by RenderPrometheus
+(src/tyche/observe.h); the fleet's is the verification front end's registry
+(src/tyche/metrics_registry.h) rendered the same way.
 
 Validates the text exposition format line by line -- HELP/TYPE headers,
 metric-name and label syntax, numeric sample values, histogram structure
 (cumulative buckets ending in le="+Inf" equal to _count, plus _sum and
 _count for every series) -- and then asserts the export covers the signal
-families the monitor's stats views (stats(), backend().stats(), the trace
-ring, the journal) are mirrored into. Fails (exit 1) listing every
+families the monitor's stats sample (stats(): counters, backend, trace
+ring, journal) is named as. Fails (exit 1) listing every
 violation, so a formatting regression in the exporter is caught before a
 real scraper trips on it.
 
@@ -19,7 +20,7 @@ Usage:
     check_metrics_format.py fleet.prom --profile fleet
 
 `--profile` selects which family checklist applies: `monitor` (default) is
-the rendered Monitor::CollectMetrics() contract, `fleet` is the verification
+the rendered MonitorMetrics(monitor) contract, `fleet` is the verification
 front end's registry (tyche_fleet_* families).
 """
 
@@ -35,7 +36,7 @@ SAMPLE_RE = re.compile(
     r"\s+(?P<value>[0-9]+(?:\.[0-9]+)?|[+-]Inf|NaN)\s*$"
 )
 
-# Families the monitor registry always exports; the export is only complete
+# Families the monitor's scrape always exports; the export is only complete
 # if each appears (a histogram counts via _count).
 MONITOR_FAMILIES = [
     "tyche_api_calls_total",

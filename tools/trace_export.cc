@@ -174,7 +174,7 @@ int Run(const char* out_path, const char* metrics_path, const char* flight_path,
   }
 
   if (metrics_path != nullptr) {
-    const std::string metrics = RenderPrometheus(monitor.CollectMetrics());
+    const std::string metrics = RenderPrometheus(MonitorMetrics(monitor));
     if (!WriteFile(metrics_path, metrics)) {
       std::fprintf(stderr, "cannot write %s\n", metrics_path);
       return 2;
@@ -184,7 +184,8 @@ int Run(const char* out_path, const char* metrics_path, const char* flight_path,
   if (flight_path != nullptr) {
     const std::string flight = ExportFlightJson(
         monitor.flight_recorder(),
-        [](uint16_t op) { return std::string(ApiOpName(static_cast<ApiOp>(op))); });
+        [](uint16_t op) { return std::string(ApiOpName(static_cast<ApiOp>(op))); },
+        MonitorCounterName);
     if (!WriteFile(flight_path, flight)) {
       std::fprintf(stderr, "cannot write %s\n", flight_path);
       return 2;
