@@ -7,7 +7,7 @@
 #include <shared_mutex>
 #include <tuple>
 
-#include "src/support/faults.h"
+#include "src/support/fault_hook.h"
 #include "src/support/log.h"
 #include "src/support/profiler.h"
 
@@ -88,10 +88,8 @@ Capability& CapabilityEngine::NewCap(CapDomainId owner, ResourceKind kind, AddrR
   // Silent-corruption injection: drop the index entry the cap just earned.
   // The operation still succeeds -- exactly the failure mode (derived state
   // drifting from the lineage map) the invariant watchdog exists to catch.
-  if (FaultInjector::active()) [[unlikely]] {
-    if (!FaultInjector::Instance().Check(faults::kEngineOwnedDesync).ok()) {
-      owned_[owner].pop_back();
-    }
+  if (FaultFires(faults::kEngineOwnedDesync)) {
+    owned_[owner].pop_back();
   }
   return cap;
 }

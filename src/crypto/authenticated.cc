@@ -5,7 +5,7 @@
 #include <cstring>
 
 #include "src/crypto/encode.h"
-#include "src/support/faults.h"
+#include "src/support/fault_hook.h"
 
 namespace tyche {
 

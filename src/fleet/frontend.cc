@@ -6,7 +6,7 @@
 #include <string>
 #include <utility>
 
-#include "src/support/faults.h"
+#include "src/support/fault_hook.h"
 #include "src/tyche/verifier.h"
 
 namespace tyche {
@@ -140,8 +140,7 @@ void VerificationFrontEnd::PumpAndDrain() {
       if (!frame.ok()) {
         break;
       }
-      if (FaultInjector::active() &&
-          !FaultInjector::Instance().Check(faults::kFleetVerifyTimeout).ok()) {
+      if (FaultFires(faults::kFleetVerifyTimeout)) {
         continue;  // CONSUMED: blackhole this response; the client times out
       }
       FleetResponse response;
@@ -489,8 +488,7 @@ Result<VerifyVerdict> VerificationFrontEnd::Verify(const VerifyRequest& request)
       AdvanceBackoff(attempt, deadline);
       continue;
     }
-    if (pre_state == BreakerState::kHalfOpen && FaultInjector::active() &&
-        !FaultInjector::Instance().Check(faults::kFleetBreakerProbe).ok()) {
+    if (pre_state == BreakerState::kHalfOpen && FaultFires(faults::kFleetBreakerProbe)) {
       // CONSUMED: the half-open probe dies on the wire. Recovery is
       // delayed by one cooldown, never wrong.
       breaker.RecordFailure(now());
@@ -595,9 +593,7 @@ Result<VerificationFrontEnd::AdmissionOutcome> VerificationFrontEnd::Submit(
     }
     tm.admitted->Add();
   }
-  const bool forced_overflow =
-      FaultInjector::active() &&
-      !FaultInjector::Instance().Check(faults::kFleetQueueOverflow).ok();
+  const bool forced_overflow = FaultFires(faults::kFleetQueueOverflow);
   // Shedding prefers work that needs no wire: a cache-servable request is
   // answered inline even when the queue is full.
   if (auto verdict = TryCache(request)) {
@@ -718,8 +714,7 @@ void VerificationFrontEnd::DrainBatch(uint32_t node_id,
   // that the batch verification's fallback attributes the forgery to THIS
   // quote — it is rejected (and retried clean) while the rest of the batch
   // is still served.
-  if (FaultInjector::active() &&
-      !FaultInjector::Instance().Check(faults::kFleetBatchForge).ok()) {
+  if (FaultFires(faults::kFleetBatchForge)) {
     for (auto& response : responses) {
       if (!response.has_value() || response->code != ErrorCode::kOk) {
         continue;

@@ -9,7 +9,7 @@
 #include "src/monitor/attestation.h"
 #include "src/monitor/recovery.h"
 #include "src/support/align.h"
-#include "src/support/faults.h"
+#include "src/support/fault_hook.h"
 #include "src/support/journal.h"
 #include "src/support/snapshot.h"
 #include "src/tyche/loader.h"
@@ -187,8 +187,7 @@ void MonitorNode::Pump() {
   if (crashed_) {
     return;  // silence: requests rot in the queue until failover
   }
-  if (FaultInjector::active() &&
-      !FaultInjector::Instance().Check(faults::kFleetNodeCrash).ok()) {
+  if (FaultFires(faults::kFleetNodeCrash)) {
     Crash();  // CONSUMED: the node dies mid-pump, clients see timeouts
     return;
   }
@@ -279,8 +278,7 @@ void MonitorNode::HandleRequest(std::span<const uint8_t> frame) {
   // Poisoning attempt: flip one byte of the outbound report. The defense
   // under test is downstream — the tampered bytes must fail verification at
   // the front end and never enter the measurement cache.
-  if (FaultInjector::active() && !payload.empty() &&
-      !FaultInjector::Instance().Check(faults::kFleetCachePoison).ok()) {
+  if (!payload.empty() && FaultFires(faults::kFleetCachePoison)) {
     payload[payload.size() / 2] ^= 0x01;
   }
   Respond(request.request_id, ErrorCode::kOk, std::move(payload));

@@ -2,7 +2,7 @@
 
 #include "src/hw/iommu.h"
 
-#include "src/support/faults.h"
+#include "src/support/fault_hook.h"
 
 namespace tyche {
 

@@ -4,7 +4,7 @@
 
 #include <cstring>
 
-#include "src/support/faults.h"
+#include "src/support/fault_hook.h"
 
 namespace tyche {
 

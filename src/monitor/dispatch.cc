@@ -4,7 +4,7 @@
 
 #include <chrono>
 
-#include "src/support/faults.h"
+#include "src/support/fault_hook.h"
 #include "src/support/locking.h"
 
 namespace tyche {
@@ -261,13 +261,13 @@ ApiResult Dispatch(Monitor* monitor, CoreId core, const ApiRegs& regs) {
   // residual boundary work; bench_profile gates the ratio).
   const bool windowed = prof_on && profiler.BeginWindow(start_ns);
 
-  // Fault-site triggers are detected by delta: if the global injector
-  // delivered a fault during this call, the flight recorder captures the
-  // site alongside the dispatch outcome. Only sampled while a plan is
-  // armed, so production dispatch never reads the injector's mutex.
-  const bool faults_active = FaultInjector::active();
+  // Fault-site triggers are detected by delta: if the hook's fired count
+  // moved during this call, the flight recorder captures the last fired site
+  // alongside the dispatch outcome. Only sampled while the hook is active,
+  // so production dispatch reads one flag.
+  const bool faults_active = fault_hook.active.load(std::memory_order_relaxed);
   const uint64_t faults_before =
-      faults_active ? FaultInjector::Instance().fired_count() : 0;
+      faults_active ? fault_hook.fired.load(std::memory_order_acquire) : 0;
 
   // Every journal record caused by this call -- engine mutations, cascades,
   // backend effects -- shares this span id with the TraceEntry.
@@ -334,11 +334,10 @@ ApiResult Dispatch(Monitor* monitor, CoreId core, const ApiRegs& regs) {
   // fired during this call is the stronger signal, so it wins over the
   // generic dispatch-error capture.
   if (faults_active &&
-      FaultInjector::Instance().fired_count() > faults_before) [[unlikely]] {
-    const std::vector<std::string> sites = FaultInjector::Instance().fired_sites();
+      fault_hook.fired.load(std::memory_order_acquire) > faults_before) [[unlikely]] {
     monitor->flight_recorder().Capture(
         "fault_site", op, span, result.error,
-        sites.empty() ? std::string() : "site " + sites.back());
+        std::string("site ") + fault_hook.last_fired_site.load(std::memory_order_relaxed));
   } else if (result.error != 0) [[unlikely]] {
     monitor->flight_recorder().OnDispatchError(op, span, result.error);
   }

@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "src/monitor/audit.h"
-#include "src/support/faults.h"
+#include "src/support/fault_hook.h"
 #include "src/support/log.h"
 #include "src/support/snapshot.h"
 
@@ -107,11 +107,6 @@ class MigrationInternal {
   }
 
  private:
-  static Status Gate(std::string_view site) {
-    TYCHE_FAULT_POINT(site);
-    return OkStatus();
-  }
-
   static Status Freeze(Monitor* source, Monitor* dest, DomainId domain);
   static Result<MigrationReport> RunFrozen(Monitor* source, Monitor* dest,
                                            DomainId domain, const MigrationCarrier& carrier,
@@ -127,6 +122,7 @@ class MigrationInternal {
   static Result<PayloadImage> ParseStateImage(std::span<const uint8_t> bytes);
   static Status CrossCheckAgainstJournal(const PayloadImage& image,
                                          const ParsedJournal& journal);
+  static Status PrepareCommit(Monitor* dest, const StagedAdoption& staged);
   static void RollbackDest(Monitor* dest, const StagedAdoption& staged,
                            const EngineImage& pre_engine, DomainId pre_next_domain,
                            uint16_t pre_next_asid);
@@ -490,6 +486,21 @@ Result<MigrationInternal::StagedAdoption> MigrationInternal::StageOnDest(
   return staged;
 }
 
+// Writes the adopted pages, rebuilds destination hardware and reaches the
+// commit point. Any failure here leaves the caller to roll the destination
+// back.
+Status MigrationInternal::PrepareCommit(Monitor* dest, const StagedAdoption& staged) {
+  for (const auto& [base, content] : staged.pages) {
+    TYCHE_RETURN_IF_ERROR(dest->machine_->memory().Write(
+        base, std::span<const uint8_t>(
+                  reinterpret_cast<const uint8_t*>(content.data()), content.size())));
+  }
+  TYCHE_FAULT_POINT(faults::kMigrateResync);
+  TYCHE_RETURN_IF_ERROR(dest->ResyncAll());
+  TYCHE_FAULT_POINT(faults::kMigrateCommit);
+  return OkStatus();
+}
+
 void MigrationInternal::RollbackDest(Monitor* dest, const StagedAdoption& staged,
                                      const EngineImage& pre_engine,
                                      DomainId pre_next_domain, uint16_t pre_next_asid) {
@@ -581,30 +592,13 @@ Result<MigrationReport> MigrationInternal::RunFrozen(Monitor* source, Monitor* d
   dest->domains_.emplace(staged.new_id, staged.adopted);
   dest->next_domain_ = staged.new_id + 1;
   ++dest->next_asid_;
-  for (const auto& [base, content] : staged.pages) {
-    const Status wrote = dest->machine_->memory().Write(
-        base, std::span<const uint8_t>(
-                  reinterpret_cast<const uint8_t*>(content.data()), content.size()));
-    if (!wrote.ok()) {
-      RollbackDest(dest, staged, pre_engine, pre_next_domain, pre_next_asid);
-      return wrote;
-    }
-  }
-  Status sync = Gate(faults::kMigrateResync);
-  if (sync.ok()) {
-    sync = dest->ResyncAll();
-  }
-  if (!sync.ok()) {
+  const Status prepared = PrepareCommit(dest, staged);
+  if (!prepared.ok()) {
     RollbackDest(dest, staged, pre_engine, pre_next_domain, pre_next_asid);
-    return sync;
+    return prepared;
   }
 
   // --- commit ---
-  const Status gate = Gate(faults::kMigrateCommit);
-  if (!gate.ok()) {
-    RollbackDest(dest, staged, pre_engine, pre_next_domain, pre_next_asid);
-    return gate;
-  }
   // Source handoff first: the destination's kMigrateIn binds the link of the
   // source's kMigrateOut, which only exists once appended.
   const uint64_t out_span = source->next_span_.fetch_add(1, std::memory_order_relaxed);

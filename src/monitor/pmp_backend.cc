@@ -4,7 +4,7 @@
 
 #include <algorithm>
 
-#include "src/support/faults.h"
+#include "src/support/fault_hook.h"
 #include "src/support/log.h"
 #include "src/support/profiler.h"
 

@@ -129,15 +129,18 @@ std::string FaultPlan::ToString() const {
   return out;
 }
 
-std::atomic<bool> FaultInjector::active_{false};
-
 FaultInjector& FaultInjector::Instance() {
   static FaultInjector* instance = new FaultInjector();
   return *instance;
 }
 
+Status FaultInjector::HookCheck(std::string_view site) {
+  return Instance().Check(site);
+}
+
 void FaultInjector::UpdateActiveLocked() {
-  active_.store(armed_ || counting_, std::memory_order_relaxed);
+  fault_hook.check.store(&HookCheck, std::memory_order_release);
+  fault_hook.active.store(armed_ || counting_, std::memory_order_relaxed);
 }
 
 void FaultInjector::Arm(FaultPlan plan) {
@@ -191,7 +194,9 @@ Status FaultInjector::Check(std::string_view site) {
         spec.repeat ? occurrence >= spec.trigger : occurrence == spec.trigger;
     if (hit) {
       fired_.push_back(std::string(site));
-      lifetime_fired_.fetch_add(1, std::memory_order_relaxed);
+      const std::string& name = *fired_names_.emplace(site).first;
+      fault_hook.last_fired_site.store(name.c_str(), std::memory_order_relaxed);
+      fault_hook.fired.fetch_add(1, std::memory_order_release);
       return Error(spec.code, "injected fault: " + std::string(site) + "#" +
                                   std::to_string(occurrence));
     }
@@ -207,15 +212,6 @@ uint64_t FaultInjector::fired_count() const {
 std::vector<std::string> FaultInjector::fired_sites() const {
   std::lock_guard<std::mutex> lock(mu_);
   return fired_;
-}
-
-uint64_t FaultInjector::total_hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& [site, count] : hits_) {
-    total += count;
-  }
-  return total;
 }
 
 }  // namespace tyche

@@ -7,7 +7,7 @@
 #include <tuple>
 
 #include "src/crypto/encode.h"
-#include "src/support/faults.h"
+#include "src/support/fault_hook.h"
 #include "src/support/profiler.h"
 #include "src/support/snapshot.h"
 
@@ -207,10 +207,8 @@ void Journal::AppendOneLocked(JournalRecord* record) {
   // the live chain head the way a memory-corruption bug would, WITHOUT
   // failing the append. Not a canonical sweep site (the sweep expects sites
   // that surface typed errors); see faults::kJournalHeadTamper.
-  if (FaultInjector::active()) [[unlikely]] {
-    if (!FaultInjector::Instance().Check(faults::kJournalHeadTamper).ok()) {
-      head_.bytes[0] ^= 0x80;
-    }
+  if (FaultFires(faults::kJournalHeadTamper)) {
+    head_.bytes[0] ^= 0x80;
   }
   if (record->event < static_cast<uint8_t>(JournalEvent::kEventCount)) {
     ++event_counts_[record->event];

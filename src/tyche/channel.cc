@@ -8,7 +8,7 @@
 #include "src/crypto/encode.h"
 #include "src/hw/cost_model.h"
 #include "src/support/backoff.h"
-#include "src/support/faults.h"
+#include "src/support/fault_hook.h"
 #include "src/support/snapshot.h"
 
 namespace tyche {
@@ -197,34 +197,32 @@ void LossyChannel::Enqueue(std::vector<uint8_t> frame, bool duplicate) {
 }
 
 Status LossyChannel::Send(std::vector<uint8_t> frame) {
-  if (FaultInjector::active()) {
-    // Each site CONSUMES its trigger: the injected status is the signal that
-    // the loss mode fires for THIS frame; nothing propagates to the caller.
-    if (!FaultInjector::Instance().Check(faults::kChannelDrop).ok()) {
-      ++dropped_;
-      return OkStatus();  // frame lost in flight
+  // Each site CONSUMES its trigger: a firing site is the signal that the loss
+  // mode applies to THIS frame; nothing propagates to the caller.
+  if (FaultFires(faults::kChannelDrop)) {
+    ++dropped_;
+    return OkStatus();  // frame lost in flight
+  }
+  if (FaultFires(faults::kChannelDup)) {
+    // Bounded amplification: a dup-storm plan (repeat=true) may fire on
+    // every Send(), but only max_pending_duplicates_ injected copies may
+    // be queued at once; the rest are counted and discarded.
+    if (pending_duplicates_ < max_pending_duplicates_) {
+      Enqueue(frame, /*duplicate=*/true);
+      ++pending_duplicates_;
+      ++duplicated_;
+    } else {
+      ++dup_suppressed_;
     }
-    if (!FaultInjector::Instance().Check(faults::kChannelDup).ok()) {
-      // Bounded amplification: a dup-storm plan (repeat=true) may fire on
-      // every Send(), but only max_pending_duplicates_ injected copies may
-      // be queued at once; the rest are counted and discarded.
-      if (pending_duplicates_ < max_pending_duplicates_) {
-        Enqueue(frame, /*duplicate=*/true);
-        ++pending_duplicates_;
-        ++duplicated_;
-      } else {
-        ++dup_suppressed_;
-      }
+  }
+  if (FaultFires(faults::kChannelReorder)) {
+    if (stashed_) {
+      // The delay line is single-slot; release the earlier straggler.
+      Enqueue(std::move(*stashed_), /*duplicate=*/false);
     }
-    if (!FaultInjector::Instance().Check(faults::kChannelReorder).ok()) {
-      if (stashed_) {
-        // The delay line is single-slot; release the earlier straggler.
-        Enqueue(std::move(*stashed_), /*duplicate=*/false);
-      }
-      stashed_ = std::move(frame);
-      ++reordered_;
-      return OkStatus();
-    }
+    stashed_ = std::move(frame);
+    ++reordered_;
+    return OkStatus();
   }
   Enqueue(std::move(frame), /*duplicate=*/false);
   if (stashed_) {

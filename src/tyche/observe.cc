@@ -8,7 +8,7 @@
 #include <iterator>
 #include <sstream>
 
-#include "src/support/faults.h"
+#include "src/support/fault_hook.h"
 
 namespace tyche {
 
@@ -268,10 +268,10 @@ std::vector<MetricFamily> MonitorMetrics(const Monitor& monitor) {
 
   counter("tyche_fault_injections_fired_total",
           "Deterministic fault injections delivered over the process lifetime",
-          FaultInjector::Instance().lifetime_fired_count());
+          fault_hook.fired.load(std::memory_order_relaxed));
   gauge("tyche_fault_injection_active",
         "1 while a fault plan is armed or occurrence counting is on",
-        FaultInjector::active() ? 1 : 0);
+        fault_hook.active.load(std::memory_order_relaxed) ? 1 : 0);
 
   gauge("tyche_domains_alive", "Trust domains currently alive", stats.domains_alive);
   add("tyche_caps", "Capabilities held by the engine, by state", MetricType::kGauge,
