@@ -34,7 +34,7 @@ namespace {
 // TCB code lines this tree is allowed. Lower it when a change shrinks the
 // TCB; raising it is a deliberate, reviewed decision. The paper's bar is
 // 10 000 (§3.5).
-constexpr uint64_t kTcbBudget = 8034;
+constexpr uint64_t kTcbBudget = 7840;
 
 constexpr std::string_view kExcludedPrefix = "src/hw/";
 

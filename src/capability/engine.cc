@@ -27,6 +27,17 @@ std::vector<AddrRange> RemainderPieces(const AddrRange& whole, const AddrRange& 
   return pieces;
 }
 
+// A share's child id, its effects appended to `effects` when given.
+Result<CapId> SharedChild(Result<DelegationOutcome> outcome, CapEffects* effects) {
+  if (!outcome.ok()) {
+    return outcome.status();
+  }
+  if (effects != nullptr) {
+    effects->Append(outcome->effects);
+  }
+  return outcome->granted;
+}
+
 }  // namespace
 
 CapabilityEngine::CapabilityEngine(CapabilityEngine&& other) noexcept {
@@ -211,41 +222,38 @@ Status CapabilityEngine::CheckSealingRules(CapDomainId src_owner, CapDomainId ds
   return OkStatus();
 }
 
-Result<Capability*> CapabilityEngine::CheckDelegation(const char* op, CapDomainId requester,
-                                                      CapId src_cap, CapDomainId dst,
-                                                      bool grant, const AddrRange* sub,
-                                                      Perms perms, CapRights rights) {
+Result<Capability*> CapabilityEngine::CheckDelegation(CapDomainId requester, CapDomainId dst,
+                                                      const Delegation& request) {
+  const char* op = request.grant ? "grant" : "share";
   auto fail = [op](ErrorCode code, const char* what) {
     return Error(code, std::string(op) + ": " + what);
   };
-  TYCHE_ASSIGN_OR_RETURN(Capability * src, GetMutable(src_cap));
+  const std::optional<AddrRange>& sub = request.sub;
+  TYCHE_ASSIGN_OR_RETURN(Capability * src, GetMutable(request.src));
   if (src->owner != requester) {
     return fail(ErrorCode::kCapabilityNotOwned, "requester does not own capability");
   }
   if (!src->active()) {
     return fail(ErrorCode::kCapabilityRevoked, "source capability inactive");
   }
-  if ((src->kind == ResourceKind::kMemory) != (sub != nullptr)) {
-    return fail(ErrorCode::kInvalidArgument, sub != nullptr
-                                                 ? "not a memory capability"
+  if ((src->kind == ResourceKind::kMemory) != sub.has_value()) {
+    return fail(ErrorCode::kInvalidArgument, sub ? "not a memory capability"
                                                  : "memory is delegated by sub-range");
   }
-  if (!(grant ? src->rights.CanGrant() : src->rights.CanShare())) {
+  if (!(request.grant ? src->rights.CanGrant() : src->rights.CanShare())) {
     return fail(ErrorCode::kCapabilityRightsViolation,
-                grant ? "missing grant right" : "missing share right");
+                request.grant ? "missing grant right" : "missing share right");
   }
-  if (sub != nullptr) {
-    if (sub->empty() || !src->range.Contains(*sub)) {
-      return fail(ErrorCode::kOutOfRange, "sub-range outside capability");
-    }
-    if (!IsPageAligned(sub->base) || !IsPageAligned(sub->size)) {
-      return fail(ErrorCode::kInvalidArgument, "sub-range must be page-aligned");
-    }
-    if (!src->perms.Covers(perms) || perms.empty()) {
-      return fail(ErrorCode::kCapabilityRightsViolation, "permissions exceed source");
-    }
+  if (sub && (sub->empty() || !src->range.Contains(*sub))) {
+    return fail(ErrorCode::kOutOfRange, "sub-range outside capability");
   }
-  if (!src->rights.Covers(rights)) {
+  if (sub && (!IsPageAligned(sub->base) || !IsPageAligned(sub->size))) {
+    return fail(ErrorCode::kInvalidArgument, "sub-range must be page-aligned");
+  }
+  if (!src->perms.Covers(request.perms) || (sub && request.perms.empty())) {
+    return fail(ErrorCode::kCapabilityRightsViolation, "permissions exceed source");
+  }
+  if (!src->rights.Covers(request.rights)) {
     return fail(ErrorCode::kCapabilityRightsViolation, "rights exceed source");
   }
   TYCHE_RETURN_IF_ERROR(CheckSealingRules(requester, dst));
@@ -253,116 +261,73 @@ Result<Capability*> CapabilityEngine::CheckDelegation(const char* op, CapDomainI
 }
 
 // std::map nodes are stable, so `src` stays valid across NewCap below.
+Result<DelegationOutcome> CapabilityEngine::Delegate(CapDomainId requester, CapDomainId dst,
+                                                     const Delegation& request) {
+  const ScopedPhase phase(DispatchPhase::kEngine);
+  std::unique_lock lock(mu_);
+  TYCHE_ASSIGN_OR_RETURN(Capability * src, CheckDelegation(requester, dst, request));
+  // A unit moves whole: its range is empty, so it has no remainder pieces.
+  const bool memory = request.sub.has_value();
+  const AddrRange range = request.sub.value_or(AddrRange{});
+  const auto child = [&](CapDomainId owner, AddrRange piece, CapOrigin origin) -> Capability& {
+    Capability& cap = NewCap(owner, src->kind, piece, src->unit);
+    cap.parent = request.src;
+    cap.origin = origin;
+    src->children.push_back(cap.id);
+    return cap;
+  };
+  Capability& granted = child(dst, range, request.grant ? CapOrigin::kGrant : CapOrigin::kShare);
+  granted.perms = request.perms;
+  granted.rights = request.rights;
+  granted.revocation = request.policy;
+  DelegationOutcome outcome{granted.id, src->kind, src->unit, {}, {}};
+  if (request.grant) {
+    for (const AddrRange& piece : RemainderPieces(src->range, range)) {
+      Capability& rem = child(requester, piece, CapOrigin::kRemainder);
+      rem.perms = src->perms;
+      rem.rights = src->rights;
+      rem.revocation = src->revocation;
+      outcome.remainders.push_back(rem.id);
+    }
+    src->state = CapState::kDonated;
+    UnindexActive(*src);
+    // The grantor loses access to what it granted.
+    outcome.effects.Add(CapEffect{
+        memory ? CapEffect::Kind::kUnmapMemory : CapEffect::Kind::kDetachUnit, requester,
+        src->kind, range, src->unit, src->perms});
+  }
+  outcome.effects.Add(CapEffect{memory ? CapEffect::Kind::kMapMemory : CapEffect::Kind::kAttachUnit,
+                                dst, src->kind, range, src->unit, request.perms});
+  return outcome;
+}
+
 Result<CapId> CapabilityEngine::ShareMemory(CapDomainId requester, CapId src_cap,
                                             CapDomainId dst, AddrRange sub, Perms perms,
                                             CapRights rights, RevocationPolicy policy,
                                             CapEffects* effects) {
-  const ScopedPhase phase(DispatchPhase::kEngine);
-  std::unique_lock lock(mu_);
-  TYCHE_ASSIGN_OR_RETURN(Capability * src, CheckDelegation("share", requester, src_cap, dst,
-                                                           /*grant=*/false, &sub, perms,
-                                                           rights));
-  Capability& child = NewCap(dst, ResourceKind::kMemory, sub, 0);
-  child.perms = perms;
-  child.rights = rights;
-  child.revocation = policy;
-  child.origin = CapOrigin::kShare;
-  child.parent = src_cap;
-  src->children.push_back(child.id);
-
-  if (effects != nullptr) {
-    effects->Add(CapEffect{CapEffect::Kind::kMapMemory, dst, ResourceKind::kMemory, sub, 0,
-                           perms});
-  }
-  return child.id;
+  return SharedChild(Delegate(requester, dst, {false, src_cap, sub, perms, rights, policy}),
+                     effects);
 }
 
-Result<GrantOutcome> CapabilityEngine::GrantMemory(CapDomainId requester, CapId src_cap,
-                                                   CapDomainId dst, AddrRange sub,
-                                                   Perms perms, CapRights rights,
-                                                   RevocationPolicy policy) {
-  const ScopedPhase phase(DispatchPhase::kEngine);
-  std::unique_lock lock(mu_);
-  TYCHE_ASSIGN_OR_RETURN(Capability * src, CheckDelegation("grant", requester, src_cap, dst,
-                                                           /*grant=*/true, &sub, perms,
-                                                           rights));
-  GrantOutcome outcome;
-  Capability& granted = NewCap(dst, ResourceKind::kMemory, sub, 0);
-  granted.perms = perms;
-  granted.rights = rights;
-  granted.revocation = policy;
-  granted.origin = CapOrigin::kGrant;
-  granted.parent = src_cap;
-  outcome.granted = granted.id;
-  src->children.push_back(granted.id);
-
-  for (const AddrRange& piece : RemainderPieces(src->range, sub)) {
-    Capability& rem = NewCap(requester, ResourceKind::kMemory, piece, 0);
-    rem.perms = src->perms;
-    rem.rights = src->rights;
-    rem.revocation = src->revocation;
-    rem.origin = CapOrigin::kRemainder;
-    rem.parent = src_cap;
-    src->children.push_back(rem.id);
-    outcome.remainders.push_back(rem.id);
-  }
-  src->state = CapState::kDonated;
-  UnindexActive(*src);
-
-  // The grantor loses access to the granted bytes; the recipient gains it.
-  outcome.effects.Add(CapEffect{CapEffect::Kind::kUnmapMemory, requester,
-                                ResourceKind::kMemory, sub, 0, src->perms});
-  outcome.effects.Add(
-      CapEffect{CapEffect::Kind::kMapMemory, dst, ResourceKind::kMemory, sub, 0, perms});
-  return outcome;
+Result<DelegationOutcome> CapabilityEngine::GrantMemory(CapDomainId requester, CapId src_cap,
+                                                        CapDomainId dst, AddrRange sub,
+                                                        Perms perms, CapRights rights,
+                                                        RevocationPolicy policy) {
+  return Delegate(requester, dst, {true, src_cap, sub, perms, rights, policy});
 }
 
 Result<CapId> CapabilityEngine::ShareUnit(CapDomainId requester, CapId src_cap,
                                           CapDomainId dst, CapRights rights,
                                           RevocationPolicy policy, CapEffects* effects) {
-  const ScopedPhase phase(DispatchPhase::kEngine);
-  std::unique_lock lock(mu_);
-  TYCHE_ASSIGN_OR_RETURN(Capability * src, CheckDelegation("share", requester, src_cap, dst,
-                                                           /*grant=*/false, nullptr, Perms{},
-                                                           rights));
-  Capability& child = NewCap(dst, src->kind, AddrRange{}, src->unit);
-  child.rights = rights;
-  child.revocation = policy;
-  child.origin = CapOrigin::kShare;
-  child.parent = src_cap;
-  src->children.push_back(child.id);
-
-  if (effects != nullptr) {
-    effects->Add(CapEffect{CapEffect::Kind::kAttachUnit, dst, src->kind, AddrRange{},
-                           src->unit, Perms{}});
-  }
-  return child.id;
+  return SharedChild(
+      Delegate(requester, dst, {false, src_cap, std::nullopt, Perms{}, rights, policy}),
+      effects);
 }
 
-Result<GrantOutcome> CapabilityEngine::GrantUnit(CapDomainId requester, CapId src_cap,
-                                                 CapDomainId dst, CapRights rights,
-                                                 RevocationPolicy policy) {
-  const ScopedPhase phase(DispatchPhase::kEngine);
-  std::unique_lock lock(mu_);
-  TYCHE_ASSIGN_OR_RETURN(Capability * src, CheckDelegation("grant", requester, src_cap, dst,
-                                                           /*grant=*/true, nullptr, Perms{},
-                                                           rights));
-  GrantOutcome outcome;
-  Capability& granted = NewCap(dst, src->kind, AddrRange{}, src->unit);
-  granted.rights = rights;
-  granted.revocation = policy;
-  granted.origin = CapOrigin::kGrant;
-  granted.parent = src_cap;
-  outcome.granted = granted.id;
-  src->children.push_back(granted.id);
-  src->state = CapState::kDonated;
-  UnindexActive(*src);
-
-  outcome.effects.Add(CapEffect{CapEffect::Kind::kDetachUnit, requester, src->kind,
-                                AddrRange{}, src->unit, Perms{}});
-  outcome.effects.Add(
-      CapEffect{CapEffect::Kind::kAttachUnit, dst, src->kind, AddrRange{}, src->unit, Perms{}});
-  return outcome;
+Result<DelegationOutcome> CapabilityEngine::GrantUnit(CapDomainId requester, CapId src_cap,
+                                                      CapDomainId dst, CapRights rights,
+                                                      RevocationPolicy policy) {
+  return Delegate(requester, dst, {true, src_cap, std::nullopt, Perms{}, rights, policy});
 }
 
 void CapabilityEngine::EmitRevokeEffects(const Capability& cap, CapEffects* effects) {

@@ -36,6 +36,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <shared_mutex>
 #include <span>
@@ -76,10 +77,26 @@ struct CapEffects {
   }
 };
 
-// Result of a Grant: the capability now owned by the recipient plus the
-// remainder capabilities returned to the grantor.
-struct GrantOutcome {
+// One share or grant of capability `src`. Memory moves by `sub`, a
+// page-aligned piece of the source, and `perms` must be a non-empty subset
+// of the source's; a unit resource (core, device, domain handle) moves
+// whole: no `sub` and no perms. `rights` must attenuate the source's.
+struct Delegation {
+  bool grant = false;
+  CapId src = kInvalidCap;
+  std::optional<AddrRange> sub;
+  Perms perms;
+  CapRights rights;
+  RevocationPolicy policy;
+};
+
+// Result of a share or grant: the capability now held by the recipient, its
+// kind and unit, the remainder capabilities returned to the grantor (memory
+// grants only) and the effects.
+struct DelegationOutcome {
   CapId granted = kInvalidCap;
+  ResourceKind kind = ResourceKind::kMemory;
+  uint64_t unit = 0;
   std::vector<CapId> remainders;
   CapEffects effects;
 };
@@ -171,23 +188,27 @@ class CapabilityEngine {
 
   // --- The isolation API (§3.2) ---
 
-  // Shares `sub` of memory capability `src_cap` with `dst`. `perms` must be
-  // a subset of the source permissions, `rights` a subset of source rights.
+  // Shares or grants as `request` says, from `requester` (who must own the
+  // active source with the share or grant right) to `dst`. A share adds a
+  // child owned by dst and leaves the source active; a grant also mints the
+  // grantor's remainder pieces and donates the source. The effects unmap or
+  // detach the grantor's access first (grants only), then map or attach the
+  // recipient's.
+  Result<DelegationOutcome> Delegate(CapDomainId requester, CapDomainId dst,
+                                     const Delegation& request);
+
+  // Forwarders for the four shapes of Delegate. The shares append their
+  // effects to `effects` when it is non-null.
   Result<CapId> ShareMemory(CapDomainId requester, CapId src_cap, CapDomainId dst,
                             AddrRange sub, Perms perms, CapRights rights,
                             RevocationPolicy policy, CapEffects* effects);
-
-  // Grants (moves) `sub` of `src_cap` to `dst` exclusively.
-  Result<GrantOutcome> GrantMemory(CapDomainId requester, CapId src_cap, CapDomainId dst,
-                                   AddrRange sub, Perms perms, CapRights rights,
-                                   RevocationPolicy policy);
-
-  // Unit resources (cores, devices, domain handles) are shared / granted
-  // whole.
+  Result<DelegationOutcome> GrantMemory(CapDomainId requester, CapId src_cap, CapDomainId dst,
+                                        AddrRange sub, Perms perms, CapRights rights,
+                                        RevocationPolicy policy);
   Result<CapId> ShareUnit(CapDomainId requester, CapId src_cap, CapDomainId dst,
                           CapRights rights, RevocationPolicy policy, CapEffects* effects);
-  Result<GrantOutcome> GrantUnit(CapDomainId requester, CapId src_cap, CapDomainId dst,
-                                 CapRights rights, RevocationPolicy policy);
+  Result<DelegationOutcome> GrantUnit(CapDomainId requester, CapId src_cap, CapDomainId dst,
+                                      CapRights rights, RevocationPolicy policy);
 
   // Revokes `cap` (and its subtree). The requester must own the parent of
   // `cap` with kRevoke rights, or own `cap` itself (dropping one's own
@@ -305,15 +326,14 @@ class CapabilityEngine {
 
   // Checks the sealing rules for moving resources from src_owner to dst.
   Status CheckSealingRules(CapDomainId src_owner, CapDomainId dst) const;
-  // The validation every Share*/Grant* runs, in order: `requester` owns the
-  // active `src_cap`, of the right shape (memory iff `sub` is given), with
-  // the share or grant right; `sub` is a page-aligned piece of it and
-  // `perms` a non-empty subset of its permissions; `rights` attenuate its
-  // rights; and the sealing rules let it move to `dst`. `op` prefixes the
-  // error messages.
-  Result<Capability*> CheckDelegation(const char* op, CapDomainId requester, CapId src_cap,
-                                      CapDomainId dst, bool grant, const AddrRange* sub,
-                                      Perms perms, CapRights rights);
+  // The validation Delegate runs, in order: `requester` owns the active
+  // source, of the right shape (memory iff `sub` is given), with the share
+  // or grant right; `sub` is a page-aligned piece of it; the perms are a
+  // subset of its permissions (non-empty for memory; a unit has none, so
+  // none may be asked); the rights attenuate its rights; and the sealing
+  // rules let it move to `dst`. Errors are prefixed "share" or "grant".
+  Result<Capability*> CheckDelegation(CapDomainId requester, CapDomainId dst,
+                                      const Delegation& request);
 
   // Cascade: deactivates the subtree rooted at `cap` (inclusive), appending
   // effects and the deactivated caps, and erases every node of it from

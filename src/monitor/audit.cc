@@ -157,86 +157,28 @@ void AuditJournal::MintUnit(uint64_t span, uint32_t owner, uint64_t cap, Resourc
   Append(record);
 }
 
-void AuditJournal::ShareMemory(uint64_t span, uint32_t requester, uint32_t dst,
-                               uint64_t src_cap, uint64_t child, AddrRange sub, Perms perms,
-                               CapRights rights, RevocationPolicy policy,
-                               const CapEffects& effects) {
+void AuditJournal::Delegate(uint64_t span, uint32_t requester, uint32_t dst,
+                            const Delegation& request, const DelegationOutcome& outcome) {
   if (!enabled()) {
     return;
   }
-  JournalRecord record = Base(span, JournalEvent::kShareMemory);
+  const JournalEvent event =
+      request.sub ? (request.grant ? JournalEvent::kGrantMemory : JournalEvent::kShareMemory)
+                  : (request.grant ? JournalEvent::kGrantUnit : JournalEvent::kShareUnit);
+  const AddrRange named = request.sub.value_or(AddrRange{outcome.unit, 0});
+  JournalRecord record = Base(span, event);
   record.domain = requester;
   record.dst = dst;
-  record.parent = src_cap;
-  record.cap = child;
-  record.base = sub.base;
-  record.size = sub.size;
-  record.perms = perms.mask;
-  record.rights = rights.mask;
-  record.policy = policy.mask;
-  record.result = EffectsDigest(effects.effects);
-  record.resource = static_cast<uint8_t>(ResourceKind::kMemory);
-  Append(record);
-}
-
-void AuditJournal::GrantMemory(uint64_t span, uint32_t requester, uint32_t dst,
-                               uint64_t src_cap, const GrantOutcome& outcome, AddrRange sub,
-                               Perms perms, CapRights rights, RevocationPolicy policy) {
-  if (!enabled()) {
-    return;
-  }
-  JournalRecord record = Base(span, JournalEvent::kGrantMemory);
-  record.domain = requester;
-  record.dst = dst;
-  record.parent = src_cap;
+  record.parent = request.src;
   record.cap = outcome.granted;
-  record.base = sub.base;
-  record.size = sub.size;
-  record.perms = perms.mask;
-  record.rights = rights.mask;
-  record.policy = policy.mask;
+  record.base = named.base;
+  record.size = named.size;
+  record.perms = request.perms.mask;
+  record.rights = request.rights.mask;
+  record.policy = request.policy.mask;
   record.result = EffectsDigest(outcome.effects.effects);
   record.aux = outcome.remainders.size();
-  record.resource = static_cast<uint8_t>(ResourceKind::kMemory);
-  Append(record);
-}
-
-void AuditJournal::ShareUnit(uint64_t span, uint32_t requester, uint32_t dst,
-                             uint64_t src_cap, uint64_t child, ResourceKind kind,
-                             uint64_t unit, CapRights rights, RevocationPolicy policy,
-                             const CapEffects& effects) {
-  if (!enabled()) {
-    return;
-  }
-  JournalRecord record = Base(span, JournalEvent::kShareUnit);
-  record.domain = requester;
-  record.dst = dst;
-  record.parent = src_cap;
-  record.cap = child;
-  record.base = unit;
-  record.rights = rights.mask;
-  record.policy = policy.mask;
-  record.result = EffectsDigest(effects.effects);
-  record.resource = static_cast<uint8_t>(kind);
-  Append(record);
-}
-
-void AuditJournal::GrantUnit(uint64_t span, uint32_t requester, uint32_t dst,
-                             uint64_t src_cap, const GrantOutcome& outcome, ResourceKind kind,
-                             uint64_t unit, CapRights rights, RevocationPolicy policy) {
-  if (!enabled()) {
-    return;
-  }
-  JournalRecord record = Base(span, JournalEvent::kGrantUnit);
-  record.domain = requester;
-  record.dst = dst;
-  record.parent = src_cap;
-  record.cap = outcome.granted;
-  record.result = EffectsDigest(outcome.effects.effects);
-  record.base = unit;
-  record.rights = rights.mask;
-  record.policy = policy.mask;
-  record.resource = static_cast<uint8_t>(kind);
+  record.resource = static_cast<uint8_t>(outcome.kind);
   Append(record);
 }
 
@@ -424,43 +366,28 @@ Result<JournalReplay> ReplayJournalInto(CapabilityEngine* shadow,
         }
         break;
       }
-      case JournalEvent::kShareMemory: {
-        const auto cap = shadow->ShareMemory(
-            record.domain, record.parent, record.dst, AddrRange{record.base, record.size},
-            Perms(record.perms), CapRights(record.rights), RevocationPolicy(record.policy),
-            &effects);
-        if (!cap.ok() || *cap != record.cap) {
-          return diverged(record.seq, "share_memory id mismatch");
-        }
-        break;
-      }
-      case JournalEvent::kGrantMemory: {
-        auto outcome = shadow->GrantMemory(
-            record.domain, record.parent, record.dst, AddrRange{record.base, record.size},
-            Perms(record.perms), CapRights(record.rights), RevocationPolicy(record.policy));
-        if (!outcome.ok() || outcome->granted != record.cap ||
-            outcome->remainders.size() != record.aux) {
-          return diverged(record.seq, "grant_memory outcome mismatch");
-        }
-        effects = std::move(outcome->effects);
-        break;
-      }
-      case JournalEvent::kShareUnit: {
-        const auto cap =
-            shadow->ShareUnit(record.domain, record.parent, record.dst,
-                              CapRights(record.rights), RevocationPolicy(record.policy),
-                              &effects);
-        if (!cap.ok() || *cap != record.cap) {
-          return diverged(record.seq, "share_unit id mismatch");
-        }
-        break;
-      }
+      case JournalEvent::kShareMemory:
+      case JournalEvent::kGrantMemory:
+      case JournalEvent::kShareUnit:
       case JournalEvent::kGrantUnit: {
-        auto outcome =
-            shadow->GrantUnit(record.domain, record.parent, record.dst,
-                              CapRights(record.rights), RevocationPolicy(record.policy));
-        if (!outcome.ok() || outcome->granted != record.cap) {
-          return diverged(record.seq, "grant_unit outcome mismatch");
+        // The record must be the one the builder writes for what the shadow
+        // engine did: the same child, kind, unit and remainder count.
+        const bool memory =
+            event == JournalEvent::kShareMemory || event == JournalEvent::kGrantMemory;
+        const AddrRange named{record.base, record.size};
+        const Delegation request{
+            .grant = event == JournalEvent::kGrantMemory || event == JournalEvent::kGrantUnit,
+            .src = record.parent,
+            .sub = memory ? std::optional(named) : std::nullopt,
+            .perms = Perms(record.perms),
+            .rights = CapRights(record.rights),
+            .policy = RevocationPolicy(record.policy)};
+        auto outcome = shadow->Delegate(record.domain, record.dst, request);
+        if (!outcome.ok() || outcome->granted != record.cap ||
+            outcome->remainders.size() != record.aux ||
+            static_cast<uint8_t>(outcome->kind) != record.resource ||
+            (!memory && named != AddrRange{outcome->unit, 0})) {
+          return diverged(record.seq, std::string(JournalEventName(event)) + " outcome mismatch");
         }
         effects = std::move(outcome->effects);
         break;

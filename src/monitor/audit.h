@@ -65,18 +65,11 @@ class AuditJournal {
                   CapRights rights);
   void MintUnit(uint64_t span, uint32_t owner, uint64_t cap, ResourceKind kind, uint64_t unit,
                 CapRights rights);
-  void ShareMemory(uint64_t span, uint32_t requester, uint32_t dst, uint64_t src_cap,
-                   uint64_t child, AddrRange sub, Perms perms, CapRights rights,
-                   RevocationPolicy policy, const CapEffects& effects);
-  void GrantMemory(uint64_t span, uint32_t requester, uint32_t dst, uint64_t src_cap,
-                   const GrantOutcome& outcome, AddrRange sub, Perms perms,
-                   CapRights rights, RevocationPolicy policy);
-  void ShareUnit(uint64_t span, uint32_t requester, uint32_t dst, uint64_t src_cap,
-                 uint64_t child, ResourceKind kind, uint64_t unit, CapRights rights,
-                 RevocationPolicy policy, const CapEffects& effects);
-  void GrantUnit(uint64_t span, uint32_t requester, uint32_t dst, uint64_t src_cap,
-                 const GrantOutcome& outcome, ResourceKind kind, uint64_t unit,
-                 CapRights rights, RevocationPolicy policy);
+  // One share or grant record. Memory records carry the sub-range and the
+  // requested perms, unit records the unit (base) alone; grant records carry
+  // the remainder count (aux).
+  void Delegate(uint64_t span, uint32_t requester, uint32_t dst, const Delegation& request,
+                const DelegationOutcome& outcome);
   // Emits kRevoke plus one kCascade per deactivated capability plus kRestore
   // when the revocation returned ownership: N+1 records, one span.
   void Revoke(uint64_t span, uint32_t requester, uint64_t cap, const RevokeOutcome& outcome,

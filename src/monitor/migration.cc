@@ -2,7 +2,6 @@
 
 #include "src/monitor/migration.h"
 
-#include <algorithm>
 #include <set>
 #include <string>
 #include <tuple>
@@ -36,6 +35,22 @@ struct PayloadCap {
   CapRights rights;
   RevocationPolicy policy;
 };
+
+// The destination OS's (domain 0's) capability a payload cap is granted
+// from: the first memory cap covering its range, or the newest cap on its
+// unit. kInvalidCap when it holds none.
+CapId CoveringCap(const CapabilityEngine& engine, const PayloadCap& cap) {
+  if (cap.kind != ResourceKind::kMemory) {
+    return engine.FindUnit(/*domain=*/0, cap.kind, cap.unit);
+  }
+  for (const Capability* own : engine.DomainCaps(0)) {
+    if (own->kind == ResourceKind::kMemory && own->range.base <= cap.range.base &&
+        !own->range.Wraps() && cap.range.end() <= own->range.end()) {
+      return own->id;
+    }
+  }
+  return kInvalidCap;
+}
 
 struct PayloadImage {
   uint32_t source_domain = 0;
@@ -74,24 +89,8 @@ class MigrationInternal {
     CapabilityEngine engine;  // dest pre-state + adoption mutations
     TrustDomain adopted;
     CapId handle_cap = kInvalidCap;
-    struct MemGrant {
-      CapId src_cap = kInvalidCap;
-      GrantOutcome outcome;
-      AddrRange sub;
-      Perms perms;
-      CapRights rights;
-      RevocationPolicy policy;
-    };
-    struct UnitGrant {
-      CapId src_cap = kInvalidCap;
-      GrantOutcome outcome;
-      ResourceKind kind = ResourceKind::kCpuCore;
-      uint64_t unit = 0;
-      CapRights rights;
-      RevocationPolicy policy;
-    };
-    std::vector<MemGrant> mem_grants;
-    std::vector<UnitGrant> unit_grants;
+    // The grants from the destination OS (domain 0), in payload order.
+    std::vector<std::pair<Delegation, DelegationOutcome>> grants;
     std::vector<std::pair<uint64_t, std::string>> pages;
   };
 
@@ -126,7 +125,6 @@ class MigrationInternal {
   static void RollbackDest(Monitor* dest, const StagedAdoption& staged,
                            const EngineImage& pre_engine, DomainId pre_next_domain,
                            uint16_t pre_next_asid);
-  static Status CommitSourceTeardown(Monitor* source, DomainId domain, uint64_t span);
 };
 
 Status MigrationInternal::Freeze(Monitor* source, Monitor* dest, DomainId domain) {
@@ -156,15 +154,7 @@ Status MigrationInternal::Freeze(Monitor* source, Monitor* dest, DomainId domain
     // domain has no attested identity to preserve anyway).
     return Error(ErrorCode::kFailedPrecondition, "only sealed domains migrate");
   }
-  for (CoreId core = 0; core < source->machine_->num_cores(); ++core) {
-    if (source->machine_->cpu(core).current_domain() == domain) {
-      return Error(ErrorCode::kFailedPrecondition, "domain is running");
-    }
-    const auto& stack = source->call_stacks_[core];
-    if (std::find(stack.begin(), stack.end(), domain) != stack.end()) {
-      return Error(ErrorCode::kFailedPrecondition, "domain is on a transition stack");
-    }
-  }
+  TYCHE_RETURN_IF_ERROR(source->CheckNotScheduled(domain));
   for (const auto& [id, other] : source->domains_) {
     if (other.alive() && other.creator == domain) {
       return Error(ErrorCode::kFailedPrecondition, "domain has live children");
@@ -437,40 +427,24 @@ Result<MigrationInternal::StagedAdoption> MigrationInternal::StageOnDest(
                          staged.engine.MintUnit(/*owner=*/0, ResourceKind::kDomain,
                                                 staged.new_id, CapRights(CapRights::kAll)));
   for (const PayloadCap& cap : image.caps) {
-    if (cap.kind == ResourceKind::kMemory) {
-      // The destination OS must hold a capability covering the range; grants
-      // carve it out exclusively, re-searching each time because earlier
-      // grants donate the covering cap and mint remainders.
-      CapId covering = kInvalidCap;
-      for (const Capability* own : staged.engine.DomainCaps(0)) {
-        if (own->kind == ResourceKind::kMemory && own->range.base <= cap.range.base &&
-            !own->range.Wraps() && cap.range.end() <= own->range.end()) {
-          covering = own->id;
-          break;
-        }
-      }
-      if (covering == kInvalidCap) {
-        return Error(ErrorCode::kFailedPrecondition,
-                     "destination lacks a covering memory capability");
-      }
-      TYCHE_ASSIGN_OR_RETURN(
-          GrantOutcome outcome,
-          staged.engine.GrantMemory(/*requester=*/0, covering, staged.new_id, cap.range,
-                                    cap.perms, cap.rights, cap.policy));
-      staged.mem_grants.push_back(
-          {covering, std::move(outcome), cap.range, cap.perms, cap.rights, cap.policy});
-    } else {
-      const CapId covering = staged.engine.FindUnit(/*owner=*/0, cap.kind, cap.unit);
-      if (covering == kInvalidCap) {
-        return Error(ErrorCode::kFailedPrecondition,
-                     "destination lacks the unit resource (core or device)");
-      }
-      TYCHE_ASSIGN_OR_RETURN(GrantOutcome outcome,
-                             staged.engine.GrantUnit(/*requester=*/0, covering,
-                                                     staged.new_id, cap.rights, cap.policy));
-      staged.unit_grants.push_back(
-          {covering, std::move(outcome), cap.kind, cap.unit, cap.rights, cap.policy});
+    // Re-searched per cap: earlier grants donate the covering cap and mint
+    // remainders.
+    const CapId covering = CoveringCap(staged.engine, cap);
+    const bool memory = cap.kind == ResourceKind::kMemory;
+    if (covering == kInvalidCap) {
+      return Error(ErrorCode::kFailedPrecondition,
+                   memory ? "destination lacks a covering memory capability"
+                          : "destination lacks the unit resource (core or device)");
     }
+    const Delegation request{.grant = true,
+                             .src = covering,
+                             .sub = memory ? std::optional(cap.range) : std::nullopt,
+                             .perms = cap.perms,
+                             .rights = cap.rights,
+                             .policy = cap.policy};
+    TYCHE_ASSIGN_OR_RETURN(DelegationOutcome outcome,
+                           staged.engine.Delegate(/*requester=*/0, staged.new_id, request));
+    staged.grants.emplace_back(request, std::move(outcome));
   }
   staged.engine.SealDomain(staged.new_id);
 
@@ -524,42 +498,6 @@ void MigrationInternal::RollbackDest(Monitor* dest, const StagedAdoption& staged
   }
 }
 
-Status MigrationInternal::CommitSourceTeardown(Monitor* source, DomainId domain,
-                                               uint64_t span) {
-  // Mirror of the DestroyDomain commit path: the handoff is already
-  // journaled, so the source side is never rolled back -- push through every
-  // cleanup step and report the first failure as contained.
-  std::vector<std::pair<CapId, RevokeOutcome>> partial;
-  const auto purged = source->engine_.PurgeDomain(domain, &partial);
-  Status first = OkStatus();
-  if (!purged.ok()) {
-    for (const auto& [root, committed] : partial) {
-      source->audit_.Revoke(span, domain, root, committed, source->engine_);
-      source->Count(kStatRevocationsCascaded, committed.revoked_count);
-      const Status projected = source->ApplyEffects(committed.effects);
-      if (!projected.ok()) {
-        TYCHE_LOG(kWarn) << "migration: partial-purge effects degraded to fail-safe: "
-                         << projected.ToString();
-      }
-    }
-    first = purged.status();
-  } else {
-    source->audit_.PurgeDomain(span, domain, *purged);
-    source->Count(kStatRevocationsCascaded, purged->revoked_count);
-    first = source->ApplyEffects(purged->effects);
-  }
-  const Status context = source->backend_->DestroyDomainContext(domain);
-  if (!context.ok() && first.ok()) {
-    first = context;
-  }
-  source->machine_->interrupts().PurgeDomain(domain);
-  source->domains_.at(domain).state = DomainState::kDead;
-  if (!first.ok()) {
-    source->audit_.Abort(span, static_cast<uint16_t>(ApiOp::kOpCount), domain, first.code());
-  }
-  return first;
-}
-
 Result<MigrationReport> MigrationInternal::RunFrozen(Monitor* source, Monitor* dest,
                                                      DomainId domain,
                                                      const MigrationCarrier& carrier,
@@ -609,20 +547,18 @@ Result<MigrationReport> MigrationInternal::RunFrozen(Monitor* source, Monitor* d
   dest->audit_.RegisterDomain(in_span, staged.new_id, /*creator=*/0);
   dest->audit_.MintUnit(in_span, /*owner=*/0, staged.handle_cap, ResourceKind::kDomain,
                         staged.new_id, CapRights(CapRights::kAll));
-  for (const StagedAdoption::MemGrant& grant : staged.mem_grants) {
-    dest->audit_.GrantMemory(in_span, /*requester=*/0, staged.new_id, grant.src_cap,
-                             grant.outcome, grant.sub, grant.perms, grant.rights,
-                             grant.policy);
-  }
-  for (const StagedAdoption::UnitGrant& grant : staged.unit_grants) {
-    dest->audit_.GrantUnit(in_span, /*requester=*/0, staged.new_id, grant.src_cap,
-                           grant.outcome, grant.kind, grant.unit, grant.rights, grant.policy);
+  for (const auto& [request, outcome] : staged.grants) {
+    dest->audit_.Delegate(in_span, /*requester=*/0, staged.new_id, request, outcome);
   }
   dest->audit_.SealDomain(in_span, staged.new_id, staged.adopted.measurement,
                           staged.adopted.entry_point);
   dest->audit_.MigrateIn(in_span, staged.new_id, payload_digest, out_link.Prefix64());
 
-  const Status teardown = CommitSourceTeardown(source, domain, out_span);
+  // The handoff is journaled, so the source side is never rolled back: it
+  // is torn down like a destroyed domain.
+  const Status teardown =
+      source->CommitTeardown(out_span, ApiOp::kOpCount, domain, domain,
+                             source->PurgeJournaled(out_span, domain));
   source->frozen_.erase(domain);
   if (!teardown.ok()) {
     TYCHE_LOG(kWarn) << "migration committed; source teardown degraded: "

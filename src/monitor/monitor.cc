@@ -13,6 +13,29 @@
 
 namespace tyche {
 
+namespace {
+
+// A domain's active capabilities in the canonical order its measurement and
+// its attestation report list them: by kind, range, then unit.
+std::vector<const Capability*> CanonicalCaps(const CapabilityEngine& engine, DomainId domain) {
+  std::vector<const Capability*> caps = engine.DomainCaps(domain);
+  std::sort(caps.begin(), caps.end(), [](const Capability* a, const Capability* b) {
+    return std::tuple(a->kind, a->range.base, a->range.size, a->unit) <
+           std::tuple(b->kind, b->range.base, b->range.size, b->unit);
+  });
+  return caps;
+}
+
+// The id of the capability a share or grant created.
+Result<CapId> Granted(const Result<DelegationOutcome>& outcome) {
+  if (!outcome.ok()) {
+    return outcome.status();
+  }
+  return outcome->granted;
+}
+
+}  // namespace
+
 const char* ApiOpName(ApiOp op) {
   switch (op) {
     case ApiOp::kCreateDomain:
@@ -406,34 +429,6 @@ Status Monitor::ReconcileDevice(uint64_t bdf) {
   return first_error;
 }
 
-Status Monitor::RollbackTransfer(ApiOp op, uint64_t span, DomainId requester,
-                                 DomainId owner, CapId created, const Status& cause) {
-  // The forward mutation is already journaled; revoking the created
-  // capability as its owner (a domain may always drop what it holds) emits
-  // the compensating records, so shadow replay performs the same
-  // compensation and the graphs converge.
-  const auto comp = engine_.Revoke(owner, created);
-  if (!comp.ok()) {
-    // Unreachable unless the engine lost the capability underneath us; the
-    // abort record below still marks the span as failed.
-    TYCHE_LOG(kError) << "rollback: revoke of cap " << created
-                      << " failed: " << comp.status().ToString();
-  } else {
-    audit_.Revoke(span, owner, created, *comp, engine_);
-    Count(kStatRevocationsCascaded, comp->revoked_count);
-    const Status reverted = ApplyEffects(comp->effects);
-    if (!reverted.ok()) {
-      // The compensation itself could not be fully projected: the failing
-      // backend has already fail-safed to deny, so hardware still enforces
-      // a subset of the (now restored) tree.
-      TYCHE_LOG(kWarn) << "rollback: compensating effects degraded to fail-safe: "
-                       << reverted.ToString();
-    }
-  }
-  audit_.Abort(span, static_cast<uint16_t>(op), requester, cause.code());
-  return cause;
-}
-
 Status Monitor::RouteInterrupt(CoreId core, CapId device_cap) {
   TYCHE_RETURN_IF_ERROR(ChargeCall(ApiOp::kRouteInterrupt));
   TYCHE_ASSIGN_OR_RETURN(const DomainId caller, Caller(core));
@@ -594,12 +589,7 @@ Status Monitor::Seal(CoreId core, CapId domain_handle) {
   // attested identity cover the isolation configuration, not just code.
   domain->measurement_ctx.Update(std::string_view("tyche-config-v1"));
   domain->measurement_ctx.UpdateValue(domain->entry_point);
-  std::vector<const Capability*> caps = engine_.DomainCaps(target);
-  std::sort(caps.begin(), caps.end(), [](const Capability* a, const Capability* b) {
-    return std::tuple(a->kind, a->range.base, a->range.size, a->unit) <
-           std::tuple(b->kind, b->range.base, b->range.size, b->unit);
-  });
-  for (const Capability* cap : caps) {
+  for (const Capability* cap : CanonicalCaps(engine_, target)) {
     domain->measurement_ctx.UpdateValue(static_cast<uint8_t>(cap->kind));
     domain->measurement_ctx.UpdateValue(cap->range.base);
     domain->measurement_ctx.UpdateValue(cap->range.size);
@@ -613,154 +603,152 @@ Status Monitor::Seal(CoreId core, CapId domain_handle) {
   return OkStatus();
 }
 
-Status Monitor::DestroyDomain(CoreId core, CapId domain_handle) {
-  TYCHE_RETURN_IF_ERROR(ChargeCall(ApiOp::kDestroyDomain));
-  TYCHE_ASSIGN_OR_RETURN(const DomainId caller, Caller(core));
-  TYCHE_ASSIGN_OR_RETURN(const DomainId target,
-                         ResolveHandle(caller, domain_handle, /*require_manage=*/true));
-  // Refuse while the domain is on a core or present in a return stack.
+Status Monitor::CheckNotScheduled(DomainId domain) const {
   for (CoreId c = 0; c < machine_->num_cores(); ++c) {
-    if (machine_->cpu(c).current_domain() == target) {
+    if (machine_->cpu(c).current_domain() == domain) {
       return Error(ErrorCode::kFailedPrecondition, "domain is running");
     }
     const auto& stack = call_stacks_[c];
-    if (std::find(stack.begin(), stack.end(), target) != stack.end()) {
+    if (std::find(stack.begin(), stack.end(), domain) != stack.end()) {
       return Error(ErrorCode::kFailedPrecondition, "domain is on a transition stack");
     }
   }
-  const uint64_t span = SpanForCore(core);
+  return OkStatus();
+}
+
+Result<RevokeOutcome> Monitor::PurgeJournaled(uint64_t span, DomainId target) {
   std::vector<std::pair<CapId, RevokeOutcome>> partial;
-  const auto purged = engine_.PurgeDomain(target, &partial);
+  auto purged = engine_.PurgeDomain(target, &partial);
   if (!purged.ok()) {
-    // The purge aborted mid-cascade: the domain is still registered and
-    // alive, but the per-root revocations that DID commit are real. Journal
-    // each as an ordinary revoke (the target owns its own roots, so replay
-    // authorization holds), project its effects so hardware tracks the tree,
-    // and surface the typed error. A retry purges whatever remains; its
-    // kPurgeDomain record then replays against the same remainder.
+    // The purge aborted mid-cascade: the domain is still registered, but the
+    // per-root revocations that DID commit are real. Journal each as an
+    // ordinary revoke (the target owns its own roots, so replay
+    // authorization holds) and project its effects so hardware tracks the
+    // tree. A retry purges whatever remains; its kPurgeDomain record then
+    // replays against the same remainder.
     for (const auto& [root, committed] : partial) {
       audit_.Revoke(span, target, root, committed, engine_);
       Count(kStatRevocationsCascaded, committed.revoked_count);
       const Status projected = ApplyEffects(committed.effects);
       if (!projected.ok()) {
-        TYCHE_LOG(kWarn) << "destroy: partial-purge effects degraded to fail-safe: "
+        TYCHE_LOG(kWarn) << "teardown: partial-purge effects degraded to fail-safe: "
                          << projected.ToString();
       }
     }
-    audit_.Abort(span, static_cast<uint16_t>(ApiOp::kDestroyDomain), caller,
-                 purged.status().code());
-    return purged.status();
+    return purged;
   }
-  const RevokeOutcome& outcome = *purged;
-  audit_.PurgeDomain(span, target, outcome);
-  Count(kStatRevocationsCascaded, outcome.revoked_count);
-  // The engine purge is the commit point: teardown is never rolled back,
-  // because a dead domain with live hardware state would be the worst torn
-  // state of all. Push through every cleanup step (failed projections have
-  // already fail-safed to deny), mark the domain dead, and report the first
-  // failure as a terminal-but-contained error.
-  Status first = ApplyEffects(outcome.effects);
+  audit_.PurgeDomain(span, target, *purged);
+  Count(kStatRevocationsCascaded, purged->revoked_count);
+  return purged;
+}
+
+Status Monitor::CommitTeardown(uint64_t span, ApiOp op, DomainId requester, DomainId target,
+                               const Result<RevokeOutcome>& purged) {
+  // Teardown is never rolled back, because a dead domain with live hardware
+  // state would be the worst torn state of all. Push through every cleanup
+  // step (failed projections have already fail-safed to deny), mark the
+  // domain dead, and report the first failure as a terminal-but-contained
+  // error.
+  Status first = purged.ok() ? ApplyEffects(purged->effects) : purged.status();
   const Status context = backend_->DestroyDomainContext(target);
   if (!context.ok() && first.ok()) {
     first = context;
   }
   machine_->interrupts().PurgeDomain(target);
-  TYCHE_ASSIGN_OR_RETURN(TrustDomain * domain, GetDomainMutable(target));
-  domain->state = DomainState::kDead;
+  domains_.at(target).state = DomainState::kDead;
   if (!first.ok()) {
-    audit_.Abort(span, static_cast<uint16_t>(ApiOp::kDestroyDomain), caller, first.code());
+    audit_.Abort(span, static_cast<uint16_t>(op), requester, first.code());
   }
   return first;
+}
+
+Status Monitor::DestroyDomain(CoreId core, CapId domain_handle) {
+  TYCHE_RETURN_IF_ERROR(ChargeCall(ApiOp::kDestroyDomain));
+  TYCHE_ASSIGN_OR_RETURN(const DomainId caller, Caller(core));
+  TYCHE_ASSIGN_OR_RETURN(const DomainId target,
+                         ResolveHandle(caller, domain_handle, /*require_manage=*/true));
+  TYCHE_RETURN_IF_ERROR(CheckNotScheduled(target));
+  const uint64_t span = SpanForCore(core);
+  const auto purged = PurgeJournaled(span, target);
+  if (!purged.ok()) {
+    // The domain stays alive, so the destroy can be retried.
+    audit_.Abort(span, static_cast<uint16_t>(ApiOp::kDestroyDomain), caller,
+                 purged.status().code());
+    return purged.status();
+  }
+  // The engine purge is the commit point.
+  return CommitTeardown(span, ApiOp::kDestroyDomain, caller, target, purged);
+}
+
+Result<DelegationOutcome> Monitor::Delegate(CoreId core, CapId dst_domain_handle,
+                                            const Delegation& request) {
+  const ApiOp op = request.sub ? (request.grant ? ApiOp::kGrantMemory : ApiOp::kShareMemory)
+                               : (request.grant ? ApiOp::kGrantUnit : ApiOp::kShareUnit);
+  TYCHE_RETURN_IF_ERROR(ChargeCall(op));
+  TYCHE_ASSIGN_OR_RETURN(const DomainId caller, Caller(core));
+  TYCHE_ASSIGN_OR_RETURN(const DomainId dst,
+                         ResolveHandle(caller, dst_domain_handle, /*require_manage=*/false));
+  const uint64_t span = SpanForCore(core);
+  TYCHE_ASSIGN_OR_RETURN(DelegationOutcome outcome, engine_.Delegate(caller, dst, request));
+  audit_.Delegate(span, caller, dst, request, outcome);
+  const Status applied = ApplyEffects(outcome.effects);
+  if (applied.ok()) {
+    Count(request.grant ? kStatGrants : kStatShares);
+    return outcome;
+  }
+  // Compensate: the hardware could not accommodate the new access (e.g. PMP
+  // exhaustion), so the recipient drops the child (an owner may always drop
+  // what it holds). A revoked grant returns to the grantor (the parent
+  // itself when the grant took it whole, else a restore child), so the
+  // rollback is access-equivalent to the state before. The forward mutation
+  // is already journaled, and so is the compensating revoke: shadow replay
+  // performs the same compensation and the graphs converge.
+  const auto comp = engine_.Revoke(dst, outcome.granted);
+  if (!comp.ok()) {
+    // Unreachable unless the engine lost the capability underneath us; the
+    // abort record below still marks the span as failed.
+    TYCHE_LOG(kError) << "rollback: revoke of cap " << outcome.granted
+                      << " failed: " << comp.status().ToString();
+  } else {
+    audit_.Revoke(span, dst, outcome.granted, *comp, engine_);
+    Count(kStatRevocationsCascaded, comp->revoked_count);
+    const Status reverted = ApplyEffects(comp->effects);
+    if (!reverted.ok()) {
+      // The failing backend has already fail-safed to deny, so hardware
+      // still enforces a subset of the (now restored) tree.
+      TYCHE_LOG(kWarn) << "rollback: compensating effects degraded to fail-safe: "
+                       << reverted.ToString();
+    }
+  }
+  audit_.Abort(span, static_cast<uint16_t>(op), caller, applied.code());
+  return applied;
 }
 
 Result<CapId> Monitor::ShareMemory(CoreId core, CapId src_cap, CapId dst_domain_handle,
                                    AddrRange sub, Perms perms, CapRights rights,
                                    RevocationPolicy policy) {
-  TYCHE_RETURN_IF_ERROR(ChargeCall(ApiOp::kShareMemory));
-  TYCHE_ASSIGN_OR_RETURN(const DomainId caller, Caller(core));
-  TYCHE_ASSIGN_OR_RETURN(const DomainId dst,
-                         ResolveHandle(caller, dst_domain_handle, /*require_manage=*/false));
-  const uint64_t span = SpanForCore(core);
-  CapEffects effects;
-  TYCHE_ASSIGN_OR_RETURN(
-      const CapId child,
-      engine_.ShareMemory(caller, src_cap, dst, sub, perms, rights, policy, &effects));
-  audit_.ShareMemory(span, caller, dst, src_cap, child, sub, perms, rights, policy, effects);
-  const Status applied = ApplyEffects(effects);
-  if (!applied.ok()) {
-    // Compensate: the hardware could not accommodate the new mapping (e.g.
-    // PMP exhaustion); roll the capability back so tree and hardware agree.
-    return RollbackTransfer(ApiOp::kShareMemory, span, caller, dst, child, applied);
-  }
-  Count(kStatShares);
-  return child;
+  return Granted(Delegate(core, dst_domain_handle, {false, src_cap, sub, perms, rights, policy}));
 }
 
 Result<GrantResult> Monitor::GrantMemory(CoreId core, CapId src_cap, CapId dst_domain_handle,
                                          AddrRange sub, Perms perms, CapRights rights,
                                          RevocationPolicy policy) {
-  TYCHE_RETURN_IF_ERROR(ChargeCall(ApiOp::kGrantMemory));
-  TYCHE_ASSIGN_OR_RETURN(const DomainId caller, Caller(core));
-  TYCHE_ASSIGN_OR_RETURN(const DomainId dst,
-                         ResolveHandle(caller, dst_domain_handle, /*require_manage=*/false));
-  const uint64_t span = SpanForCore(core);
-  TYCHE_ASSIGN_OR_RETURN(GrantOutcome outcome, engine_.GrantMemory(caller, src_cap, dst, sub,
-                                                                   perms, rights, policy));
-  audit_.GrantMemory(span, caller, dst, src_cap, outcome, sub, perms, rights, policy);
-  const Status applied = ApplyEffects(outcome.effects);
-  if (!applied.ok()) {
-    // Revoking the granted capability returns it to the grantor (the
-    // engine's grant-revocation rule: the parent itself when the grant took
-    // it whole, else a restore child), so the rollback is access-equivalent
-    // to the pre-grant state.
-    return RollbackTransfer(ApiOp::kGrantMemory, span, caller, dst, outcome.granted,
-                            applied);
-  }
-  Count(kStatGrants);
-  return GrantResult{outcome.granted, outcome.remainders};
+  TYCHE_ASSIGN_OR_RETURN(
+      DelegationOutcome outcome,
+      Delegate(core, dst_domain_handle, {true, src_cap, sub, perms, rights, policy}));
+  return GrantResult{outcome.granted, std::move(outcome.remainders)};
 }
 
 Result<CapId> Monitor::ShareUnit(CoreId core, CapId src_cap, CapId dst_domain_handle,
                                  CapRights rights, RevocationPolicy policy) {
-  TYCHE_RETURN_IF_ERROR(ChargeCall(ApiOp::kShareUnit));
-  TYCHE_ASSIGN_OR_RETURN(const DomainId caller, Caller(core));
-  TYCHE_ASSIGN_OR_RETURN(const DomainId dst,
-                         ResolveHandle(caller, dst_domain_handle, /*require_manage=*/false));
-  const uint64_t span = SpanForCore(core);
-  CapEffects effects;
-  TYCHE_ASSIGN_OR_RETURN(const CapId child,
-                         engine_.ShareUnit(caller, src_cap, dst, rights, policy, &effects));
-  if (const auto child_cap = engine_.Get(child); child_cap.ok()) {
-    audit_.ShareUnit(span, caller, dst, src_cap, child, (*child_cap)->kind,
-                     (*child_cap)->unit, rights, policy, effects);
-  }
-  const Status applied = ApplyEffects(effects);
-  if (!applied.ok()) {
-    return RollbackTransfer(ApiOp::kShareUnit, span, caller, dst, child, applied);
-  }
-  Count(kStatShares);
-  return child;
+  return Granted(Delegate(core, dst_domain_handle,
+                          {false, src_cap, std::nullopt, Perms{}, rights, policy}));
 }
 
 Result<CapId> Monitor::GrantUnit(CoreId core, CapId src_cap, CapId dst_domain_handle,
                                  CapRights rights, RevocationPolicy policy) {
-  TYCHE_RETURN_IF_ERROR(ChargeCall(ApiOp::kGrantUnit));
-  TYCHE_ASSIGN_OR_RETURN(const DomainId caller, Caller(core));
-  TYCHE_ASSIGN_OR_RETURN(const DomainId dst,
-                         ResolveHandle(caller, dst_domain_handle, /*require_manage=*/false));
-  const uint64_t span = SpanForCore(core);
-  TYCHE_ASSIGN_OR_RETURN(GrantOutcome outcome,
-                         engine_.GrantUnit(caller, src_cap, dst, rights, policy));
-  if (const auto granted = engine_.Get(outcome.granted); granted.ok()) {
-    audit_.GrantUnit(span, caller, dst, src_cap, outcome, (*granted)->kind,
-                     (*granted)->unit, rights, policy);
-  }
-  const Status applied = ApplyEffects(outcome.effects);
-  if (!applied.ok()) {
-    return RollbackTransfer(ApiOp::kGrantUnit, span, caller, dst, outcome.granted, applied);
-  }
-  Count(kStatGrants);
-  return outcome.granted;
+  return Granted(Delegate(core, dst_domain_handle,
+                          {true, src_cap, std::nullopt, Perms{}, rights, policy}));
 }
 
 Status Monitor::Revoke(CoreId core, CapId cap) {
@@ -795,17 +783,12 @@ Result<DomainAttestation> Monitor::BuildAttestation(DomainId target, uint64_t no
   report.sealed = domain->sealed();
   report.measurement = domain->measurement;
 
-  std::vector<const Capability*> caps = engine_.DomainCaps(target);
-  std::sort(caps.begin(), caps.end(), [](const Capability* a, const Capability* b) {
-    return std::tuple(a->kind, a->range.base, a->range.size, a->unit) <
-           std::tuple(b->kind, b->range.base, b->range.size, b->unit);
-  });
   // Memory claims are reported at constant-refcount granularity (the
   // resolution of the paper's Figure 4): a capability spanning both private
   // and shared bytes is split, so a verifier's per-region policy can tell
   // the attested channel from the private heap around it. The view within
   // the cap's own range is exactly those pieces, already clipped.
-  for (const Capability* cap : caps) {
+  for (const Capability* cap : CanonicalCaps(engine_, target)) {
     if (cap->kind != ResourceKind::kMemory) {
       ResourceClaim claim;
       claim.kind = cap->kind;
@@ -966,6 +949,11 @@ Status Monitor::FastReturn(CoreId core) {
   return OkStatus();
 }
 
+Digest Monitor::SealingKey(const TrustDomain& domain) const {
+  return HmacSha256(std::span<const uint8_t>(sealing_root_.bytes.data(), 32),
+                    std::span<const uint8_t>(domain.measurement.bytes.data(), 32));
+}
+
 Result<std::vector<uint8_t>> Monitor::SealData(CoreId core, std::span<const uint8_t> data) {
   TYCHE_RETURN_IF_ERROR(ChargeCall(ApiOp::kSealData));
   TYCHE_ASSIGN_OR_RETURN(const DomainId caller, Caller(core));
@@ -978,9 +966,7 @@ Result<std::vector<uint8_t>> Monitor::SealData(CoreId core, std::span<const uint
     return Error(ErrorCode::kDomainNotSealed,
                  "sealing requires a final measurement (seal the domain first)");
   }
-  const Digest key =
-      HmacSha256(std::span<const uint8_t>(sealing_root_.bytes.data(), 32),
-                 std::span<const uint8_t>(domain->measurement.bytes.data(), 32));
+  const Digest key = SealingKey(*domain);
   // NOTE: the per-boot nonce counter is enough here because the simulation
   // has no persistent storage; a production monitor must persist or
   // randomize nonces to avoid cross-boot reuse.
@@ -1003,9 +989,7 @@ Result<std::vector<uint8_t>> Monitor::UnsealData(CoreId core,
     return Error(ErrorCode::kDomainNotSealed, "unsealing requires a final measurement");
   }
   TYCHE_ASSIGN_OR_RETURN(const SealedBlob blob, SealedBlob::Deserialize(blob_bytes));
-  const Digest key =
-      HmacSha256(std::span<const uint8_t>(sealing_root_.bytes.data(), 32),
-                 std::span<const uint8_t>(domain->measurement.bytes.data(), 32));
+  const Digest key = SealingKey(*domain);
   machine_->cycles().Charge(CostModel::Default().hash_per_page *
                             (AlignUp(blob.ciphertext.size(), kPageSize) / kPageSize + 1));
   return AeadOpen(key, blob);

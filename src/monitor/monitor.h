@@ -400,17 +400,33 @@ class Monitor {
   // span when inside Dispatch(), else a fresh root span.
   uint64_t SpanForCore(CoreId core);
 
+  // Refuses (kFailedPrecondition) while `domain` runs on a core or waits on
+  // a transition stack: such a domain can be neither destroyed nor migrated.
+  Status CheckNotScheduled(DomainId domain) const;
+  // Purges `target` from the engine and journals the purge. When the purge
+  // aborts mid-cascade, the per-root revokes that did commit are journaled
+  // and projected, and the error comes back with the domain still
+  // registered.
+  Result<RevokeOutcome> PurgeJournaled(uint64_t span, DomainId target);
+  // The commit half of a teardown (destroy, or a migrated domain's source
+  // side): projects the purge's effects (none when `purged` failed), destroys
+  // the backend context and interrupt routes, and marks the domain dead. The
+  // first failure is returned, and marked by an abort record naming `op` and
+  // `requester`.
+  Status CommitTeardown(uint64_t span, ApiOp op, DomainId requester, DomainId target,
+                        const Result<RevokeOutcome>& purged);
+
+  // The one share/grant step behind ShareMemory, GrantMemory, ShareUnit and
+  // GrantUnit: charges the call, resolves the caller and the destination
+  // handle, runs the engine, journals the record, applies the effects (or
+  // rolls the transfer back when they fail) and counts the success.
+  Result<DelegationOutcome> Delegate(CoreId core, CapId dst_domain_handle,
+                                     const Delegation& request);
+
   // Applies an effect list produced by the capability engine to hardware.
   // The list is journaled as a digest in the record of the operation that
   // produced it, not here.
   Status ApplyEffects(const CapEffects& effects);
-  // Rolls back a share/grant whose hardware projection failed: revokes the
-  // capability the operation created (as `owner`, the recipient — an owner
-  // may always drop its own capability), applies the compensating effects,
-  // and journals the compensation plus an abort record so replay stays in
-  // lockstep. Returns `cause` so callers can `return RollbackTransfer(...)`.
-  Status RollbackTransfer(ApiOp op, uint64_t span, DomainId requester, DomainId owner,
-                          CapId created, const Status& cause);
   // Re-binds a shared device: attached iff exactly one domain holds it.
   Status ReconcileDevice(uint64_t bdf);
 
@@ -437,6 +453,9 @@ class Monitor {
   void ScrubOnExitIfRequested(DomainId leaving, CoreId core);
 
   Result<DomainAttestation> BuildAttestation(DomainId target, uint64_t nonce);
+  // The key SealData and UnsealData use for `domain`: bound to the monitor's
+  // identity and the domain's final measurement.
+  Digest SealingKey(const TrustDomain& domain) const;
 
   Machine* machine_;
   AddrRange monitor_range_;

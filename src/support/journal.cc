@@ -30,10 +30,11 @@ constexpr size_t kHeaderBytes = 24;
 constexpr size_t kRecordWireBytes = kJournalCanonicalBytes + 32;
 constexpr size_t kCheckpointWireBytes = 8 + 32 + 32 + 8 + 32;
 
-// The canonical fields, in order. The encoder and the size check below both
-// read this one list, so the fixed-size buffers cannot fall out of step with
-// the encoding.
-constexpr auto CanonicalFields(const JournalRecord& r) {
+// The canonical fields, in order. The encoder, the decoder and the size
+// check below all read this one list, so the fixed-size buffers and the
+// decoding cannot fall out of step with the encoding.
+template <typename Record>  // a JournalRecord, const or not
+constexpr auto CanonicalFields(Record&& r) {
   return std::tie(r.seq, r.tick, r.span, r.event, r.op, r.domain, r.dst, r.resource, r.perms,
                   r.rights, r.policy, r.cap, r.parent, r.base, r.size, r.result, r.aux);
 }
@@ -440,15 +441,9 @@ Result<ParsedJournal> Journal::Deserialize(std::span<const uint8_t> bytes) {
   parsed.records.reserve(record_count);
   for (uint64_t i = 0; i < record_count; ++i) {
     JournalRecord record;
-    const bool ok = reader.Read(&record.seq) && reader.Read(&record.tick) &&
-                    reader.Read(&record.span) && reader.Read(&record.event) &&
-                    reader.Read(&record.op) && reader.Read(&record.domain) &&
-                    reader.Read(&record.dst) && reader.Read(&record.resource) &&
-                    reader.Read(&record.perms) && reader.Read(&record.rights) &&
-                    reader.Read(&record.policy) && reader.Read(&record.cap) &&
-                    reader.Read(&record.parent) && reader.Read(&record.base) &&
-                    reader.Read(&record.size) && reader.Read(&record.result) &&
-                    reader.Read(&record.aux) && reader.ReadDigest(&record.link);
+    const bool ok = std::apply([&reader](auto&... field) { return (reader.Read(&field) && ...); },
+                               CanonicalFields(record)) &&
+                    reader.ReadDigest(&record.link);
     if (!ok) {
       return Error(ErrorCode::kInvalidArgument, "journal: truncated record");
     }

@@ -12,12 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "src/monitor/attestation.h"
 #include "src/monitor/audit.h"
 #include "src/monitor/dispatch.h"
+#include "src/support/faults.h"
 #include "src/support/prng.h"
 #include "src/tyche/enclave.h"
 #include "src/tyche/graph_export.h"
@@ -290,6 +292,24 @@ TEST_F(AuditJournalTest, ResealedEffectDigestEditFailsReplay) {
   EXPECT_GE(edited, 5);
 }
 
+TEST_F(AuditJournalTest, ResealedShareRemainderCountFailsReplay) {
+  RunCircularWorkload();
+  const auto parsed = Journal::Deserialize(monitor_->ExportJournal());
+  ASSERT_TRUE(parsed.ok());
+  // A share mints no remainders, so its record's remainder count must be 0.
+  const auto share = std::find_if(
+      parsed->records.begin(), parsed->records.end(), [](const JournalRecord& record) {
+        return record.event == static_cast<uint8_t>(JournalEvent::kShareMemory);
+      });
+  ASSERT_NE(share, parsed->records.end());
+  ASSERT_EQ(share->aux, 0u);
+  const std::vector<uint8_t> forged =
+      Resealed(*parsed, static_cast<size_t>(share - parsed->records.begin()),
+               [](JournalRecord* record) { record->aux = 1; });
+  const Status status = VerifyJournal(forged, {}, monitor_->public_key(), nullptr);
+  EXPECT_EQ(status.code(), ErrorCode::kJournalReplayDivergence) << status.ToString();
+}
+
 TEST_F(AuditJournalTest, RetiredAndUnknownEventsFailReplay) {
   RunCircularWorkload();
   // A failed revoke writes one context record: its dispatch boundary.
@@ -464,6 +484,113 @@ TEST_F(AuditJournalTest, DisabledJournalStillDispatches) {
   EXPECT_EQ(created.error, 0u);
   EXPECT_EQ(monitor_->audit().journal().size(), before);
 }
+
+// Every canonical field of a record but its tick and link, on one line.
+std::string DescribeRecord(const JournalRecord& r) {
+  char line[320];
+  std::snprintf(line, sizeof(line),
+                "%llu span=%llu %s op=%u dom=%u dst=%u res=%u perms=%u rights=%u policy=%u "
+                "cap=%llu parent=%llu base=%#llx size=%#llx result=%#llx aux=%llu",
+                static_cast<unsigned long long>(r.seq), static_cast<unsigned long long>(r.span),
+                JournalEventName(static_cast<JournalEvent>(r.event)), r.op, r.domain, r.dst,
+                r.resource, r.perms, r.rights, r.policy, static_cast<unsigned long long>(r.cap),
+                static_cast<unsigned long long>(r.parent),
+                static_cast<unsigned long long>(r.base), static_cast<unsigned long long>(r.size),
+                static_cast<unsigned long long>(r.result),
+                static_cast<unsigned long long>(r.aux));
+  return line;
+}
+
+// The records of one delegation workload driven through Dispatch(), pinned
+// field by field on both backends: a memory share, a memory grant that
+// leaves two remainders, a core share, a device grant, and a share whose
+// hardware projection fails and is rolled back.
+class DelegationRecordTest : public ::testing::TestWithParam<IsaArch>, public BootedMachine {
+ protected:
+  DelegationRecordTest() : BootedMachine(FixtureOptions{.arch = GetParam(), .with_nic = true}) {}
+
+  ApiResult Call(ApiOp op, uint64_t a0 = 0, uint64_t a1 = 0, uint64_t a2 = 0, uint64_t a3 = 0,
+                 uint64_t a4 = 0, uint64_t a5 = 0) {
+    return Dispatch(monitor_.get(), 0, ApiRegs{static_cast<uint64_t>(op), a0, a1, a2, a3, a4, a5});
+  }
+};
+
+TEST_P(DelegationRecordTest, EveryDelegationRecordIsPinned) {
+  const ApiResult created = Call(ApiOp::kCreateDomain);
+  ASSERT_EQ(created.error, 0u);
+  const CapId handle = created.ret1;
+  Journal& journal = monitor_->audit().journal();
+  const size_t before = journal.size();
+
+  const AddrRange shared = Scratch(kMiB, 4 * kPageSize);
+  ASSERT_EQ(Call(ApiOp::kShareMemory, OsMemCap(shared), handle, shared.base, shared.size,
+                 Perms::kRW, (CapRights::kShare | CapRights::kRevoke) << 8 |
+                                 RevocationPolicy::kZeroMemory)
+                .error,
+            0u);
+  const AddrRange granted = Scratch(2 * kMiB, 2 * kPageSize);
+  ASSERT_EQ(Call(ApiOp::kGrantMemory, OsMemCap(granted), handle, granted.base, granted.size,
+                 Perms::kRX, uint64_t{CapRights::kAll} << 8 | RevocationPolicy::kObfuscate)
+                .error,
+            0u);
+  ASSERT_EQ(Call(ApiOp::kShareUnit, OsCoreCap(1), handle, uint64_t{CapRights::kShare} << 8).error,
+            0u);
+  ASSERT_EQ(Call(ApiOp::kGrantUnit, OsDeviceCap(kNicBdf.value), handle,
+                 uint64_t{CapRights::kAll} << 8 | RevocationPolicy::kFlushCache)
+                .error,
+            0u);
+  {
+    // The first memory sync fails, so the share is rolled back: the share
+    // record, the compensating revoke and cascade, the abort, the boundary.
+    ScopedFaultPlan plan(FaultPlan::Single(
+        GetParam() == IsaArch::kX86_64 ? faults::kVtxSyncMemory : faults::kPmpRecompile, 1));
+    const AddrRange failed = Scratch(3 * kMiB, kPageSize);
+    ASSERT_NE(Call(ApiOp::kShareMemory, OsMemCap(failed), handle, failed.base, failed.size,
+                   Perms::kRead, uint64_t{CapRights::kAll} << 8)
+                  .error,
+              0u);
+  }
+
+  std::vector<std::string> lines;
+  const std::vector<JournalRecord> records = journal.Records();
+  for (size_t at = before; at < records.size(); ++at) {
+    lines.push_back(DescribeRecord(records[at]));
+  }
+  // Both backends write the same records; only the injected failure's
+  // error code (the fault site's default) differs.
+  const std::string error = GetParam() == IsaArch::kX86_64 ? "0x11" : "0x12";
+  const std::vector<std::string> golden = {
+      "10 span=3 share_memory op=2 dom=0 dst=1 res=0 perms=3 rights=5 policy=1 cap=8 parent=1 "
+      "base=0x500000 size=0x4000 result=0x238cf654c6ce7b18 aux=0",
+      "11 span=4 grant_memory op=3 dom=0 dst=1 res=0 perms=5 rights=15 policy=3 cap=9 parent=1 "
+      "base=0x600000 size=0x2000 result=0x67ea5ce079ef7843 aux=2",
+      "12 span=5 share_unit op=4 dom=0 dst=1 res=1 perms=0 rights=1 policy=0 cap=12 parent=3 "
+      "base=0x1 size=0 result=0x75ca3d1c9a1e421 aux=0",
+      "13 span=6 grant_unit op=5 dom=0 dst=1 res=2 perms=0 rights=15 policy=2 cap=13 parent=6 "
+      "base=0x18 size=0 result=0xa7b23b621129bf91 aux=0",
+      "14 span=7 share_memory op=2 dom=0 dst=1 res=0 perms=1 rights=15 policy=0 cap=14 "
+      "parent=11 base=0x700000 size=0x1000 result=0x64b95bf8dab5f1db aux=0",
+      "15 span=7 revoke op=255 dom=1 dst=4294967295 res=0 perms=0 rights=0 policy=0 cap=14 "
+      "parent=0 base=0 size=0 result=0xab440d8f33341abc aux=1",
+      "16 span=7 cascade op=255 dom=1 dst=4294967295 res=0 perms=0 rights=0 policy=0 cap=14 "
+      "parent=14 base=0 size=0 result=0 aux=0",
+      "17 span=7 op_abort op=2 dom=0 dst=4294967295 res=0 perms=0 rights=0 policy=0 cap=0 "
+      "parent=0 base=0 size=0 result=" + error + " aux=0",
+      "18 span=7 dispatch op=2 dom=0 dst=4294967295 res=0 perms=0 rights=0 policy=0 cap=0 "
+      "parent=0 base=0 size=0 result=" + error + " aux=8041448413447690445",
+  };
+  EXPECT_EQ(lines, golden);
+
+  const std::string graph_json = ExportCapabilityGraphJson(monitor_->engine());
+  EXPECT_TRUE(VerifyJournal(monitor_->ExportJournal(), {}, monitor_->public_key(), &graph_json)
+                  .ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, DelegationRecordTest,
+                         ::testing::Values(IsaArch::kX86_64, IsaArch::kRiscV),
+                         [](const ::testing::TestParamInfo<IsaArch>& info) {
+                           return info.param == IsaArch::kX86_64 ? "Vtx" : "Pmp";
+                         });
 
 }  // namespace
 }  // namespace tyche

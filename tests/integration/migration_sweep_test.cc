@@ -442,6 +442,43 @@ TEST(MigrationSweep, DestinationWithoutResourcesRollsBack) {
   EXPECT_EQ(EngineDigest(dest->engine()), pre_dest);
 }
 
+// The destination journals its adopting grants in the order it made them,
+// which is the payload's (capability id) order. A domain granted its core
+// before its memory lists the core first, and the destination's journal
+// must still replay.
+TEST(MigrationSweep, CoreGrantedBeforeMemoryReplaysOnTheDestination) {
+  World world(IsaArch::kX86_64);
+  Monitor* source = world.source;
+  const auto created = source->CreateDomain(0, "core-first");
+  ASSERT_TRUE(created.ok());
+  const auto core_cap = FindUnitCap(*source, world.source_os, ResourceKind::kCpuCore, 3);
+  ASSERT_TRUE(core_cap.ok());
+  ASSERT_TRUE(source
+                  ->GrantUnit(0, *core_cap, created->handle, CapRights(CapRights::kAll),
+                              RevocationPolicy(0))
+                  .ok());
+  const AddrRange window{source->monitor_range().end() + kMiB, 4 * kPageSize};
+  const auto mem_cap = FindMemoryCap(*source, world.source_os, window);
+  ASSERT_TRUE(mem_cap.ok());
+  ASSERT_TRUE(source
+                  ->GrantMemory(0, *mem_cap, created->handle, window, Perms(Perms::kRWX),
+                                CapRights(CapRights::kAll), RevocationPolicy(0))
+                  .ok());
+  ASSERT_TRUE(source->SetEntryPoint(0, created->handle, window.base).ok());
+  ASSERT_TRUE(source->Seal(0, created->handle).ok());
+
+  const auto migrated = MigrateDomain(
+      source, world.dest, created->domain,
+      [](std::span<const uint8_t> payload, const Digest&) -> Result<std::vector<uint8_t>> {
+        return std::vector<uint8_t>(payload.begin(), payload.end());
+      },
+      source->public_key());
+  ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
+  const Status replayed =
+      VerifyJournal(world.dest->ExportJournal(), {}, world.dest->public_key(), nullptr);
+  EXPECT_TRUE(replayed.ok()) << replayed.ToString();
+}
+
 // A hostile carrier: integrity comes from the monitor, not from whoever moves
 // the bytes. The carrier flips one byte inside each payload section in turn
 // (state image, provenance journal, meta/signature) and re-seals the
